@@ -10,7 +10,6 @@ import numpy as np
 
 from mfun import build_coefficients, bundled_zeros_path, load_zeros
 from mfun import _purepy
-from mfun.goldbach import sieve_lambda
 
 try:
     from mfun import _core
@@ -45,9 +44,6 @@ def main():
     rho = np.linspace(0.0, 3e4, 40001)
     r = np.linspace(0.0, 0.014, 1024)
     w = rho * np.exp(-rho / 5e3)
-    table = sieve_lambda(2 * 10 ** 5)
-    pp = np.flatnonzero(table.lam > 0).astype(np.int64)
-    lam_pp = table.lam[pp]
 
     cases = [
         ("f_series (2e6 alphas, N=10)",
@@ -58,8 +54,6 @@ def main():
          lambda k: k.char_prod(rho, c)),
         ("hankel_sum (1024 x 4e4)",
          lambda k: k.hankel_sum(r, rho, w)),
-        ("r2_convolve (x_max = 2e5)",
-         lambda k: k.r2_convolve(pp, lam_pp, table.limit)),
     ]
 
     print(f"{'kernel':38s} {'compiled':>10s} {'pure':>10s} {'speedup':>8s}")

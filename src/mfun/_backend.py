@@ -24,4 +24,3 @@ f_series = kernels.f_series
 phasor_sum = kernels.phasor_sum
 char_prod = kernels.char_prod
 hankel_sum = kernels.hankel_sum
-r2_convolve = kernels.r2_convolve

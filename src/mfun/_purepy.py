@@ -108,22 +108,3 @@ def hankel_sum(r, rho, g):
         out[lo:hi] = _sj0(np.outer(r[lo:hi], rho)) @ g
     return out
 
-
-def r2_convolve(pp, lam_pp, n_max):
-    """Self-convolution of the von Mangoldt function on its support.
-
-    pp: ascending prime-power indices, lam_pp: matching Lambda values.
-    Returns r2[0..n_max] with r2[n] = sum_{l+m=n} Lambda(l)*Lambda(m).
-    """
-    pp = np.asarray(pp, dtype=np.int64)
-    lam_pp = np.asarray(lam_pp, dtype=np.float64)
-    r2 = np.zeros(n_max + 1, dtype=np.float64)
-    for i in range(pp.size):
-        li = pp[i]
-        if li + pp[0] > n_max:
-            break
-        # all ordered pairs (li, m); targets are distinct within one i,
-        # so the fancy-indexed accumulate is safe
-        k = np.searchsorted(pp, n_max - li, side="right")
-        r2[li + pp[:k]] += lam_pp[i] * lam_pp[:k]
-    return r2

@@ -162,6 +162,7 @@ def cmd_density(config: RunConfig, out: Path) -> int:
         n_used = d.n_used
     else:
         n_used = config.N
+        dn.check_inversion_order(n_used)   # before the grid and the CSV
         d = None
     rho = dn.default_rho_grid(coeffs, n_used)
     prof = dn.char_M_N(coeffs, n_used, rho)

@@ -29,8 +29,9 @@ from .testfuncs import TestFunction
 __all__ = [
     "CircleMeasure", "CharacteristicProfile", "DensityProfile",
     "bessel_j0", "char_m_n", "char_M_N", "char_tail_gap", "support_radius",
-    "default_r_grid", "default_rho_grid", "invert_to_density",
-    "invert_limit_density", "convolve_step", "integrate_against",
+    "default_r_grid", "default_rho_grid", "check_inversion_order",
+    "invert_to_density", "invert_limit_density", "convolve_step",
+    "integrate_against",
 ]
 
 MIN_INVERSION_ORDER = 5
@@ -238,6 +239,14 @@ def _mass_of(c: np.ndarray, r_edge: float, rho_max: float,
     return float(np.dot(w, integrand))
 
 
+def check_inversion_order(n: int) -> None:
+    """RangeError unless order n is high enough for pointwise inversion."""
+    if n < MIN_INVERSION_ORDER:
+        raise RangeError(
+            f"pointwise inversion needs order >= {MIN_INVERSION_ORDER}, "
+            f"got {n}; use the Monte-Carlo route for smaller orders")
+
+
 def invert_to_density(profile: CharacteristicProfile,
                       r_grid=None) -> DensityProfile:
     """Hankel inversion of a characteristic profile to the radial density.
@@ -248,10 +257,7 @@ def invert_to_density(profile: CharacteristicProfile,
     QuadratureError.
     """
     n = profile.order
-    if n < MIN_INVERSION_ORDER:
-        raise RangeError(
-            f"pointwise inversion needs order >= {MIN_INVERSION_ORDER}, "
-            f"got {n}; use the Monte-Carlo route for smaller orders")
+    check_inversion_order(n)
     c = profile.c_used
     s = float(np.sum(c))
     if r_grid is None:

@@ -74,6 +74,7 @@ def test_density_outputs_and_determinism(tmp_path, capsys):
 
 def test_density_low_order_is_usage_error(tmp_path):
     assert run(["density", "--N", "3", "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "characteristic.csv").exists()
 
 
 def test_compare_small(tmp_path, capsys):

@@ -1,14 +1,20 @@
 """Arithmetic side: Lambda sieve, r_2 convolution, singular series, A_2.
 
 Oracles: exact closed forms in logs of small primes, an O(x^2) brute
-force at desk scale, and the truncated defining Euler products.
+force at desk scale, the direct double loop over prime-power pairs that
+the FFT convolution replaced, and the truncated defining Euler products.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mfun
 from mfun.errors import RangeError
 from mfun.goldbach import (
     MIN_PRIME_CUTOFF,
@@ -17,6 +23,7 @@ from mfun.goldbach import (
     compare_main_term,
     primes_up_to,
     r2_all,
+    r2_convolve,
     sieve_lambda,
     singular_series,
     singular_series_all,
@@ -81,6 +88,66 @@ def test_r2_halved_symmetry(table):
         if m % 2 == 0:
             half += float(lam[m // 2]) ** 2
         assert r2[m] == pytest.approx(half, abs=1e-9)
+
+
+def r2_direct(pp, lam_pp, n_max):
+    """Oracle: r2[n] = sum_{l+m=n} Lambda(l) Lambda(m) by the direct double
+    loop over all ordered pairs of prime powers (O(pi(x)^2) updates)."""
+    pp = np.asarray(pp, dtype=np.int64)
+    lam_pp = np.asarray(lam_pp, dtype=np.float64)
+    r2 = np.zeros(n_max + 1, dtype=np.float64)
+    for i in range(pp.size):
+        li = pp[i]
+        if li + pp[0] > n_max:
+            break
+        # targets are distinct within one i, so the fancy-indexed add is safe
+        k = np.searchsorted(pp, n_max - li, side="right")
+        r2[li + pp[:k]] += lam_pp[i] * lam_pp[:k]
+    return r2
+
+
+@pytest.fixture(scope="module", params=[5000, 200000])
+def r2_pair(request):
+    """(FFT r2, direct-loop r2, stated error bound) at x = param."""
+    x = request.param
+    lam = sieve_lambda(x).lam
+    pp = np.nonzero(lam)[0].astype(np.int64)
+    fast = r2_convolve(pp, lam[pp], x)
+    # the bound of r2_convolve, 2 eps log2(L) sum Lambda^2, at L <= 2x
+    bound = (2.0 * np.finfo(float).eps * math.log2(2 * x)
+             * float(np.sum(lam[pp] ** 2)))
+    return fast, r2_direct(pp, lam[pp], x), bound
+
+
+def test_r2_fft_within_stated_bound(r2_pair):
+    fast, direct, bound = r2_pair
+    assert np.max(np.abs(fast - direct)) <= bound
+
+
+def test_r2_fft_structural_zeros_exact(r2_pair):
+    fast, direct, _ = r2_pair
+    zeros = direct == 0.0
+    assert zeros.sum() > 100
+    assert np.array_equal(fast == 0.0, zeros)
+
+
+def test_goldbach_csv_independent_of_threads(tmp_path):
+    src = str(Path(mfun.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads,
+                   OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        out = tmp_path / threads
+        proc = subprocess.run(
+            [sys.executable, "-m", "mfun.cli", "goldbach-validate",
+             "--x-max", "20000", "--N", "30", "--prime-cutoff", "100000",
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((out / "goldbach.csv").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_twin_prime_constant(table):
