@@ -6,7 +6,6 @@ sampling and long averages over the real line, and validates the
 arithmetic side (Goldbach representation counts) at desk scale.
 """
 
-from ._backend import BACKEND, COMPILED
 from .density import (
     CharacteristicProfile,
     DensityProfile,
@@ -47,8 +46,6 @@ from .zeros import ZeroTable, bundled_zeros_path, load_zeros, verify_table
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
-    "COMPILED",
     "AmbiguousBracketError",
     "CharacteristicProfile",
     "CoefficientTable",

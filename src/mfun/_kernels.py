@@ -1,22 +1,20 @@
-"""Pure numpy implementations of the hot kernels.
+"""The hot kernels, in numpy.
 
-Same call signatures as the compiled extension ``mfun._core``; which of the
-two is active is decided in ``mfun._backend``.  Everything here is
-vectorized numpy plus scipy's Cephes Bessel routines, chunked to keep peak
-memory bounded.
+Everything here is vectorized numpy plus scipy's Cephes Bessel routines,
+chunked to keep peak memory bounded.
 
-The phase sums ``f_series`` and ``phasor_sum`` add their terms in ascending
-m, one running sum per output element, and never reduce through BLAS (whose
-summation order can change with the matrix shape and the thread count).  Each
-result therefore depends only on its own alpha or angle row: it is the same
-double whatever the number of points evaluated together, the chunking and
-the BLAS thread count, and the order is the one ``_core`` uses.
+No kernel reduces through BLAS, whose summation order can change with the
+matrix shape and the thread count.  The phase sums ``f_series`` and
+``phasor_sum`` add their terms in ascending m, one running sum per output
+element, so each result depends only on its own alpha or angle row: it is
+the same double whatever the number of points evaluated together, the
+chunking and the thread count.  ``hankel_sum`` sums each output element
+along its own row with numpy's pairwise summation, whose order is fixed by
+the length of the rho grid alone.
 """
 
 import numpy as np
 from scipy.special import j0 as _sj0, j1 as _sj1
-
-COMPILED = False
 
 # Chunk sizes keep intermediate matrices around ~32 MB.
 _F_CHUNK = 1 << 19
@@ -96,15 +94,24 @@ def hankel_sum(r, rho, g):
     """sum_j g_j * J0(rho_j * r_i) for each r_i.
 
     This is the inner product form of the discretized radial Fourier
-    inversion; g carries the quadrature weights.
+    inversion; g carries the quadrature weights.  Each output is the
+    pairwise (numpy ``sum``) reduction over j of its own row of the
+    products g_j * J0(rho_j * r_i), not a BLAS product, so its value
+    depends only on r_i, rho and g: not on the other r values, the
+    ``_HANKEL_CHUNK`` split or the thread count.
     """
     r = np.asarray(r, dtype=np.float64)
     rho = np.asarray(rho, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
     out = np.empty(r.shape, dtype=np.float64)
     cols = max(1, _HANKEL_CHUNK // max(rho.size, 1))
+    buf = np.empty((min(cols, r.size), rho.size))   # one chunk, reused
     for lo in range(0, r.size, cols):
         hi = min(lo + cols, r.size)
-        out[lo:hi] = _sj0(np.outer(r[lo:hi], rho)) @ g
+        terms = buf[:hi - lo]
+        np.multiply.outer(r[lo:hi], rho, out=terms)
+        _sj0(terms, out=terms)
+        terms *= g
+        out[lo:hi] = terms.sum(axis=1)
     return out
 

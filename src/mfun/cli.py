@@ -22,7 +22,6 @@ from . import density as dn
 from . import empirical as em
 from . import goldbach as gb
 from . import spectral as sp
-from ._backend import BACKEND
 from .errors import MfunError, ZeroTableError
 from .svgplot import line_plot
 from .testfuncs import TestFunction
@@ -158,19 +157,18 @@ def cmd_zeros_verify(config: RunConfig, out: Path) -> int:
 def cmd_density(config: RunConfig, out: Path) -> int:
     _, coeffs = _coefficients(config)
     if config.eps > 0:
-        d = dn.invert_limit_density(coeffs, config.eps)
-        n_used = d.n_used
+        n_used, budget = dn.limit_order(coeffs, config.eps)
     else:
-        n_used = config.N
+        n_used, budget = config.N, None
         dn.check_inversion_order(n_used)   # before the grid and the CSV
-        d = None
     rho = dn.default_rho_grid(coeffs, n_used)
     prof = dn.char_M_N(coeffs, n_used, rho)
     _write_csv(out / "characteristic.csv", ["rho", "value"],
                zip(prof.rho_grid, prof.values))
-    if d is None:
-        d = dn.invert_to_density(
-            prof, dn.default_r_grid(coeffs, n_used, config.r_points))
+    d = dn.invert_to_density(
+        prof, dn.default_r_grid(coeffs, n_used, config.r_points))
+    if budget is not None:
+        d = dn.limit_density(d, coeffs, budget)
     _write_csv(out / "density.csv", ["r", "value"],
                zip(d.r_grid, d.values))
     meta = {
@@ -182,7 +180,6 @@ def cmd_density(config: RunConfig, out: Path) -> int:
         "error_budget": d.error_budget,
         "r_points": len(d.r_grid),
         "rho_points": len(rho),
-        "backend": BACKEND,
     }
     with open(out / "density_meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -220,16 +217,17 @@ def _ladder(config: RunConfig, coeffs) -> tuple[list[float], bool]:
 def cmd_compare(config: RunConfig, out: Path) -> int:
     _, coeffs = _coefficients(config)
     n = config.N
+    dn.check_inversion_order(n)   # usage errors before the grid and samples
+    ladder, trend_usable = _ladder(config, coeffs)
+    if not ladder:
+        print(f"X={config.X} below the minimum usable average length")
+        return EXIT_USAGE
     rho = dn.default_rho_grid(coeffs, n)
     d = dn.invert_to_density(dn.char_M_N(coeffs, n, rho),
                              dn.default_r_grid(coeffs, n, config.r_points))
     measure = em.haar_oracle(coeffs, n, config.samples, config.seed,
                              cells=config.cells)
     phis = default_test_functions(d.support_radius)
-    ladder, trend_usable = _ladder(config, coeffs)
-    if not ladder:
-        print(f"X={config.X} below the minimum usable average length")
-        return EXIT_USAGE
     report = em.compare_report(coeffs, measure, d, phis, x_ladder=ladder)
     header = (["phi", "density", "haar"]
               + [f"alpha_X{int(x)}" for x in ladder]

@@ -15,22 +15,23 @@ integral_0^inf r * M_N(r) dr.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 
-from ._backend import char_prod, hankel_sum, j0_arr, j1_arr
+from ._kernels import char_prod, hankel_sum, j0_arr, j1_arr
 from .errors import PrecisionError, QuadratureError, RangeError
 from .spectral import CoefficientTable, analytic_tail_remainder, tail_bound
 from .testfuncs import TestFunction
 
 __all__ = [
-    "CircleMeasure", "CharacteristicProfile", "DensityProfile",
+    "CharacteristicProfile", "DensityProfile",
     "bessel_j0", "char_m_n", "char_M_N", "char_tail_gap", "support_radius",
     "default_r_grid", "default_rho_grid", "check_inversion_order",
-    "invert_to_density", "invert_limit_density", "convolve_step",
+    "invert_to_density", "limit_order", "limit_density",
+    "invert_limit_density", "convolve_step",
     "integrate_against",
 ]
 
@@ -40,16 +41,6 @@ R_GRID_POINTS = 4096
 RHO_STEP_DIVISOR = 8
 RHO_POINTS_SOFT_CAP = 80000
 MASS_REFINE = 4
-
-
-@dataclass(frozen=True)
-class CircleMeasure:
-    """Uniform measure on the circle of the given radius."""
-    radius: float
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
 
 
 @dataclass(frozen=True)
@@ -228,7 +219,9 @@ def _mass_of(c: np.ndarray, r_edge: float, rho_max: float,
     """integral_0^{r_edge} r*M(r) dr = integral of M~(rho)*r_edge*J1(rho*r_edge) drho.
 
     Closed-form radial integral of the band-limited representation; the
-    remaining rho integral is done with Simpson on a refined grid.
+    remaining rho integral is done with Simpson on a refined grid, summed
+    by numpy's pairwise ``sum`` in ascending rho (not a BLAS dot, whose
+    order can change with the thread count).
     """
     npts = int(math.ceil(rho_max / step)) + 1
     if npts % 2 == 0:
@@ -236,7 +229,8 @@ def _mass_of(c: np.ndarray, r_edge: float, rho_max: float,
     rho = np.linspace(0.0, rho_max, npts)
     w = _simpson_weights(npts, rho[1] - rho[0])
     integrand = char_prod(rho, c) * r_edge * j1_arr(rho * r_edge)
-    return float(np.dot(w, integrand))
+    integrand *= w
+    return float(integrand.sum())
 
 
 def check_inversion_order(n: int) -> None:
@@ -315,37 +309,44 @@ def _limit_error_budget(coeffs: CoefficientTable, n: int) -> float:
     return c1 ** 2 * (inner + outer)
 
 
+def limit_order(coeffs: CoefficientTable, eps: float) -> tuple[int, float]:
+    """Smallest order whose certified scaled sup-error is <= eps, with that bound.
+
+    The bound is ``_limit_error_budget``: the propagated characteristic-
+    function tail, in units of c_1^-2 (in which the density peak is O(1)).
+    PrecisionError when even the whole table cannot certify eps.
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    for n in range(MIN_INVERSION_ORDER, len(coeffs) + 1):
+        budget = _limit_error_budget(coeffs, n)
+        if budget <= eps:
+            return n, budget
+    raise PrecisionError(
+        f"cannot certify scaled sup-error {eps} with {len(coeffs)} "
+        f"zeros (floor {_limit_error_budget(coeffs, len(coeffs)):.3e}); "
+        "supply more zeros")
+
+
+def limit_density(density: DensityProfile, coeffs: CoefficientTable,
+                  budget: float) -> DensityProfile:
+    """An order-n inversion relabelled as the limit density within budget."""
+    return replace(
+        density, order="limit", error_budget=budget,
+        support_radius=support_radius(coeffs, density.n_used, limit=True))
+
+
 def invert_limit_density(coeffs: CoefficientTable, eps: float,
                          r_grid=None) -> DensityProfile:
     """Density of the full limit, to a certified scaled sup-error <= eps.
 
-    Picks the smallest order whose propagated characteristic-function tail
-    stays below eps (measured in units of c_1^-2, in which the density
-    peak is O(1)), then inverts at that order.
+    Inverts at the order ``limit_order`` picks for eps.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    chosen = None
-    for n in range(MIN_INVERSION_ORDER, len(coeffs) + 1):
-        budget = _limit_error_budget(coeffs, n)
-        if budget <= eps:
-            chosen = (n, budget)
-            break
-    if chosen is None:
-        raise PrecisionError(
-            f"cannot certify scaled sup-error {eps} with {len(coeffs)} "
-            f"zeros (floor {_limit_error_budget(coeffs, len(coeffs)):.3e}); "
-            "supply more zeros")
-    n, budget = chosen
+    n, budget = limit_order(coeffs, eps)
     if r_grid is None:
         r_grid = default_r_grid(coeffs, n)
     profile = char_M_N(coeffs, n, default_rho_grid(coeffs, n, float(r_grid[-1])))
-    density = invert_to_density(profile, r_grid)
-    return DensityProfile(
-        r_grid=density.r_grid, values=density.values, order="limit",
-        support_radius=support_radius(coeffs, n, limit=True),
-        mass=density.mass, negativity_tolerance=density.negativity_tolerance,
-        error_budget=budget, n_used=n)
+    return limit_density(invert_to_density(profile, r_grid), coeffs, budget)
 
 
 def convolve_step(density: DensityProfile, c: float,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._backend import f_series, phasor_sum
+from ._kernels import f_series, phasor_sum
 from .density import DensityProfile, integrate_against
 from .errors import MfunError, RangeError
 from .spectral import CoefficientTable

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._backend import f_series
+from ._kernels import f_series
 from .errors import PrecisionError, RangeError
 from .zeros import ZeroTable
 

@@ -72,11 +72,6 @@ class ZeroTable:
     def gammas(self) -> np.ndarray:
         return np.array([z.gamma for z in self.zeros])
 
-    def truncated(self, n: int) -> "ZeroTable":
-        if not 1 <= n <= self.count:
-            raise RangeError(f"truncation order {n} outside 1..{self.count}")
-        return ZeroTable(self.zeros[:n], self.source)
-
 
 def load_zeros(path) -> ZeroTable:
     """Parse a zero-ordinate file into a validated ZeroTable."""

@@ -107,7 +107,7 @@ def test_criterion_02_characteristic_identity(coeffs):
 
 def test_criterion_03_bound_suite(coeffs):
     t0 = time.monotonic()
-    from mfun._backend import char_prod
+    from mfun._kernels import char_prod
     sup = 0.0
     factors_ok = True
     details = []

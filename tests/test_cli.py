@@ -1,9 +1,14 @@
 """CLI contract: subcommands, exit codes, determinism of outputs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mfun.density
 from mfun.cli import main
 from mfun.zeros import bundled_zeros_path
 
@@ -77,6 +82,40 @@ def test_density_low_order_is_usage_error(tmp_path):
     assert not (tmp_path / "characteristic.csv").exists()
 
 
+def test_density_eps_honours_r_points(tmp_path, capsys):
+    assert run(["density", "--eps", "1", "--r-points", "512",
+                "--out", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "density_meta.json").read_text())
+    assert meta["n_used"] == 49
+    assert meta["order"] == "limit"
+    assert meta["r_points"] == 512
+    assert len((tmp_path / "density.csv").read_text().splitlines()) == 513
+
+
+def test_density_and_compare_independent_of_threads(tmp_path):
+    src = str(Path(mfun.__file__).resolve().parents[1])
+    runs = [(["density", "--N", "25"], ("density.csv", "density_meta.json")),
+            (["compare", "--N", "6", "--samples", "100000", "--X", "20000"],
+             ("compare.csv",))]
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads,
+                   OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        files = {}
+        for args, names in runs:
+            out = tmp_path / threads / args[0]
+            proc = subprocess.run(
+                [sys.executable, "-m", "mfun.cli", *args, "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            files.update((name, (out / name).read_bytes()) for name in names)
+        outputs.append(files)
+    for name, data in outputs[0].items():
+        assert outputs[1][name] == data, name
+
+
 def test_compare_small(tmp_path, capsys):
     out = tmp_path / "cmp"
     assert run(["compare", "--N", "6", "--samples", "100000",
@@ -86,9 +125,21 @@ def test_compare_small(tmp_path, capsys):
     assert (out / "compare_weyl.csv").exists()
 
 
-def test_compare_short_x_is_usage_error(tmp_path):
+@pytest.fixture
+def no_grid(monkeypatch):
+    """Fail the test if a rho grid is built: usage errors must come first."""
+    def fail(*args, **kwargs):
+        raise AssertionError("rho grid built before the usage check")
+    monkeypatch.setattr(mfun.density, "default_rho_grid", fail)
+
+
+def test_compare_short_x_is_usage_error(tmp_path, no_grid):
     assert run(["compare", "--N", "6", "--samples", "100000",
                 "--X", "10", "--out", str(tmp_path)]) == 2
+
+
+def test_compare_low_order_is_usage_error(tmp_path, no_grid):
+    assert run(["compare", "--N", "3", "--out", str(tmp_path)]) == 2
 
 
 def test_goldbach_validate_desk_scale(tmp_path, capsys):

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from mfun import TestFunction
+from mfun import TestFunction, _kernels
 from mfun.density import (
     bessel_j0,
     char_M_N,
@@ -95,7 +95,8 @@ def test_inversion_mass_and_positivity(coeffs):
 
 
 def test_inversion_rejects_low_order(coeffs):
-    prof = char_M_N(coeffs, 3, default_rho_grid(coeffs, 3))
+    # a coarse grid: the order check must come before the grid checks
+    prof = char_M_N(coeffs, 3, np.linspace(0.0, 1e4, 501))
     with pytest.raises(RangeError):
         invert_to_density(prof, default_r_grid(coeffs, 3, 256))
 
@@ -121,6 +122,19 @@ def test_fourier_round_trip(coeffs):
     back = np.array([float(np.dot(kernel, bessel_j0(p * d.r_grid)))
                      for p in probe])
     assert np.max(np.abs(back - char_M_N(coeffs, n, probe).values)) <= 1e-6
+
+
+def test_hankel_sum_independent_of_batch(coeffs, monkeypatch):
+    """Each output sums its own row: same alone, in a batch, across chunks."""
+    n = 10
+    rho = default_rho_grid(coeffs, n)
+    g = rho * char_M_N(coeffs, n, rho).values
+    r = default_r_grid(coeffs, n, 300)
+    whole = _kernels.hankel_sum(r, rho, g)
+    monkeypatch.setattr(_kernels, "_HANKEL_CHUNK", 7 * rho.size)
+    assert np.array_equal(_kernels.hankel_sum(r, rho, g), whole)
+    for i in (0, 6, 7, 8, 299):
+        assert _kernels.hankel_sum(r[i:i + 1], rho, g)[0] == whole[i]
 
 
 def test_invert_limit_density_budget(coeffs):

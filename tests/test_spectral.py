@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfun import _purepy
-from mfun._backend import phasor_sum
+from mfun import _kernels
+from mfun._kernels import phasor_sum
 from mfun.empirical import (
     MIN_HAAR_SAMPLES,
     TorusPoint,
@@ -95,12 +95,12 @@ def test_phase_sums_independent_of_batch(coeffs, monkeypatch):
     n = 25
     c, g, b = coeffs.c[:n], coeffs.gamma[:n], coeffs.beta[:n]
     alphas = np.linspace(0.0, 1e3, 200)
-    whole = _purepy.f_series(alphas, c, g, b)
-    monkeypatch.setattr(_purepy, "_F_CHUNK", 64)
-    chunked = _purepy.f_series(alphas, c, g, b)
+    whole = _kernels.f_series(alphas, c, g, b)
+    monkeypatch.setattr(_kernels, "_F_CHUNK", 64)
+    chunked = _kernels.f_series(alphas, c, g, b)
     assert np.array_equal(chunked, whole)
     for i in (0, 62, 63, 64, 65, 127, 128, 199):
-        assert _purepy.f_series(alphas[i:i + 1], c, g, b)[0] == whole[i]
+        assert _kernels.f_series(alphas[i:i + 1], c, g, b)[0] == whole[i]
 
     seed = 11
     theta = next(_angle_stream(n, MIN_HAAR_SAMPLES, seed))
