@@ -17,7 +17,6 @@ from .density import (
     support_radius,
 )
 from .empirical import (
-    EmpiricalMeasure,
     alpha_average,
     compare_report,
     haar_oracle,
@@ -50,7 +49,6 @@ __all__ = [
     "CharacteristicProfile",
     "CoefficientTable",
     "DensityProfile",
-    "EmpiricalMeasure",
     "MfunError",
     "PrecisionError",
     "QuadratureError",

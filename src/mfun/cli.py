@@ -22,7 +22,7 @@ from . import density as dn
 from . import empirical as em
 from . import goldbach as gb
 from . import spectral as sp
-from .errors import MfunError, ZeroTableError
+from .errors import MfunError
 from .svgplot import line_plot
 from .testfuncs import TestFunction
 from .zeros import bundled_zeros_path, counting_check, load_zeros, verify_table
@@ -52,7 +52,6 @@ class RunConfig:
     tol: float = 1e-6
     prime_cutoff: int = 10 ** 7
     r_points: int = 4096
-    cells: int = 256
     count: int = 50          # weyl vectors
 
     def zeros_path(self) -> Path:
@@ -222,13 +221,15 @@ def cmd_compare(config: RunConfig, out: Path) -> int:
     if not ladder:
         print(f"X={config.X} below the minimum usable average length")
         return EXIT_USAGE
+    phis = default_test_functions(dn.support_radius(coeffs, n))
+    # the sampler checks --samples before drawing, so before any grid
+    haar_means, _ = em.haar_oracle(coeffs, n, phis, config.samples,
+                                   config.seed)
     rho = dn.default_rho_grid(coeffs, n)
     d = dn.invert_to_density(dn.char_M_N(coeffs, n, rho),
                              dn.default_r_grid(coeffs, n, config.r_points))
-    measure = em.haar_oracle(coeffs, n, config.samples, config.seed,
-                             cells=config.cells)
-    phis = default_test_functions(d.support_radius)
-    report = em.compare_report(coeffs, measure, d, phis, x_ladder=ladder)
+    report = em.compare_report(coeffs, n, haar_means, d, phis,
+                               x_ladder=ladder)
     header = (["phi", "density", "haar"]
               + [f"alpha_X{int(x)}" for x in ladder]
               + [f"disc_X{int(x)}" for x in ladder] + ["trend"])
@@ -358,7 +359,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--prime-cutoff", dest="prime_cutoff", type=int,
                        default=None)
         p.add_argument("--r-points", dest="r_points", type=int, default=None)
-        p.add_argument("--cells", type=int, default=None)
         p.add_argument("--count", type=int, default=None)
         p.add_argument("--print-config", action="store_true")
     return parser
@@ -376,16 +376,7 @@ def main(argv=None) -> int:
         out = Path(config.out)
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](config, out)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ZeroTableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MfunError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (MfunError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -9,7 +9,7 @@ so a fixed seed reproduces results bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,9 +20,8 @@ from .spectral import CoefficientTable
 from .testfuncs import TestFunction
 
 __all__ = [
-    "TorusPoint", "EmpiricalMeasure", "torus_map", "haar_oracle",
-    "haar_phi_means", "alpha_average", "alpha_average_many",
-    "fujii_rectangle_measure", "weyl_test", "alpha_measure",
+    "TorusPoint", "torus_map", "haar_oracle", "alpha_average",
+    "alpha_average_many", "fujii_rectangle_measure", "weyl_test",
     "compare_report", "CompareReport",
 ]
 
@@ -45,37 +44,6 @@ class TorusPoint:
             raise ValueError("angles must be finite (interpreted mod 2*pi)")
 
 
-@dataclass(frozen=True)
-class EmpiricalMeasure:
-    """Cell counts of sampled values over a planar window."""
-    window: tuple[float, float, float, float]  # x0, x1, y0, y1
-    cells: np.ndarray
-    total: int
-    source: str
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if int(self.cells.sum()) != self.total:
-            raise ValueError("cell counts must sum to the sample total")
-
-    def phi_mean(self, phi: TestFunction):
-        """Mean of Phi over the measure, evaluated at cell centers."""
-        x0, x1, y0, y1 = self.window
-        nx, ny = self.cells.shape
-        cx = x0 + (np.arange(nx) + 0.5) * (x1 - x0) / nx
-        cy = y0 + (np.arange(ny) + 0.5) * (y1 - y0) / ny
-        w = cx[:, None] + 1j * cy[None, :]
-        return np.sum(phi(w) * self.cells) / self.total
-
-    def reflected(self) -> "EmpiricalMeasure":
-        """The measure of the conjugated samples (window must be y-symmetric)."""
-        x0, x1, y0, y1 = self.window
-        if abs(y0 + y1) > 1e-12 * max(abs(y0), abs(y1), 1.0):
-            raise ValueError("window is not symmetric under conjugation")
-        return EmpiricalMeasure(self.window, self.cells[:, ::-1].copy(),
-                                self.total, self.source, dict(self.meta))
-
-
 def torus_map(coeffs: CoefficientTable, point: TorusPoint) -> complex:
     """sum c_m t_m for a torus point t = (e^{i theta_1}, ..., e^{i theta_N})."""
     angles = np.asarray(point.angles, dtype=np.float64)
@@ -84,11 +52,6 @@ def torus_map(coeffs: CoefficientTable, point: TorusPoint) -> complex:
             f"angle vector length {angles.size} does not match an available "
             f"truncation order (1..{len(coeffs)})")
     return complex(phasor_sum(angles[None, :], coeffs.c[:angles.size])[0])
-
-
-def _window_for(coeffs: CoefficientTable, n: int) -> tuple:
-    s = 1.02 * float(np.sum(coeffs.c[:n]))
-    return (-s, s, -s, s)
 
 
 def _angle_stream(n: int, samples: int, seed: int):
@@ -100,32 +63,12 @@ def _angle_stream(n: int, samples: int, seed: int):
         done += m
 
 
-def haar_oracle(coeffs: CoefficientTable, n: int, samples: int, seed: int,
-                cells: int = 256) -> EmpiricalMeasure:
-    """I.i.d. Haar sampling of the torus, binned over the support window."""
-    coeffs.check_order(n)
-    if samples < MIN_HAAR_SAMPLES:
-        raise RangeError(f"need at least {MIN_HAAR_SAMPLES} samples")
-    window = _window_for(coeffs, n)
-    x0, x1, y0, y1 = window
-    counts = np.zeros((cells, cells), dtype=np.int64)
-    c = coeffs.c[:n]
-    for theta in _angle_stream(n, samples, seed):
-        s = phasor_sum(theta, c)
-        h, _, _ = np.histogram2d(s.real, s.imag, bins=cells,
-                                 range=((x0, x1), (y0, y1)))
-        counts += h.astype(np.int64)
-    return EmpiricalMeasure(window=window, cells=counts, total=samples,
-                            source="haar-mc",
-                            meta={"N": n, "samples": samples, "seed": seed})
+def haar_oracle(coeffs: CoefficientTable, n: int, phis, samples: int,
+                seed: int):
+    """Means of each Phi over i.i.d. Haar samples S_N of the torus.
 
-
-def haar_phi_means(coeffs: CoefficientTable, n: int, phis, samples: int,
-                   seed: int):
-    """Exact per-sample accumulation of Phi means under Haar sampling.
-
-    Returns (means list, max |S_N| seen); avoids the cell-discretization
-    bias of the binned measure.
+    Every Phi is evaluated at every sample, so the means carry sampling
+    noise only.  Returns (means list, max |S_N| seen).
     """
     coeffs.check_order(n)
     if samples < MIN_HAAR_SAMPLES:
@@ -184,16 +127,15 @@ def alpha_average_many(coeffs: CoefficientTable, n: int, phis, x_list,
         phi_vals = [np.asarray(phi(fv), dtype=np.complex128) for phi in phis]
         if done == 0:
             first_vals[:] = [pv[0] for pv in phi_vals]
-        prefix = np.cumsum(np.stack(phi_vals), axis=1)
         while mark_iter < len(marks) and marks[mark_iter] < done + m:
             k = marks[mark_iter]
             for i in range(len(phis)):
-                total = running[i] + prefix[i, k - done]
+                total = running[i] + phi_vals[i][:k - done + 1].sum()
                 integral = h * (total - 0.5 * (first_vals[i]
                                               + phi_vals[i][k - done]))
                 sums[i, mark_iter] = integral / (k * h)
             mark_iter += 1
-        running += prefix[:, -1]
+        running += [pv.sum() for pv in phi_vals]
         done += m
     out = []
     for i, phi in enumerate(phis):
@@ -243,32 +185,6 @@ def cmathexp(t: float) -> complex:
     return complex(math.cos(t), math.sin(t))
 
 
-def alpha_measure(coeffs: CoefficientTable, n: int, x: float,
-                  step: float | None = None,
-                  cells: int = 256) -> EmpiricalMeasure:
-    """Binned measure of f_N(alpha) over the alpha grid (Lebesgue analogue)."""
-    coeffs.check_order(n)
-    step = _alpha_grid_step(coeffs, n, x, step)
-    total_pts = int(math.ceil(x / step)) + 1
-    h = x / (total_pts - 1)
-    window = _window_for(coeffs, n)
-    x0, x1, y0, y1 = window
-    counts = np.zeros((cells, cells), dtype=np.int64)
-    c, g, b = coeffs.c[:n], coeffs.gamma[:n], coeffs.beta[:n]
-    done = 0
-    while done < total_pts:
-        m = min(_CHUNK, total_pts - done)
-        alpha = (done + np.arange(m)) * h
-        fv = f_series(alpha, c, g, b)
-        hgram, _, _ = np.histogram2d(fv.real, fv.imag, bins=cells,
-                                     range=((x0, x1), (y0, y1)))
-        counts += hgram.astype(np.int64)
-        done += m
-    return EmpiricalMeasure(window=window, cells=counts, total=total_pts,
-                            source="alpha-average",
-                            meta={"N": n, "X": x, "step": h})
-
-
 @dataclass(frozen=True)
 class CompareRow:
     phi: str
@@ -291,25 +207,25 @@ class CompareReport:
         return all(r.trend_ok for r in self.rows)
 
 
-def compare_report(coeffs: CoefficientTable, empirical: EmpiricalMeasure,
+def compare_report(coeffs: CoefficientTable, n: int, haar_means,
                    density: DensityProfile, phis,
                    x_ladder=(1e4, 1e5, 1e6), step: float | None = None,
                    trend_floor: float = 2e-3) -> CompareReport:
     """Three-route comparison: alpha-averages vs Haar samples vs density.
 
-    The trend check asks each discrepancy ladder to be non-increasing up
-    to a factor-2 noise allowance above the quadrature floor.
+    haar_means are the order-n Haar means of phis, as ``haar_oracle``
+    returns them.  The trend check asks each discrepancy ladder to be
+    non-increasing up to a factor-2 noise allowance above the quadrature
+    floor.
     """
-    n = empirical.meta.get("N")
-    if n is None or (isinstance(density.order, int) and density.order != n) \
+    if (isinstance(density.order, int) and density.order != n) \
             or (density.n_used is not None and density.n_used != n):
         raise RangeError("truncation orders of the two routes do not match")
     ladders = alpha_average_many(coeffs, n, phis, x_ladder, step)
     rows = []
     worst = 0.0
-    for phi, ladder in zip(phis, ladders):
+    for phi, ladder, haar in zip(phis, ladders, haar_means, strict=True):
         dens = integrate_against(density, phi)
-        haar = empirical.phi_mean(phi)
         disc = tuple(abs(a - dens) for a in ladder)
         trend_ok = all(
             disc[k + 1] <= max(2.0 * disc[k], trend_floor)

@@ -185,17 +185,29 @@ def singular_series_all(x_max: int, prime_cutoff: int) -> np.ndarray:
     return s2
 
 
-def _kahan_cumsum(values: np.ndarray) -> np.ndarray:
-    """Compensated running sum; A_2 is a small difference of large sums."""
-    out = np.empty_like(values)
-    total = 0.0
-    comp = 0.0
-    for i, v in enumerate(values):
-        y = v - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        out[i] = total
+def _compensated_cumsum(values: np.ndarray) -> np.ndarray:
+    """Compensated running sum; A_2 is a small difference of large sums.
+
+    Sum2 of Ogita, Rump and Oishi (SIAM J. Sci. Comput. 26, 2005) applied
+    to every prefix: s = cumsum(v), the exact rounding error of each step
+    by TwoSum, e_i = (s_{i-1} - (s_i - t)) + (v_i - t) with
+    t = s_i - s_{i-1} and e_0 = 0, and the result s + cumsum(e).  With
+    u = 2**-53 and gamma_k = k u / (1 - k u), each prefix S_k obeys
+
+        |out[k] - S_k| <= u |S_k| + gamma_k**2 * sum_{i<=k} |v_i|.
+
+    values is overwritten: it holds v_i - t, so that one array of
+    transients suffices.
+    """
+    out = np.cumsum(values)
+    t = out[1:] - out[:-1]
+    v = values[1:]
+    v -= t
+    np.subtract(out[1:], t, out=t)
+    np.subtract(out[:-1], t, out=t)
+    t += v
+    np.cumsum(t, out=t)
+    out[1:] += t
     return out
 
 
@@ -203,8 +215,10 @@ def a2_curve(table: ArithmeticTable, prime_cutoff: int) -> GoldbachSums:
     """Cumulative A_2(x) = sum_{n<=x} (r_2(n) - n S_2(n)) at integer x."""
     r2 = r2_all(table)
     s2 = singular_series_all(table.limit, prime_cutoff)
-    n = np.arange(table.limit + 1, dtype=np.float64)
-    a2 = _kahan_cumsum(r2 - n * s2)
+    steps = np.arange(table.limit + 1, dtype=np.float64)
+    steps *= s2
+    np.subtract(r2, steps, out=steps)
+    a2 = _compensated_cumsum(steps)
     return GoldbachSums(r2=r2, s2=s2, a2=a2, prime_cutoff=prime_cutoff)
 
 

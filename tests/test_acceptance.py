@@ -35,7 +35,7 @@ from mfun.density import (
     invert_to_density,
     support_radius,
 )
-from mfun.empirical import alpha_average_many, haar_phi_means, weyl_test
+from mfun.empirical import alpha_average_many, haar_oracle, weyl_test
 from mfun.goldbach import a2_curve, compare_main_term, r2_all, sieve_lambda
 from mfun.zeros import counting_check, verify_table
 
@@ -73,8 +73,8 @@ def annuli(coeffs):
 @pytest.fixture(scope="module")
 def haar_run(coeffs, annuli):
     t0 = time.monotonic()
-    means, max_abs = haar_phi_means(coeffs, 10, annuli, HAAR_SAMPLES,
-                                    seed=HAAR_SEED)
+    means, max_abs = haar_oracle(coeffs, 10, annuli, HAAR_SAMPLES,
+                                 seed=HAAR_SEED)
     return np.real(np.asarray(means)), max_abs, time.monotonic() - t0
 
 

@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, determinism of outputs."""
 
+import csv
 import json
 import os
 import subprocess
@@ -9,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import mfun.density
-from mfun.cli import main
+from mfun.cli import _fmt, default_test_functions, main
+from mfun.density import support_radius
+from mfun.empirical import haar_oracle
 from mfun.zeros import bundled_zeros_path
 
 
@@ -116,13 +119,18 @@ def test_density_and_compare_independent_of_threads(tmp_path):
         assert outputs[1][name] == data, name
 
 
-def test_compare_small(tmp_path, capsys):
+def test_compare_small(tmp_path, capsys, coeffs):
     out = tmp_path / "cmp"
     assert run(["compare", "--N", "6", "--samples", "100000",
                 "--X", "20000", "--out", str(out)]) == 0
-    header = (out / "compare.csv").read_text().splitlines()[0]
-    assert header.startswith("phi,density,haar")
+    with open(out / "compare.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header[:3] == ["phi", "density", "haar"]
     assert (out / "compare_weyl.csv").exists()
+    # the haar column holds the exact Haar means at the default seed
+    phis = default_test_functions(support_radius(coeffs, 6))
+    means, _ = haar_oracle(coeffs, 6, phis, 100000, seed=1)
+    assert [row[2] for row in rows] == [_fmt(m) for m in means]
 
 
 @pytest.fixture
@@ -140,6 +148,18 @@ def test_compare_short_x_is_usage_error(tmp_path, no_grid):
 
 def test_compare_low_order_is_usage_error(tmp_path, no_grid):
     assert run(["compare", "--N", "3", "--out", str(tmp_path)]) == 2
+
+
+def test_compare_few_samples_is_usage_error(tmp_path, no_grid):
+    assert run(["compare", "--N", "6", "--samples", "100",
+                "--X", "20000", "--out", str(tmp_path)]) == 2
+
+
+def test_unwritable_out_is_usage_error(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run(["weyl", "--count", "1", "--out",
+                str(blocker / "sub")]) == 2
 
 
 def test_goldbach_validate_desk_scale(tmp_path, capsys):

@@ -11,11 +11,9 @@ from mfun.empirical import (
     ResonanceError,
     TorusPoint,
     alpha_average,
-    alpha_measure,
     compare_report,
     fujii_rectangle_measure,
     haar_oracle,
-    haar_phi_means,
     torus_map,
     weyl_test,
 )
@@ -42,58 +40,43 @@ def test_torus_map_rejects_bad_length(coeffs):
 
 
 def test_haar_oracle_deterministic(coeffs):
-    a = haar_oracle(coeffs, 5, 20000, seed=7)
-    b = haar_oracle(coeffs, 5, 20000, seed=7)
-    assert np.array_equal(a.cells, b.cells)
-    c = haar_oracle(coeffs, 5, 20000, seed=8)
-    assert not np.array_equal(a.cells, c.cells)
-
-
-def test_haar_oracle_support(coeffs):
-    n = 5
-    m = haar_oracle(coeffs, n, 50000, seed=3)
-    assert m.total == 50000
-    assert int(m.cells.sum()) == 50000
-    # every sample lies inside the closed support disc: the cells beyond
-    # radius sum c_m (with half-diagonal slack) must be empty
-    s = float(np.sum(coeffs.c[:n]))
-    x0, x1, y0, y1 = m.window
-    nx, ny = m.cells.shape
-    cx = x0 + (np.arange(nx) + 0.5) * (x1 - x0) / nx
-    cy = y0 + (np.arange(ny) + 0.5) * (y1 - y0) / ny
-    rad = np.hypot(cx[:, None], cy[None, :])
-    half_diag = 0.5 * math.hypot((x1 - x0) / nx, (y1 - y0) / ny)
-    assert int(m.cells[rad > s + half_diag].sum()) == 0
+    phis = [TestFunction.disc(0.0, 0.005), TestFunction.character(100.0)]
+    a = haar_oracle(coeffs, 5, phis, 20000, seed=7)
+    b = haar_oracle(coeffs, 5, phis, 20000, seed=7)
+    assert a == b
+    c = haar_oracle(coeffs, 5, phis, 20000, seed=8)
+    assert a[0] != c[0]
 
 
 def test_haar_oracle_sample_floor(coeffs):
     with pytest.raises(RangeError):
-        haar_oracle(coeffs, 5, 100, seed=1)
+        haar_oracle(coeffs, 5, [TestFunction.one()], 100, seed=1)
 
 
-def test_haar_phi_means_support(coeffs):
+def test_haar_oracle_support(coeffs):
     n = 8
-    means, max_abs = haar_phi_means(coeffs, n, [TestFunction.one()],
-                                    50000, seed=2)
+    means, max_abs = haar_oracle(coeffs, n, [TestFunction.one()],
+                                 50000, seed=2)
     assert means[0] == pytest.approx(1.0)
     assert max_abs <= float(np.sum(coeffs.c[:n])) * (1 + 1e-12)
 
 
 def test_reflection_symmetry(coeffs):
-    """Conjugation symmetry: seeds differ but distributions must agree.
+    """Conjugation symmetry of the Haar law.
 
-    The law of the phasor sum is invariant under conjugation, so the
-    reflected histogram agrees with a fresh one to sampling noise.
+    The law of the phasor sum is invariant under conjugation, so a
+    rectangle and its mirror image in the real axis carry the same
+    probability, to sampling noise.
     """
     n = 5
-    a = haar_oracle(coeffs, n, 200000, seed=11, cells=16)
-    b = a.reflected()
-    assert int(b.cells.sum()) == a.total
-    assert np.array_equal(b.cells, a.cells[:, ::-1])
-    # the imaginary-part marginal must be symmetric to sampling noise
-    pa = a.cells.sum(axis=0) / a.total
-    sigma = np.sqrt(pa * (1 - pa) / a.total)
-    assert np.max(np.abs(pa - pa[::-1])) <= np.max(5 * sigma) + 1e-3
+    samples = 200000
+    s = float(np.sum(coeffs.c[:n]))
+    rect = TestFunction.rectangle(-0.3 * s, 0.6 * s, 0.1 * s, 0.5 * s)
+    mirror = TestFunction.rectangle(-0.3 * s, 0.6 * s, -0.5 * s, -0.1 * s)
+    (p, q), _ = haar_oracle(coeffs, n, [rect, mirror], samples, seed=11)
+    assert 0.0 < p < 1.0
+    sigma = math.sqrt((p + q) / samples)   # Var(1_A - 1_B) <= p + q, A and B disjoint
+    assert abs(p - q) <= 5.0 * sigma
 
 
 def test_alpha_average_constant(coeffs):
@@ -136,12 +119,6 @@ def test_fujii_rectangle_measure(coeffs):
         1.0, rel=1e-12)
     with pytest.raises(ValueError):
         fujii_rectangle_measure(coeffs, 5, TestFunction.one(), 1000.0)
-
-
-def test_alpha_measure_total(coeffs):
-    m = alpha_measure(coeffs, 5, 2000.0)
-    assert m.source == "alpha-average"
-    assert int(m.cells.sum()) == m.total
 
 
 def test_weyl_bound_exact(coeffs):
@@ -187,9 +164,9 @@ def test_compare_report_small(coeffs):
     d = invert_to_density(
         char_M_N(coeffs, n, default_rho_grid(coeffs, n)),
         default_r_grid(coeffs, n, 1024))
-    measure = haar_oracle(coeffs, n, 100000, seed=5)
     phis = [TestFunction.disc(0.0, 0.006), TestFunction.character(100.0)]
-    report = compare_report(coeffs, measure, d, phis,
+    means, _ = haar_oracle(coeffs, n, phis, 100000, seed=5)
+    report = compare_report(coeffs, n, means, d, phis,
                             x_ladder=(500.0, 5000.0))
     assert len(report.rows) == 2
     assert report.max_discrepancy <= 1e-2
@@ -202,7 +179,7 @@ def test_compare_report_order_mismatch(coeffs):
     d = invert_to_density(
         char_M_N(coeffs, n, default_rho_grid(coeffs, n)),
         default_r_grid(coeffs, n, 512))
-    measure = haar_oracle(coeffs, 5, 20000, seed=5)   # different order
+    phis = [TestFunction.one()]
+    means, _ = haar_oracle(coeffs, 5, phis, 20000, seed=5)   # different order
     with pytest.raises(RangeError):
-        compare_report(coeffs, measure, d, [TestFunction.one()],
-                       x_ladder=(500.0, 1000.0))
+        compare_report(coeffs, 5, means, d, phis, x_ladder=(500.0, 1000.0))

@@ -189,6 +189,20 @@ def test_a2_recurrence(table):
         1.0, float(np.max(np.abs(sums.a2))))
 
 
+def test_a2_compensated_sum_within_bound():
+    """Sampled prefixes of A_2 against math.fsum, within the stated bound."""
+    x = 200000
+    sums = a2_curve(sieve_lambda(x), MIN_PRIME_CUTOFF)
+    steps = sums.r2 - np.arange(x + 1, dtype=float) * sums.s2
+    u = 2.0 ** -53
+    for k in np.linspace(0, x, 60).astype(int).tolist():
+        head = steps[:k + 1].tolist()
+        exact = math.fsum(head)
+        gamma = k * u / (1.0 - k * u)
+        bound = u * abs(exact) + gamma ** 2 * math.fsum(map(abs, head))
+        assert abs(sums.a2[k] - exact) <= bound, k
+
+
 def test_a2_matches_brute_force(table):
     lam = table.lam
     sums = a2_curve(table, MIN_PRIME_CUTOFF)

@@ -17,7 +17,7 @@ from mfun.empirical import (
     MIN_HAAR_SAMPLES,
     TorusPoint,
     _angle_stream,
-    haar_phi_means,
+    haar_oracle,
     torus_map,
 )
 from mfun.errors import PrecisionError, RangeError
@@ -107,7 +107,7 @@ def test_phase_sums_independent_of_batch(coeffs, monkeypatch):
     batch = phasor_sum(theta, c)
     alone = np.array([torus_map(coeffs, TorusPoint(row)) for row in theta])
     assert np.array_equal(batch, alone)
-    _, max_abs = haar_phi_means(coeffs, n, [], MIN_HAAR_SAMPLES, seed)
+    _, max_abs = haar_oracle(coeffs, n, [], MIN_HAAR_SAMPLES, seed)
     assert max_abs == float(np.max(np.abs(alone)))
 
 
