@@ -53,7 +53,7 @@ def test_haar_oracle_sample_floor(coeffs):
         haar_oracle(coeffs, 5, [TestFunction.one()], 100, seed=1)
 
 
-def test_haar_oracle_support(coeffs):
+def test_haar_phi_means_support(coeffs):
     n = 8
     means, max_abs = haar_oracle(coeffs, n, [TestFunction.one()],
                                  50000, seed=2)
