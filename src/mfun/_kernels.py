@@ -93,8 +93,8 @@ def char_prod(rho, c):
 def hankel_sum(r, rho, g):
     """sum_j g_j * J0(rho_j * r_i) for each r_i.
 
-    This is the inner product form of the discretized radial Fourier
-    inversion; g carries the quadrature weights.  Each output is the
+    This is the Fourier-Bessel series of the radial Fourier inversion;
+    g carries its coefficients.  Each output is the
     pairwise (numpy ``sum``) reduction over j of its own row of the
     products g_j * J0(rho_j * r_i), not a BLAS product, so its value
     depends only on r_i, rho and g: not on the other r values, the

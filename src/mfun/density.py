@@ -8,6 +8,11 @@ itself is recovered by an order-zero Hankel inversion
 
     M_N(r) = integral_0^inf rho * J0(rho*r) * prod_{n<=N} J0(c_n*rho) drho.
 
+M_N vanishes beyond s = sum_{n<=N} c_n, so on any [0, R] with R >= s it is
+a Fourier-Bessel series whose coefficients are the characteristic function
+at the nodes j_{0,k}/R (the sampling theorem of the discrete Hankel
+transform); that series is the inversion used here.
+
 Planar measure is normalized as |dw| = du dv / (2*pi), so total mass is
 integral_0^inf r * M_N(r) dr.
 """
@@ -20,6 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
+from scipy.special import jn_zeros
 
 from ._kernels import char_prod, hankel_sum, j0_arr, j1_arr
 from .errors import PrecisionError, QuadratureError, RangeError
@@ -38,9 +44,6 @@ __all__ = [
 MIN_INVERSION_ORDER = 5
 ENVELOPE_CUTOFF = 1e-10
 R_GRID_POINTS = 4096
-RHO_STEP_DIVISOR = 8
-RHO_POINTS_SOFT_CAP = 80000
-MASS_REFINE = 4
 
 
 @dataclass(frozen=True)
@@ -52,10 +55,8 @@ class CharacteristicProfile:
     c_used: np.ndarray
 
     def __post_init__(self):
-        if self.rho_grid[0] != 0.0 or np.any(np.diff(self.rho_grid) <= 0):
-            raise ValueError("rho grid must start at 0 and increase")
-        if abs(self.values[0] - 1.0) > 1e-14:
-            raise ValueError("characteristic function must be 1 at rho=0")
+        if self.rho_grid[0] < 0.0 or np.any(np.diff(self.rho_grid) <= 0):
+            raise ValueError("rho grid must be nonnegative and increase")
         if np.max(np.abs(self.values)) > 1.0 + 1e-12:
             raise ValueError("characteristic values must be bounded by 1")
 
@@ -167,70 +168,20 @@ def default_r_grid(coeffs: CoefficientTable, n: int,
 
 
 def default_rho_grid(coeffs: CoefficientTable, n: int,
-                     r_max: float | None = None,
-                     step_divisor: int | None = None,
-                     tail_eps: float = ENVELOPE_CUTOFF) -> np.ndarray:
-    """Frequency grid resolving the fastest J0 oscillation of the inversion.
+                     r_max: float | None = None) -> np.ndarray:
+    """Fourier-Bessel nodes j_{0,k}/R, k = 1..K, for the order-n inversion.
 
-    Step <= pi / (step_divisor * (r_max + sum c_n)); extends until the
-    amplitude envelope of the integrand falls below tail_eps.  When no
-    divisor is given, the finest of 32/16/8 whose point count stays below
-    the soft cap is chosen (small orders need very long grids, large
-    orders can afford fine steps).
+    R = max(r_max, s) with s the support radius (r_max defaults to 1.1 s),
+    and K = ceil(rho_cut R / pi) + 1, so the last node (j_{0,K} > (K - 1/4)
+    pi) lies beyond the cutoff rho_cut where the amplitude envelope of the
+    characteristic function falls below ENVELOPE_CUTOFF.
     """
     coeffs.check_order(n)
     s = support_radius(coeffs, n)
-    if r_max is None:
-        r_max = 1.1 * s
-    c = coeffs.c[:n]
-    rho_max = _envelope_cutoff_rho(c, tail_eps)
-    if step_divisor is None:
-        for step_divisor in (4 * RHO_STEP_DIVISOR, 2 * RHO_STEP_DIVISOR,
-                             RHO_STEP_DIVISOR):
-            step = math.pi / (step_divisor * (r_max + s))
-            if rho_max / step <= RHO_POINTS_SOFT_CAP:
-                break
-    step = math.pi / (step_divisor * (r_max + s))
-    npts = int(math.ceil(rho_max / step)) + 1
-    if npts % 2 == 0:
-        npts += 1
-    return np.linspace(0.0, rho_max, npts)
-
-
-def _simpson_weights(n: int, h: float) -> np.ndarray:
-    if n < 3 or n % 2 == 0:
-        raise ValueError("composite Simpson needs an odd point count >= 3")
-    w = np.full(n, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    return w * (h / 3.0)
-
-
-def _grid_step(grid: np.ndarray) -> float:
-    steps = np.diff(grid)
-    h = float(steps[0])
-    if np.max(np.abs(steps - h)) > 1e-9 * h:
-        raise QuadratureError("rho grid must be uniform")
-    return h
-
-
-def _mass_of(c: np.ndarray, r_edge: float, rho_max: float,
-             step: float) -> float:
-    """integral_0^{r_edge} r*M(r) dr = integral of M~(rho)*r_edge*J1(rho*r_edge) drho.
-
-    Closed-form radial integral of the band-limited representation; the
-    remaining rho integral is done with Simpson on a refined grid, summed
-    by numpy's pairwise ``sum`` in ascending rho (not a BLAS dot, whose
-    order can change with the thread count).
-    """
-    npts = int(math.ceil(rho_max / step)) + 1
-    if npts % 2 == 0:
-        npts += 1
-    rho = np.linspace(0.0, rho_max, npts)
-    w = _simpson_weights(npts, rho[1] - rho[0])
-    integrand = char_prod(rho, c) * r_edge * j1_arr(rho * r_edge)
-    integrand *= w
-    return float(integrand.sum())
+    radius = max(1.1 * s if r_max is None else r_max, s)
+    rho_cut = _envelope_cutoff_rho(coeffs.c[:n], ENVELOPE_CUTOFF)
+    k = int(math.ceil(rho_cut * radius / math.pi)) + 1
+    return jn_zeros(0, k) / radius
 
 
 def check_inversion_order(n: int) -> None:
@@ -243,12 +194,21 @@ def check_inversion_order(n: int) -> None:
 
 def invert_to_density(profile: CharacteristicProfile,
                       r_grid=None) -> DensityProfile:
-    """Hankel inversion of a characteristic profile to the radial density.
+    """Fourier-Bessel inversion of a characteristic profile to the density.
 
     Requires order >= 5 (below that the truncated density need not be
-    bounded; use the Monte-Carlo route instead).  The profile grid must
-    satisfy the oscillation step rule and reach the envelope cutoff, else
-    QuadratureError.
+    bounded; use the Monte-Carlo route instead).  The profile grid must be
+    the nodes rho_k = j_{0,k}/R of ``default_rho_grid`` with
+    R >= max(r_grid[-1], s), reaching the envelope cutoff, else
+    QuadratureError.  Then, exactly for a density supported in [0, s],
+
+        M(r) = sum_k 2 phi(rho_k) J0(rho_k r) / (R J1(j_{0,k}))**2,
+        integral_0^R r M(r) dr = sum_k 2 phi(rho_k) / (j_{0,k} J1(j_{0,k})).
+
+    The only error is the truncation of both series at the last node,
+    where the envelope of |phi| is below ENVELOPE_CUTOFF.  The mass is
+    numpy's pairwise ``sum`` over the nodes (not a BLAS dot, whose order
+    can change with the thread count).
     """
     n = profile.order
     check_inversion_order(n)
@@ -258,19 +218,24 @@ def invert_to_density(profile: CharacteristicProfile,
         r_grid = np.linspace(0.0, 1.1 * s, R_GRID_POINTS)
     r_grid = np.asarray(r_grid, dtype=np.float64)
     rho = profile.rho_grid
-    h = _grid_step(rho)
-    r_max = float(r_grid[-1])
-    if h > math.pi / (8.0 * (r_max + s)) * (1.0 + 1e-12):
+    jk = jn_zeros(0, rho.size)
+    radius = jk[0] / rho[0] if rho[0] > 0.0 else math.nan
+    if not np.all(np.abs(rho * radius - jk) <= 1e-12 * jk):
         raise QuadratureError(
-            f"rho step {h:.3e} too coarse for the fastest oscillation; "
-            f"need <= {math.pi / (8.0 * (r_max + s)):.3e}")
+            "rho grid must be the Fourier-Bessel nodes j_{0,k}/R")
+    need = max(float(r_grid[-1]), s)
+    if radius < need * (1.0 - 1e-12):
+        raise QuadratureError(
+            f"node radius R = {radius:.6e} below max(r_max, support) = "
+            f"{need:.6e}")
     if decay_envelope(c, rho[-1])[0] > ENVELOPE_CUTOFF:
         raise QuadratureError(
             "rho grid ends before the envelope cutoff; tail estimate "
             "exceeds tolerance")
-    weights = _simpson_weights(len(rho), h)
-    values = hankel_sum(r_grid, rho, weights * rho * profile.values)
-    mass = _mass_of(c, r_max, rho[-1], h / MASS_REFINE)
+    j1k = j1_arr(jk)
+    coef = 2.0 * profile.values
+    values = hankel_sum(r_grid, rho, coef / (radius * j1k) ** 2)
+    mass = float(np.sum(coef / (jk * j1k)))
     return DensityProfile(
         r_grid=r_grid, values=values, order=n, support_radius=s,
         mass=mass, negativity_tolerance=1e-6 * max(np.max(values), 0.0),

@@ -21,7 +21,7 @@ from .testfuncs import TestFunction
 
 __all__ = [
     "TorusPoint", "torus_map", "haar_oracle", "alpha_average",
-    "alpha_average_many", "fujii_rectangle_measure", "weyl_test",
+    "alpha_average_many", "weyl_test",
     "compare_report", "CompareReport",
 ]
 
@@ -149,15 +149,6 @@ def alpha_average(coeffs: CoefficientTable, n: int, phi: TestFunction,
                   x: float, step: float | None = None):
     """(1/X) integral_0^X Phi(f_N(alpha)) d alpha by composite trapezoid."""
     return alpha_average_many(coeffs, n, [phi], [x], step)[0][0]
-
-
-def fujii_rectangle_measure(coeffs: CoefficientTable, n: int,
-                            rect: TestFunction, x: float,
-                            step: float | None = None) -> float:
-    """Fraction of alpha-time the truncated series spends in a rectangle."""
-    if rect.kind != "rectangle":
-        raise ValueError("rect must be a rectangle indicator")
-    return float(np.real(alpha_average(coeffs, n, rect, x, step)))
 
 
 def weyl_test(coeffs: CoefficientTable, n_vector, x: float) -> complex:

@@ -63,12 +63,19 @@ def sieve_lambda(x_max: int) -> ArithmeticTable:
         raise RangeError(f"x_max={x_max} outside the desk-scale guard "
                          f"[2, {X_MAX_GUARD}]")
     lam = np.zeros(x_max + 1)
-    for p in primes_up_to(x_max):
-        logp = math.log(p)
-        q = int(p)
+    primes = primes_up_to(x_max)
+    # math.log, not np.log: the two differ by an ulp at some primes.  The
+    # array is iterated directly: a list of all primes would be a transient
+    # of about 40 bytes per prime.
+    logs = np.fromiter(map(math.log, primes), dtype=np.float64,
+                       count=primes.size)
+    lam[primes] = logs
+    k = np.searchsorted(primes, math.isqrt(x_max), side="right")
+    for p, logp in zip(primes[:k].tolist(), logs[:k].tolist()):
+        q = p * p
         while q <= x_max:
             lam[q] = logp
-            q *= int(p)
+            q *= p
     return ArithmeticTable(limit=x_max, lam=lam)
 
 

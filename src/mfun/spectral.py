@@ -21,7 +21,7 @@ from .zeros import ZeroTable
 __all__ = [
     "Coefficient", "CoefficientTable", "build_coefficients",
     "analytic_tail_remainder", "tail_bound", "eval_f_N", "eval_f",
-    "eval_psi_s", "main_term",
+    "main_term",
 ]
 
 
@@ -141,25 +141,6 @@ def eval_f(table: CoefficientTable, alpha, eps: float):
         else:
             lo = mid + 1
     return eval_f_N(table, lo, alpha), lo
-
-
-def eval_psi_s(table: CoefficientTable, s: complex, x: float) -> complex:
-    """Truncated sum of x^{i gamma} / ((1/2+i gamma)^s (3/2+i gamma)^s).
-
-    Principal-branch complex powers; only defined for Re s > 1/2 where the
-    full series converges absolutely.
-    """
-    s = complex(s)
-    if s.real <= 0.5:
-        raise RangeError(f"Re s = {s.real} outside the convergence "
-                         "half-plane Re s > 1/2")
-    if x <= 0:
-        raise ValueError("x must be positive")
-    g = table.gamma
-    logx = math.log(x)
-    num = np.exp(1j * g * logx)
-    den = (0.5 + 1j * g) ** s * (1.5 + 1j * g) ** s
-    return complex(np.sum(num / den))
 
 
 def main_term(table: CoefficientTable, x: float, n: int) -> float:

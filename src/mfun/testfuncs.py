@@ -101,14 +101,6 @@ class TestFunction:
     def character(z: complex) -> "TestFunction":
         return TestFunction("character", {"z": complex(z)})
 
-    @staticmethod
-    def polynomial(coeffs: dict) -> "TestFunction":
-        """coeffs maps (j, k) -> a_{jk} for the monomials u^j v^k, j+k <= 4."""
-        for (j, k) in coeffs:
-            if j < 0 or k < 0 or j + k > 4:
-                raise ValueError(f"monomial ({j},{k}) beyond degree 4")
-        return TestFunction("polynomial", {"coeffs": dict(coeffs)})
-
     # -- evaluation -------------------------------------------------------
     @property
     def label(self) -> str:
@@ -141,12 +133,6 @@ class TestFunction:
                           / (2.0 * p["sigma"] ** 2))
         if self.kind == "character":
             return np.exp(1j * (np.conj(p["z"]) * w).real)
-        if self.kind == "polynomial":
-            u, v = w.real, w.imag
-            out = np.zeros(w.shape)
-            for (j, k), a in p["coeffs"].items():
-                out += a * u ** j * v ** k
-            return out
         raise ValueError(f"unknown kind {self.kind!r}")
 
     def angular_average(self, r):
@@ -169,7 +155,7 @@ class TestFunction:
         elif self.kind == "gaussian":
             scale = float(r.max(initial=0.0)) / p["sigma"]
         else:
-            scale = 8.0
+            raise ValueError(f"unknown kind {self.kind!r}")
         n = max(_QUAD_NODES_MIN, 4 * int(scale) + 16)
         theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
         w = np.outer(r, np.exp(1j * theta))

@@ -78,6 +78,8 @@ def test_density_outputs_and_determinism(tmp_path, capsys):
     meta = json.loads((out1 / "density_meta.json").read_text())
     assert meta["n_used"] == 6
     assert abs(meta["mass"] - 1.0) <= 1e-6
+    rows = (out1 / "characteristic.csv").read_text().splitlines()[1:]
+    assert len(rows) == meta["rho_points"]
 
 
 def test_density_low_order_is_usage_error(tmp_path):

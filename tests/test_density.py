@@ -108,6 +108,23 @@ def test_inversion_rejects_coarse_grid(coeffs):
         invert_to_density(prof, default_r_grid(coeffs, 6, 256))
 
 
+def test_inversion_rejects_short_radius(coeffs):
+    # nodes for R = 1.1 s cannot represent the density out to 1.5 s
+    n = 6
+    prof = char_M_N(coeffs, n, default_rho_grid(coeffs, n))
+    r_grid = np.linspace(0.0, 1.5 * support_radius(coeffs, n), 256)
+    with pytest.raises(QuadratureError):
+        invert_to_density(prof, r_grid)
+
+
+def test_inversion_rejects_nodes_before_cutoff(coeffs):
+    n = 6
+    rho = default_rho_grid(coeffs, n)
+    prof = char_M_N(coeffs, n, rho[:rho.size // 2])
+    with pytest.raises(QuadratureError):
+        invert_to_density(prof, default_r_grid(coeffs, n, 256))
+
+
 def test_fourier_round_trip(coeffs):
     """Forward transform of the inverted density reproduces M_tilde."""
     n = 10
@@ -169,8 +186,8 @@ def test_integrate_against_one_is_mass(coeffs):
     n = 6
     prof = char_M_N(coeffs, n, default_rho_grid(coeffs, n))
     d = invert_to_density(prof, default_r_grid(coeffs, n, 1024))
-    # the mass field uses a refined closed-form radial rule, so the two
-    # quadratures agree only to the coarser grid's accuracy
+    # the mass field is the exact Fourier-Bessel sum, while this is
+    # Simpson's rule on the r grid: they agree to that rule's accuracy
     assert integrate_against(d, TestFunction.one()) == pytest.approx(
         1.0, abs=5e-5)
 

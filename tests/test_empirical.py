@@ -12,7 +12,6 @@ from mfun.empirical import (
     TorusPoint,
     alpha_average,
     compare_report,
-    fujii_rectangle_measure,
     haar_oracle,
     torus_map,
     weyl_test,
@@ -111,14 +110,6 @@ def test_alpha_average_guards(coeffs):
         alpha_average(coeffs, 5, TestFunction.one(), 10.0)   # X too short
     with pytest.raises(RangeError):
         alpha_average(coeffs, 5, TestFunction.one(), 1000.0, step=1.0)
-
-
-def test_fujii_rectangle_measure(coeffs):
-    rect = TestFunction.rectangle(-1.0, 1.0, -1.0, 1.0)
-    assert fujii_rectangle_measure(coeffs, 5, rect, 1000.0) == pytest.approx(
-        1.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        fujii_rectangle_measure(coeffs, 5, TestFunction.one(), 1000.0)
 
 
 def test_weyl_bound_exact(coeffs):

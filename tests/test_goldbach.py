@@ -57,6 +57,18 @@ def test_lambda_chebyshev_sum(table):
     assert float(table.lam.sum()) == pytest.approx(3001.094650, abs=1e-4)
 
 
+def test_lambda_matches_prime_power_loop():
+    """The vectorized sieve equals the loop over every prime, bit for bit."""
+    x = 200_000
+    want = np.zeros(x + 1)
+    for p in primes_up_to(x).tolist():
+        q = p
+        while q <= x:
+            want[q] = math.log(p)
+            q *= p
+    assert np.array_equal(sieve_lambda(x).lam, want)
+
+
 def test_primes_up_to():
     assert primes_up_to(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 

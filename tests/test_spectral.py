@@ -20,14 +20,13 @@ from mfun.empirical import (
     haar_oracle,
     torus_map,
 )
-from mfun.errors import PrecisionError, RangeError
+from mfun.errors import PrecisionError
 from mfun.spectral import (
     analytic_tail_remainder,
     build_coefficients,
     coefficient_from_gamma,
     eval_f,
     eval_f_N,
-    eval_psi_s,
     main_term,
     tail_bound,
 )
@@ -144,25 +143,6 @@ def test_eval_f_meets_eps(coeffs):
 def test_eval_f_below_floor_raises(coeffs):
     with pytest.raises(PrecisionError):
         eval_f(coeffs, 1.0, 1e-12)
-
-
-def test_eval_psi_s_matches_mpmath(coeffs):
-    mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 30
-    s, x = 1.25 + 0.5j, 50.0
-    total = mp.mpc(0)
-    for g in coeffs.gamma:
-        g = mp.mpf(float(g))
-        total += (mp.expj(g * mp.log(x))
-                  / ((mp.mpf('0.5') + 1j * g) ** s
-                     * (mp.mpf('1.5') + 1j * g) ** s))
-    assert eval_psi_s(coeffs, s, x) == pytest.approx(
-        complex(total), rel=1e-12)
-
-
-def test_eval_psi_s_rejects_left_halfplane(coeffs):
-    with pytest.raises(RangeError):
-        eval_psi_s(coeffs, 0.25 + 1j, 10.0)
 
 
 def test_main_term_matches_definition(coeffs):
