@@ -76,15 +76,35 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
+# Accepted values of each numeric option, checked before any grid, sample
+# or file is made.  Chained comparisons also refuse NaN.  eps = 0 keeps its
+# meaning of a fixed-order density; the seed keys a 64-bit Philox stream.
+_RANGES = {
+    "N": (lambda v: v >= 1, ">= 1"),
+    "X": (lambda v: 0 < v < math.inf, "positive and finite"),
+    "count": (lambda v: v >= 1, ">= 1"),
+    "seed": (lambda v: 0 <= v < 2 ** 64, "in [0, 2^64)"),
+    "eps": (lambda v: 0 <= v < math.inf, ">= 0 and finite"),
+    "r_points": (lambda v: v >= 2, ">= 2"),
+    "tol": (lambda v: 0 < v < math.inf, "positive and finite"),
+}
+
+
 def _coerce(config: RunConfig) -> RunConfig:
     for f in dataclasses.fields(RunConfig):
         raw = getattr(config, f.name)
         if isinstance(raw, str) and f.type in ("int", "float"):
             try:
                 value = float(raw)
-            except ValueError:
+                value = int(value) if f.type == "int" else value
+            except (ValueError, OverflowError):
                 raise MfunError(f"bad value for {f.name}: {raw!r}") from None
-            setattr(config, f.name, int(value) if f.type == "int" else value)
+            setattr(config, f.name, value)
+    for name, (accepts, rule) in _RANGES.items():
+        value = getattr(config, name)
+        if not accepts(value):
+            raise MfunError(f"{name.replace('_', '-')} must be {rule}, "
+                            f"got {value}")
     return config
 
 
@@ -376,7 +396,7 @@ def main(argv=None) -> int:
         out = Path(config.out)
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](config, out)
-    except (MfunError, ValueError, OSError) as exc:
+    except (MfunError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -135,31 +135,34 @@ def char_tail_gap(coeffs: CoefficientTable, n: int, rho):
     return 0.25 * _tail_sq_sum(coeffs, n) * np.asarray(rho, dtype=np.float64) ** 2
 
 
+def _envelope_pieces(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending breakpoints b_m = 2/(pi*c_m) and log K_j for j = 0..N.
+
+    The envelope is the power law K_j * rho^(-j/2) on [b_j, b_{j+1}), with
+    b_0 = 0 and b_{N+1} = inf; log K_j = sum_{m<=j} log(b_m) / 2 stays
+    finite however many small c_m enter the product.
+    """
+    b = np.sort(2.0 / (math.pi * np.asarray(c, dtype=np.float64)))
+    return b, np.concatenate(([0.0], 0.5 * np.cumsum(np.log(b))))
+
+
 def decay_envelope(c: np.ndarray, rho):
     """prod_n min(1, sqrt(2/(pi*c_n*rho))): the |J0| amplitude envelope."""
+    b, log_k = _envelope_pieces(c)
     rho = np.atleast_1d(np.asarray(rho, dtype=np.float64))
-    out = np.ones(rho.shape)
-    with np.errstate(divide="ignore"):
-        for cn in c:
-            out *= np.minimum(1.0, np.sqrt(2.0 / (math.pi * cn * rho)))
-    return out
+    j = np.searchsorted(b, rho, side="right")
+    # piece 0 is the constant 1; the clamp keeps log(0) out of it
+    return np.exp(log_k[j] - 0.5 * j * np.log(np.maximum(rho, b[0])))
 
 
 def _envelope_cutoff_rho(c: np.ndarray, threshold: float) -> float:
-    """Smallest rho (up to 1%) where the decay envelope drops below threshold."""
-    lo = 1.0 / np.max(c)
-    hi = lo
-    while decay_envelope(c, hi)[0] > threshold:
-        hi *= 2.0
-        if hi > 1e16:
-            raise QuadratureError("envelope cutoff search diverged")
-    while hi / lo > 1.01:
-        mid = math.sqrt(lo * hi)
-        if decay_envelope(c, mid)[0] > threshold:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    """Smallest rho where the decay envelope falls to threshold (< 1)."""
+    b, log_k = _envelope_pieces(c)
+    at_b = log_k[1:] - 0.5 * np.arange(1, b.size + 1) * np.log(b)
+    # the envelope at b_j falls with j: the root is in the last piece
+    # that starts above the threshold
+    j = int(np.count_nonzero(at_b > math.log(threshold)))
+    return math.exp(2.0 * (log_k[j] - math.log(threshold)) / j)
 
 
 def default_r_grid(coeffs: CoefficientTable, n: int,
@@ -218,11 +221,11 @@ def invert_to_density(profile: CharacteristicProfile,
         r_grid = np.linspace(0.0, 1.1 * s, R_GRID_POINTS)
     r_grid = np.asarray(r_grid, dtype=np.float64)
     rho = profile.rho_grid
-    jk = jn_zeros(0, rho.size)
-    radius = jk[0] / rho[0] if rho[0] > 0.0 else math.nan
-    if not np.all(np.abs(rho * radius - jk) <= 1e-12 * jk):
-        raise QuadratureError(
-            "rho grid must be the Fourier-Bessel nodes j_{0,k}/R")
+    not_nodes = "rho grid must be the Fourier-Bessel nodes j_{0,k}/R"
+    if rho[0] <= 0.0:
+        raise QuadratureError(not_nodes)
+    # the cheap checks first: all K zeros are computed only to compare
+    radius = jn_zeros(0, 1)[0] / rho[0]
     need = max(float(r_grid[-1]), s)
     if radius < need * (1.0 - 1e-12):
         raise QuadratureError(
@@ -232,6 +235,9 @@ def invert_to_density(profile: CharacteristicProfile,
         raise QuadratureError(
             "rho grid ends before the envelope cutoff; tail estimate "
             "exceeds tolerance")
+    jk = jn_zeros(0, rho.size)
+    if not np.all(np.abs(rho * radius - jk) <= 1e-12 * jk):
+        raise QuadratureError(not_nodes)
     j1k = j1_arr(jk)
     coef = 2.0 * profile.values
     values = hankel_sum(r_grid, rho, coef / (radius * j1k) ** 2)
@@ -245,33 +251,28 @@ def invert_to_density(profile: CharacteristicProfile,
 def _limit_error_budget(coeffs: CoefficientTable, n: int) -> float:
     """Certified sup bound on the scaled density gap |M - M_n|.
 
-    Integrates rho * min(gap bound, 2*envelope) and converts to density
-    units of 1/c_1^2 (the natural O(1) normalization of the problem).
+    Integrates rho * min(a*rho^2, 2*envelope), a = sum_{m>n} c_m^2 / 4, in
+    closed form over the envelope's power-law pieces, and converts to
+    density units of 1/c_1^2 (the natural O(1) normalization of the problem).
     """
-    c1 = coeffs.c[0]
     a = 0.25 * _tail_sq_sum(coeffs, n)
-    c = coeffs.c[:n]
-    # crossing of a*rho^2 (increasing) with 2*envelope (decreasing)
-    lo, hi = 1e-6, 1e12
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if a * mid ** 2 < 2.0 * decay_envelope(c, mid)[0]:
-            lo = mid
-        else:
-            hi = mid
-    rho_star = hi
-    inner = a * rho_star ** 4 / 4.0
-    grid = np.geomspace(rho_star, rho_star * 1e6, 20001)
-    outer = float(np.trapezoid(2.0 * grid * decay_envelope(c, grid), grid))
-    # analytic remainder beyond the log grid (pure power law there);
-    # log-space to survive the product of many small c_m
-    log_k = (0.5 * n * math.log(2.0 / math.pi)
-             - 0.5 * float(np.sum(np.log(c))))
-    log_rem = (math.log(2.0) + log_k
-               + (2.0 - 0.5 * n) * math.log(grid[-1])
-               - math.log(0.5 * n - 2.0))
-    outer += math.exp(min(log_rem, 700.0))
-    return c1 ** 2 * (inner + outer)
+    b, log_k = _envelope_pieces(coeffs.c[:n])
+    log_b, log_2a = np.log(b), math.log(2.0 / a)
+    j = np.arange(n + 1)
+    # a*rho^2 - 2*envelope rises through zero once, in piece i
+    i = int(np.count_nonzero((2 + 0.5 * j[1:]) * log_b - log_k[1:] < log_2a))
+    log_star = (log_2a + log_k[i]) / (2.0 + 0.5 * i)
+    inner = 0.25 * a * math.exp(4.0 * log_star)
+    # 2 K_j rho^(p-1), p = 2 - j/2, on each piece from the crossing to inf:
+    # over log rho in [lo, lo + d] it integrates to 2 K_j e^(p lo) *
+    # (e^(p d) - 1)/p, and to 2 K_j d at p = 0 (j = 4)
+    lo = np.concatenate(([log_star], log_b[i:]))
+    d = np.append(log_b[i:], np.inf) - lo
+    p = 2.0 - 0.5 * j[i:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        width = np.where(p == 0.0, d, np.expm1(p * d) / p)
+    outer = float(np.sum(2.0 * np.exp(log_k[i:] + p * lo) * width))
+    return coeffs.c[0] ** 2 * (inner + outer)
 
 
 def limit_order(coeffs: CoefficientTable, eps: float) -> tuple[int, float]:

@@ -97,23 +97,27 @@ def test_density_eps_honours_r_points(tmp_path, capsys):
     assert len((tmp_path / "density.csv").read_text().splitlines()) == 513
 
 
-def test_density_and_compare_independent_of_threads(tmp_path):
+def run_process(args, out, timeout, **env):
+    """``python -m mfun.cli ARGS --out OUT`` in a fresh interpreter."""
     src = str(Path(mfun.__file__).resolve().parents[1])
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "mfun.cli", *args, "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=timeout)
+
+
+def test_density_and_compare_independent_of_threads(tmp_path):
     runs = [(["density", "--N", "25"], ("density.csv", "density_meta.json")),
             (["compare", "--N", "6", "--samples", "100000", "--X", "20000"],
              ("compare.csv",))]
     outputs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OMP_NUM_THREADS=threads,
-                   OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       [src, os.environ.get("PYTHONPATH", "")]))
         files = {}
         for args, names in runs:
             out = tmp_path / threads / args[0]
-            proc = subprocess.run(
-                [sys.executable, "-m", "mfun.cli", *args, "--out", str(out)],
-                env=env, capture_output=True, text=True, timeout=300)
+            proc = run_process(args, out, 300, OMP_NUM_THREADS=threads,
+                               OPENBLAS_NUM_THREADS=threads)
             assert proc.returncode == 0, proc.stderr
             files.update((name, (out / name).read_bytes()) for name in names)
         outputs.append(files)
@@ -155,6 +159,44 @@ def test_compare_low_order_is_usage_error(tmp_path, no_grid):
 def test_compare_few_samples_is_usage_error(tmp_path, no_grid):
     assert run(["compare", "--N", "6", "--samples", "100",
                 "--X", "20000", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("args, config", [
+    (["weyl", "--N", "0", "--count", "2"], None),
+    (["weyl", "--X", "-1"], None),
+    (["weyl", "--X", "inf"], None),
+    (["weyl", "--count", "-3"], None),
+    (["weyl", "--seed", "-1"], None),
+    (["weyl", "--seed", str(2 ** 64)], None),
+    (["density", "--eps", "-1"], None),
+    (["density", "--eps", "nan"], None),
+    (["density", "--r-points", "0"], None),
+    (["density", "--r-points", "1"], None),
+    (["zeros-verify", "--tol", "0"], None),
+    (["weyl"], "N = inf\n"),
+])
+def test_out_of_range_input_is_usage_error(tmp_path, args, config):
+    """Exit 2 before the output directory is made."""
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        args = [*args, "--config", str(tmp_path / "run.cfg")]
+    out = tmp_path / "out"
+    if args[:3] == ["weyl", "--N", "0"]:
+        # once an endless loop: a fresh process, so a hang fails the test
+        code = run_process(args, out, 60).returncode
+    else:
+        code = run([*args, "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+
+
+def test_internal_value_error_is_not_usage_error(tmp_path, monkeypatch):
+    """A broken invariant inside the library is a bug, not exit 2."""
+    def broken(*args, **kwargs):
+        raise ValueError("invariant violated")
+    monkeypatch.setattr(mfun.density, "char_M_N", broken)
+    with pytest.raises(ValueError, match="invariant violated"):
+        run(["density", "--N", "6", "--out", str(tmp_path)])
 
 
 def test_unwritable_out_is_usage_error(tmp_path):

@@ -9,9 +9,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import jn_zeros
 
+import mfun.density
 from mfun import TestFunction, _kernels
 from mfun.density import (
+    _envelope_cutoff_rho,
+    _limit_error_budget,
+    _tail_sq_sum,
     bessel_j0,
     char_M_N,
     char_m_n,
@@ -26,6 +31,7 @@ from mfun.density import (
     support_radius,
 )
 from mfun.errors import PrecisionError, QuadratureError, RangeError
+from mfun.spectral import CoefficientTable, coefficient_from_gamma
 
 J0_FIRST_ROOT = 2.404825557695773
 
@@ -67,6 +73,80 @@ def test_char_envelope(coeffs):
     prof = char_M_N(coeffs, 5, rho)
     env = decay_envelope(c, rho)
     assert np.all(np.abs(prof.values) <= env + 1e-12)
+
+
+def direct_envelope(c, rho):
+    """Reference: prod_m min(1, sqrt(2/(pi c_m rho))), factor by factor."""
+    rho = np.asarray(rho, dtype=np.float64)[..., None]
+    return np.prod(np.minimum(1.0, np.sqrt(2.0 / (math.pi * c * rho))),
+                   axis=-1)
+
+
+def test_decay_envelope_matches_direct_product(coeffs):
+    c = coeffs.c
+    b = 2.0 / (math.pi * c)
+    # a log grid from below the first breakpoint to past the last, plus
+    # every breakpoint itself
+    rho = np.sort(np.concatenate(
+        (np.geomspace(0.1 * b.min(), 10.0 * b.max(), 2001), b)))
+    for n in (1, 5, 49, 100):
+        want = direct_envelope(c[:n], rho)
+        # exp of a log near -300 carries a few hundred ulp
+        assert np.allclose(decay_envelope(c[:n], rho), want,
+                           rtol=1e-12, atol=0.0)
+    assert decay_envelope(c, 0.0)[0] == 1.0
+
+
+def _bracket(c, below):
+    """The breakpoints 2/(pi c_m) around the one root of a monotone gap:
+    the last where ``below`` holds and the next (or 1e6 times the last)."""
+    edges = sorted(2.0 / (math.pi * c))
+    k = sum(1 for e in edges if below(e))
+    return (edges + [1e6 * edges[-1]])[k - 1:k + 1], edges[k:]
+
+
+def test_envelope_cutoff_matches_mpmath_root(coeffs):
+    mp = pytest.importorskip("mpmath")
+    for n in (5, 10, 25, 49, 100):
+        c = coeffs.c[:n]
+        def gap(rho):
+            return math.log(direct_envelope(c, float(rho)) / 1e-10)
+        root = mp.findroot(gap, _bracket(c, lambda r: gap(r) > 0)[0],
+                           solver="anderson")
+        assert _envelope_cutoff_rho(c, 1e-10) == pytest.approx(
+            float(root), rel=1e-12)
+
+
+def heavy_tail(coeffs):
+    """The first five ordinates, then 40 packed into [34, 40]: the tail is
+    heavy enough that a rho^2 meets 2 env_5 in piece 3, before the
+    logarithmic piece j = 4, which the bundled table never reaches."""
+    gammas = [*coeffs.gamma[:5], *np.linspace(34.0, 40.0, 40)]
+    return CoefficientTable(tuple(coefficient_from_gamma(i + 1, float(g))
+                                  for i, g in enumerate(gammas)))
+
+
+@pytest.mark.parametrize("n, table", [
+    (5, None), (10, None), (49, None), (100, None), (5, heavy_tail)])
+def test_limit_error_budget_matches_mpmath_quad(coeffs, n, table):
+    """c_1^2 times the integral of rho * min(a rho^2, 2 env_n(rho)),
+    split at the crossing and at every breakpoint beyond it."""
+    mp = pytest.importorskip("mpmath")
+    if table is not None:
+        coeffs = table(coeffs)
+    c = coeffs.c[:n]
+    a = 0.25 * _tail_sq_sum(coeffs, n)
+    def gap(rho):
+        return a * float(rho) ** 2 - 2.0 * direct_envelope(c, float(rho))
+    bracket, beyond = _bracket(c, lambda r: gap(r) < 0)
+    # 25 digits: at 20 the slow rho^-1.5 tail at n = 5 is off by 1.7e-11
+    with mp.workdps(25):
+        star = mp.findroot(gap, bracket, solver="anderson")
+        inner = mp.quad(lambda r: a * r ** 3, [0, star])
+        outer = mp.quad(lambda r: 2.0 * r * direct_envelope(c, float(r)),
+                        [star, *beyond, mp.inf])
+        want = float(coeffs.c[0] ** 2 * (inner + outer))
+    assert _limit_error_budget(coeffs, n) == pytest.approx(want, rel=1e-10)
 
 
 def test_char_tail_gap_brute(coeffs):
@@ -123,6 +203,19 @@ def test_inversion_rejects_nodes_before_cutoff(coeffs):
     prof = char_M_N(coeffs, n, rho[:rho.size // 2])
     with pytest.raises(QuadratureError):
         invert_to_density(prof, default_r_grid(coeffs, n, 256))
+
+
+@pytest.mark.parametrize("start", [0.0, 1.0])
+def test_inversion_refuses_long_grid_before_all_zeros(coeffs, monkeypatch,
+                                                      start):
+    """A grid that fails the radius or envelope check costs one zero."""
+    def few_zeros(order, count):
+        assert count < 1000, "all zeros computed before the cheap checks"
+        return jn_zeros(order, count)
+    monkeypatch.setattr(mfun.density, "jn_zeros", few_zeros)
+    prof = char_M_N(coeffs, 6, np.linspace(start, 1e4, 200_000))
+    with pytest.raises(QuadratureError):
+        invert_to_density(prof, default_r_grid(coeffs, 6, 256))
 
 
 def test_fourier_round_trip(coeffs):
