@@ -11,6 +11,15 @@ the same double whatever the number of points evaluated together, the
 chunking and the thread count.  ``hankel_sum`` sums each output element
 along its own row with numpy's pairwise summation, whose order is fixed by
 the length of the rho grid alone.
+
+Time averages evaluate f_N on the uniform grid alpha_j = j*h with
+``f_grid``, which factors each phase as a per-block phasor times a table
+row over blocks of ``GRID_BLOCK`` nodes aligned to the absolute index j.
+Its terms are also added in ascending m, elementwise, so a value depends
+only on j: not on the chunk it is computed in or the thread count.  It
+differs from the exact sum by at most u * sum_m c_m (3 gamma_m alpha_j +
+beta_m + 2N + 16), u = 2^-53 (see ``f_grid``); the direct ``f_series``
+carries the same order of phase rounding, u * gamma_m * alpha_j per term.
 """
 
 import numpy as np
@@ -19,6 +28,8 @@ from scipy.special import j0 as _sj0, j1 as _sj1
 # Chunk sizes keep intermediate matrices around ~32 MB.
 _F_CHUNK = 1 << 19
 _HANKEL_CHUNK = 1 << 22
+# Nodes per block of f_grid's factored phases.
+GRID_BLOCK = 1 << 10
 
 
 def j0_arr(x):
@@ -41,7 +52,7 @@ def _ascending_sum(theta, c):
     """
     out = np.empty(theta.shape[1], dtype=np.complex128)
     for part, trig in ((out.real, np.cos), (out.imag, np.sin)):
-        terms = trig(theta)
+        terms = trig(theta, order="C")   # contiguous rows for the adds
         terms *= c[:, None]
         for m in range(1, c.size):
             terms[0] += terms[m]
@@ -67,6 +78,52 @@ def f_series(alpha, c, gamma, beta):
         phase = np.multiply.outer(gamma, alpha[lo:hi]) - beta[:, None]
         out[lo:hi] = _ascending_sum(phase, c)
     return out
+
+
+def f_grid(start, count, h, c, gamma, beta):
+    """f_series at the uniform nodes alpha_j = j*h, j = start .. start+count-1.
+
+    With j = b*K + k, K = GRID_BLOCK, each term factors as
+
+        c_m e^{i(gamma_m alpha_j - beta_m)} = V[b, m] * T[m, k],
+        V[b, m] = e^{i(gamma_m (b*K)*h - beta_m)},  T[m, k] = c_m e^{i gamma_m k*h},
+
+    so a call takes one sine and cosine per block and per table entry
+    instead of one per node.  The outer products V[:, m] x T[m] are added
+    in ascending m, elementwise into one buffer: no BLAS reduction.  Blocks
+    are aligned to the absolute index j, so a value depends only on j, not
+    on start, count or the thread count.
+
+    Error bound against the exact sum over the exact real j*h: with
+    u = 2^-53 and sine and cosine within 4 ulp,
+
+        |f_grid[j] - sum_m c_m e^{i(gamma_m j h - beta_m)}|
+            <= u * sum_m c_m (3 gamma_m alpha_j + beta_m + 2N + 16).
+
+    The first two terms are the rounding of the phases (the direct
+    ``f_series`` carries the same u * gamma_m * alpha_j), the rest bounds
+    the trig, products and the N-term running sum.
+    """
+    c = np.asarray(c, dtype=np.float64)
+    gamma = np.asarray(gamma, dtype=np.float64)
+    beta = np.asarray(beta, dtype=np.float64)
+    k = GRID_BLOCK
+    first = start // k
+    blocks = -(-(start + count) // k) - first
+    table = np.multiply.outer(gamma, np.arange(k) * h)
+    table = c[:, None] * (np.cos(table) + 1j * np.sin(table))
+    block = np.multiply.outer(
+        gamma, np.arange(first, first + blocks, dtype=np.float64) * k * h)
+    block -= beta[:, None]
+    block = np.cos(block) + 1j * np.sin(block)
+    out = np.empty((blocks, k), dtype=np.complex128)
+    term = np.empty_like(out)
+    np.multiply(block[0][:, None], table[0], out=out)
+    for m in range(1, c.size):
+        np.multiply(block[m][:, None], table[m], out=term)
+        out += term
+    lo = start - first * k
+    return out.reshape(-1)[lo:lo + count]
 
 
 def phasor_sum(theta, c):

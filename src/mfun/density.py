@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import simpson
@@ -170,6 +171,14 @@ def default_r_grid(coeffs: CoefficientTable, n: int,
     return np.linspace(0.0, 1.1 * support_radius(coeffs, n), points)
 
 
+@lru_cache(maxsize=16)
+def _j0_zeros(k: int) -> np.ndarray:
+    """The first k positive zeros j_{0,1..k} of J0, read-only and cached."""
+    zeros = jn_zeros(0, k)
+    zeros.setflags(write=False)
+    return zeros
+
+
 def default_rho_grid(coeffs: CoefficientTable, n: int,
                      r_max: float | None = None) -> np.ndarray:
     """Fourier-Bessel nodes j_{0,k}/R, k = 1..K, for the order-n inversion.
@@ -184,7 +193,7 @@ def default_rho_grid(coeffs: CoefficientTable, n: int,
     radius = max(1.1 * s if r_max is None else r_max, s)
     rho_cut = _envelope_cutoff_rho(coeffs.c[:n], ENVELOPE_CUTOFF)
     k = int(math.ceil(rho_cut * radius / math.pi)) + 1
-    return jn_zeros(0, k) / radius
+    return _j0_zeros(k) / radius
 
 
 def check_inversion_order(n: int) -> None:
@@ -225,7 +234,7 @@ def invert_to_density(profile: CharacteristicProfile,
     if rho[0] <= 0.0:
         raise QuadratureError(not_nodes)
     # the cheap checks first: all K zeros are computed only to compare
-    radius = jn_zeros(0, 1)[0] / rho[0]
+    radius = _j0_zeros(1)[0] / rho[0]
     need = max(float(r_grid[-1]), s)
     if radius < need * (1.0 - 1e-12):
         raise QuadratureError(
@@ -235,7 +244,7 @@ def invert_to_density(profile: CharacteristicProfile,
         raise QuadratureError(
             "rho grid ends before the envelope cutoff; tail estimate "
             "exceeds tolerance")
-    jk = jn_zeros(0, rho.size)
+    jk = _j0_zeros(rho.size)
     if not np.all(np.abs(rho * radius - jk) <= 1e-12 * jk):
         raise QuadratureError(not_nodes)
     j1k = j1_arr(jk)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import f_series, phasor_sum
+from ._kernels import GRID_BLOCK, f_grid, phasor_sum
 from .density import DensityProfile, integrate_against
 from .errors import MfunError, RangeError
 from .spectral import CoefficientTable
@@ -105,8 +105,12 @@ def alpha_average_many(coeffs: CoefficientTable, n: int, phis, x_list,
     """Trapezoid means (1/X) integral_0^X Phi(f_N(alpha)) d alpha.
 
     One sweep over the largest X, recording every requested checkpoint;
-    returns a list over phis of lists over x_list.
+    returns a list over phis of lists over x_list.  f_N comes from
+    ``f_grid`` in chunks of whole grid blocks.  The Phi values are summed
+    within each block and the block sums in ascending order, so the means
+    depend neither on ``_CHUNK`` nor on the thread count.
     """
+    assert _CHUNK % GRID_BLOCK == 0, "a chunk must hold whole grid blocks"
     coeffs.check_order(n)
     x_list = sorted(float(x) for x in x_list)
     step = _alpha_grid_step(coeffs, n, x_list[0], step)
@@ -116,32 +120,33 @@ def alpha_average_many(coeffs: CoefficientTable, n: int, phis, x_list,
     marks = [min(int(round(x / h)), total_pts - 1) for x in x_list]
     c, g, b = coeffs.c[:n], coeffs.gamma[:n], coeffs.beta[:n]
     sums = np.zeros((len(phis), len(marks)), dtype=np.complex128)
+    # sum of each Phi over the blocks before the current chunk
     running = np.zeros(len(phis), dtype=np.complex128)
     first_vals = np.zeros(len(phis), dtype=np.complex128)
-    done = 0
-    mark_iter = 0
-    while done < total_pts:
+    for done in range(0, total_pts, _CHUNK):
         m = min(_CHUNK, total_pts - done)
-        alpha = (done + np.arange(m)) * h
-        fv = f_series(alpha, c, g, b)
-        phi_vals = [np.asarray(phi(fv), dtype=np.complex128) for phi in phis]
-        if done == 0:
-            first_vals[:] = [pv[0] for pv in phi_vals]
-        while mark_iter < len(marks) and marks[mark_iter] < done + m:
-            k = marks[mark_iter]
-            for i in range(len(phis)):
-                total = running[i] + phi_vals[i][:k - done + 1].sum()
-                integral = h * (total - 0.5 * (first_vals[i]
-                                              + phi_vals[i][k - done]))
-                sums[i, mark_iter] = integral / (k * h)
-            mark_iter += 1
-        running += [pv.sum() for pv in phi_vals]
-        done += m
+        fv = f_grid(done, m, h, c, g, b)
+        starts = np.arange(0, m, GRID_BLOCK)
+        marks_here = [(j, k) for j, k in enumerate(marks)
+                      if done <= k < done + m]
+        for i, phi in enumerate(phis):
+            vals = np.asarray(phi(fv), dtype=np.complex128)
+            if done == 0:
+                first_vals[i] = vals[0]
+            # before[q] = running + the sums of the blocks before block q,
+            # added one block at a time
+            before = np.cumsum(np.concatenate(
+                ([running[i]], np.add.reduceat(vals, starts))))
+            for j, k in marks_here:
+                lo = (k - done) // GRID_BLOCK * GRID_BLOCK
+                total = before[lo // GRID_BLOCK] + vals[lo:k - done + 1].sum()
+                integral = h * (total - 0.5 * (first_vals[i] + vals[k - done]))
+                sums[i, j] = integral / (k * h)
+            running[i] = before[-1]
     out = []
     for i, phi in enumerate(phis):
-        row = [complex(v) if np.iscomplexobj(phi(np.array([0j]))) else v.real
-               for v in sums[i]]
-        out.append(row)
+        is_complex = np.iscomplexobj(phi(np.array([0j])))
+        out.append([complex(v) if is_complex else v.real for v in sums[i]])
     return out
 
 

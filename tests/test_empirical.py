@@ -105,6 +105,24 @@ def test_alpha_average_checkpoints_consistent(coeffs):
     assert ladder[0] == pytest.approx(single, rel=1e-9)
 
 
+def test_alpha_average_independent_of_chunk(coeffs, monkeypatch):
+    """Smaller chunks of whole grid blocks give the same means bit for bit."""
+    import mfun.empirical as em
+    n = 10
+    s = float(np.sum(coeffs.c[:n]))
+    phis = [TestFunction.disc(0.0, 0.5 * s),
+            TestFunction.gaussian(0.1 * s + 0.2j * s, s / 3.0),
+            TestFunction.character(4.0 / s)]
+    x, k = 500.0, em.GRID_BLOCK
+    h = x / math.ceil(x * 10.0 * coeffs.gamma[n - 1] / (2.0 * math.pi))
+    # marks inside a block, at the last node of a patched chunk, at the
+    # first node of the next, and at the partial last block
+    ladder = [137.0, (4 * k - 1) * h, 8 * k * h, x]
+    whole = em.alpha_average_many(coeffs, n, phis, ladder)
+    monkeypatch.setattr(em, "_CHUNK", 4 * k)
+    assert em.alpha_average_many(coeffs, n, phis, ladder) == whole
+
+
 def test_alpha_average_guards(coeffs):
     with pytest.raises(RangeError):
         alpha_average(coeffs, 5, TestFunction.one(), 10.0)   # X too short

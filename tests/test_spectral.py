@@ -110,6 +110,46 @@ def test_phase_sums_independent_of_batch(coeffs, monkeypatch):
     assert max_abs == float(np.max(np.abs(alone)))
 
 
+@pytest.mark.parametrize("n", [10, 100])
+def test_f_grid_matches_mpmath_within_bound(coeffs, n):
+    """f_grid against an mpmath sum at block and chunk edges and alpha ~ 1e6.
+
+    The grid is the one the time averages use up to X = 1e6; the direct
+    ``f_series`` at the rounded alpha is held to the same bound.
+    """
+    mp = pytest.importorskip("mpmath")
+    c, g, b = coeffs.c[:n], coeffs.gamma[:n], coeffs.beta[:n]
+    last = int(math.ceil(1e6 * 10.0 * g[-1] / (2.0 * math.pi)))
+    h = 1e6 / last
+    k, chunk = _kernels.GRID_BLOCK, 1 << 20
+    picks = [0, 1, k - 1, k, k + 1, 5 * k - 1, chunk - 1, chunk, chunk + 1,
+             last // chunk * chunk, last - k, last - 1, last]
+    u = 2.0 ** -53
+    with mp.workdps(30):
+        for j in picks:
+            alpha = mp.mpf(j) * mp.mpf(h)
+            exact = mp.fsum(mp.mpf(cm) * mp.expj(mp.mpf(gm) * alpha - mp.mpf(bm))
+                            for cm, gm, bm in zip(c, g, b))
+            bound = u * float(np.sum(c * (3.0 * g * float(alpha) + b
+                                          + 2 * n + 16)))
+            for got in (_kernels.f_grid(j, 1, h, c, g, b)[0],
+                        _kernels.f_series(np.array([j * h]), c, g, b)[0]):
+                assert float(abs(mp.mpc(got) - exact)) <= bound, (j, got)
+
+
+def test_f_grid_values_depend_only_on_the_index(coeffs):
+    """A node's value is the same alone, in any window and across blocks."""
+    n = 10
+    c, g, b = coeffs.c[:n], coeffs.gamma[:n], coeffs.beta[:n]
+    h = 2.0 * math.pi / (10.0 * g[-1])
+    k = _kernels.GRID_BLOCK
+    start = (1 << 20) - 2 * k
+    whole = _kernels.f_grid(start, 4 * k + 7, h, c, g, b)
+    for lo, hi in ((0, 1), (k - 1, k + 1), (3, 2 * k + 5), (2 * k, 4 * k + 7)):
+        part = _kernels.f_grid(start + lo, hi - lo, h, c, g, b)
+        assert np.array_equal(part, whole[lo:hi])
+
+
 def test_f_N_bounded_by_support_radius(coeffs):
     s = float(np.sum(coeffs.c[:40]))
     alphas = np.linspace(0.0, 50.0, 500)
