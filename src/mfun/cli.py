@@ -22,7 +22,7 @@ from . import density as dn
 from . import empirical as em
 from . import goldbach as gb
 from . import spectral as sp
-from .errors import MfunError
+from .errors import MfunError, RangeError
 from .svgplot import line_plot
 from .testfuncs import TestFunction
 from .zeros import bundled_zeros_path, counting_check, load_zeros, verify_table
@@ -230,6 +230,9 @@ def _ladder(config: RunConfig, coeffs) -> tuple[list[float], bool]:
     x_min = 100.0 * 2.0 * math.pi / coeffs.gamma[0]
     rungs = [config.X / 100.0, config.X / 10.0, config.X]
     usable = [x for x in rungs if x >= x_min]
+    if not usable:
+        raise RangeError(f"X={config.X} below the minimum usable average "
+                         f"length {x_min:.1f}")
     return usable, len(usable) >= 2
 
 
@@ -238,9 +241,6 @@ def cmd_compare(config: RunConfig, out: Path) -> int:
     n = config.N
     dn.check_inversion_order(n)   # usage errors before the grid and samples
     ladder, trend_usable = _ladder(config, coeffs)
-    if not ladder:
-        print(f"X={config.X} below the minimum usable average length")
-        return EXIT_USAGE
     phis = default_test_functions(dn.support_radius(coeffs, n))
     # the sampler checks --samples before drawing, so before any grid
     haar_means, _ = em.haar_oracle(coeffs, n, phis, config.samples,

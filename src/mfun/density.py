@@ -205,7 +205,7 @@ def check_inversion_order(n: int) -> None:
 
 
 def invert_to_density(profile: CharacteristicProfile,
-                      r_grid=None) -> DensityProfile:
+                      r_grid) -> DensityProfile:
     """Fourier-Bessel inversion of a characteristic profile to the density.
 
     Requires order >= 5 (below that the truncated density need not be
@@ -226,8 +226,6 @@ def invert_to_density(profile: CharacteristicProfile,
     check_inversion_order(n)
     c = profile.c_used
     s = float(np.sum(c))
-    if r_grid is None:
-        r_grid = np.linspace(0.0, 1.1 * s, R_GRID_POINTS)
     r_grid = np.asarray(r_grid, dtype=np.float64)
     rho = profile.rho_grid
     not_nodes = "rho grid must be the Fourier-Bessel nodes j_{0,k}/R"
@@ -324,8 +322,7 @@ def invert_limit_density(coeffs: CoefficientTable, eps: float,
     return limit_density(invert_to_density(profile, r_grid), coeffs, budget)
 
 
-def convolve_step(density: DensityProfile, c: float,
-                  n_theta: int = 512) -> DensityProfile:
+def convolve_step(density: DensityProfile, c: float) -> DensityProfile:
     """One more circle factor: angular convolution on the radial grid.
 
     M_{N+1}(r) = (1/2pi) integral M_N(sqrt(r^2 + c^2 - 2 r c cos t)) dt.
@@ -342,6 +339,7 @@ def convolve_step(density: DensityProfile, c: float,
     if c == 0.0:
         return density
     spline = CubicSpline(r, density.values)
+    n_theta = 512
     theta = np.linspace(0.0, math.pi, n_theta + 1)
     # cosine symmetry: average over [0, pi] with trapezoid end weights
     wts = np.full(n_theta + 1, 1.0 / n_theta)

@@ -1,6 +1,9 @@
 """Empirical routes to the limit law: Haar Monte-Carlo on the torus,
 time averages over the shift parameter, and closed-form Weyl sums.
 
+The Haar and time-average means are both means of Phi over a stream of
+points, summed by one engine (``_stream_sums``) per block of points.
+
 Monte-Carlo uses numpy's Philox generator (a named counter-based RNG with
 a 64-bit seed); angles are drawn as 2*pi times 53-bit-mantissa uniforms,
 so a fixed seed reproduces results bit for bit.
@@ -27,6 +30,7 @@ __all__ = [
 
 MIN_HAAR_SAMPLES = 10 ** 4
 RESONANCE_FLOOR = 1e-9
+TREND_FLOOR = 2e-3
 _CHUNK = 1 << 20
 
 
@@ -54,13 +58,37 @@ def torus_map(coeffs: CoefficientTable, point: TorusPoint) -> complex:
     return complex(phasor_sum(angles[None, :], coeffs.c[:angles.size])[0])
 
 
-def _angle_stream(n: int, samples: int, seed: int):
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+def _stream_sums(chunks, phis, marks):
+    """Sums sum_{j<=k} Phi(w_j) of each Phi at each ascending mark k.
+
+    chunks yields the points w_0, w_1, ... as complex arrays of whole
+    GRID_BLOCK blocks (only the last may end early).  The Phi values are
+    summed within each block and the block sums added in ascending order,
+    so a sum depends on the points alone, not on how the stream is
+    chunked.  Phi is summed in the dtype of its values: float64 for a real
+    Phi, complex128 for a complex one.  Returns (one array over marks per
+    Phi, max |w|).
+    """
+    assert _CHUNK % GRID_BLOCK == 0, "a chunk must hold whole grid blocks"
+    sums = [[] for _ in phis]
+    running = [0.0] * len(phis)   # sum of each Phi over the earlier chunks
+    max_abs = 0.0
     done = 0
-    while done < samples:
-        m = min(_CHUNK, samples - done)
-        yield 2.0 * math.pi * rng.random((m, n))
-        done += m
+    for w in chunks:
+        max_abs = max(max_abs, float(np.max(np.abs(w))))
+        here = [k - done for k in marks if done <= k < done + w.size]
+        starts = np.arange(0, w.size, GRID_BLOCK)
+        for i, phi in enumerate(phis):
+            vals = phi(w)
+            # before[q]: the sum of Phi over every block before block q
+            before = np.cumsum(np.concatenate(
+                ([running[i]], np.add.reduceat(vals, starts))))
+            sums[i] += [before[k // GRID_BLOCK]
+                        + vals[k - k % GRID_BLOCK:k + 1].sum() for k in here]
+            running[i] = before[-1]
+        done += w.size
+        w = vals = None   # free them before the next chunk is built
+    return [np.array(s) for s in sums], max_abs
 
 
 def haar_oracle(coeffs: CoefficientTable, n: int, phis, samples: int,
@@ -74,86 +102,56 @@ def haar_oracle(coeffs: CoefficientTable, n: int, phis, samples: int,
     if samples < MIN_HAAR_SAMPLES:
         raise RangeError(f"need at least {MIN_HAAR_SAMPLES} samples")
     c = coeffs.c[:n]
-    sums = [0.0 + 0.0j for _ in phis]
-    max_abs = 0.0
-    for theta in _angle_stream(n, samples, seed):
-        s = phasor_sum(theta, c)
-        max_abs = max(max_abs, float(np.max(np.abs(s))))
-        for i, phi in enumerate(phis):
-            sums[i] += complex(np.sum(phi(s)))
-    means = [v / samples for v in sums]
-    means = [m.real if abs(m.imag) == 0.0 else m for m in means]
-    return means, max_abs
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    chunks = (phasor_sum(2.0 * math.pi
+                         * rng.random((min(_CHUNK, samples - lo), n)), c)
+              for lo in range(0, samples, _CHUNK))
+    sums, max_abs = _stream_sums(chunks, phis, [samples - 1])
+    return [(s / samples).item() for s in sums], max_abs
 
 
-def _alpha_grid_step(coeffs: CoefficientTable, n: int, x: float,
-                     step: float | None) -> float:
-    limit = 2.0 * math.pi / (10.0 * coeffs.gamma[n - 1])
-    if step is None:
-        step = limit
-    if step > limit * (1.0 + 1e-12):
-        raise RangeError(f"alpha step {step} too coarse; need <= {limit:.3e} "
-                         "to resolve the fastest oscillation")
+def _alpha_grid_step(coeffs: CoefficientTable, n: int, x: float) -> float:
+    """The trapezoid step 2 pi / (10 gamma_n), once X is long enough."""
     if x < 100.0 * 2.0 * math.pi / coeffs.gamma[0]:
         raise RangeError(f"X={x} too short; need at least "
                          f"{100 * 2 * math.pi / coeffs.gamma[0]:.1f}")
-    return step
+    return 2.0 * math.pi / (10.0 * coeffs.gamma[n - 1])
 
 
-def alpha_average_many(coeffs: CoefficientTable, n: int, phis, x_list,
-                       step: float | None = None):
+def alpha_average_many(coeffs: CoefficientTable, n: int, phis, x_list):
     """Trapezoid means (1/X) integral_0^X Phi(f_N(alpha)) d alpha.
 
     One sweep over the largest X, recording every requested checkpoint;
     returns a list over phis of lists over x_list.  f_N comes from
-    ``f_grid`` in chunks of whole grid blocks.  The Phi values are summed
-    within each block and the block sums in ascending order, so the means
-    depend neither on ``_CHUNK`` nor on the thread count.
+    ``f_grid`` in chunks of whole grid blocks, and the Phi sums from the
+    same block-wise engine as ``haar_oracle``, so the means depend neither
+    on ``_CHUNK`` nor on the thread count.
     """
-    assert _CHUNK % GRID_BLOCK == 0, "a chunk must hold whole grid blocks"
     coeffs.check_order(n)
     x_list = sorted(float(x) for x in x_list)
-    step = _alpha_grid_step(coeffs, n, x_list[0], step)
+    step = _alpha_grid_step(coeffs, n, x_list[0])
     x_max = x_list[-1]
     total_pts = int(math.ceil(x_max / step)) + 1
     h = x_max / (total_pts - 1)
     marks = [min(int(round(x / h)), total_pts - 1) for x in x_list]
     c, g, b = coeffs.c[:n], coeffs.gamma[:n], coeffs.beta[:n]
-    sums = np.zeros((len(phis), len(marks)), dtype=np.complex128)
-    # sum of each Phi over the blocks before the current chunk
-    running = np.zeros(len(phis), dtype=np.complex128)
-    first_vals = np.zeros(len(phis), dtype=np.complex128)
-    for done in range(0, total_pts, _CHUNK):
-        m = min(_CHUNK, total_pts - done)
-        fv = f_grid(done, m, h, c, g, b)
-        starts = np.arange(0, m, GRID_BLOCK)
-        marks_here = [(j, k) for j, k in enumerate(marks)
-                      if done <= k < done + m]
-        for i, phi in enumerate(phis):
-            vals = np.asarray(phi(fv), dtype=np.complex128)
-            if done == 0:
-                first_vals[i] = vals[0]
-            # before[q] = running + the sums of the blocks before block q,
-            # added one block at a time
-            before = np.cumsum(np.concatenate(
-                ([running[i]], np.add.reduceat(vals, starts))))
-            for j, k in marks_here:
-                lo = (k - done) // GRID_BLOCK * GRID_BLOCK
-                total = before[lo // GRID_BLOCK] + vals[lo:k - done + 1].sum()
-                integral = h * (total - 0.5 * (first_vals[i] + vals[k - done]))
-                sums[i, j] = integral / (k * h)
-            running[i] = before[-1]
+    chunks = (f_grid(lo, min(_CHUNK, total_pts - lo), h, c, g, b)
+              for lo in range(0, total_pts, _CHUNK))
+    sums, _ = _stream_sums(chunks, phis, marks)
+    # a node's f_grid value depends only on its index: the trapezoid ends
+    ends = np.concatenate([f_grid(k, 1, h, c, g, b) for k in [0, *marks]])
+    k = np.array(marks, dtype=np.float64)
     out = []
-    for i, phi in enumerate(phis):
-        is_complex = np.iscomplexobj(phi(np.array([0j])))
-        out.append([complex(v) if is_complex else v.real for v in sums[i]])
+    for phi, s in zip(phis, sums):
+        end = phi(ends)
+        out.append(((s - 0.5 * (end[0] + end[1:])) / k).tolist())
     return out
 
 
 def alpha_average(coeffs: CoefficientTable, n: int, phi: TestFunction,
-                  x: float, step: float | None = None):
+                  x: float):
     """(1/X) integral_0^X Phi(f_N(alpha)) d alpha by composite trapezoid."""
-    return alpha_average_many(coeffs, n, [phi], [x], step)[0][0]
+    return alpha_average_many(coeffs, n, [phi], [x])[0][0]
 
 
 def weyl_test(coeffs: CoefficientTable, n_vector, x: float) -> complex:
@@ -196,7 +194,6 @@ class CompareRow:
 class CompareReport:
     rows: tuple[CompareRow, ...]
     max_discrepancy: float
-    trend_floor: float
 
     @property
     def all_trends_ok(self) -> bool:
@@ -205,31 +202,29 @@ class CompareReport:
 
 def compare_report(coeffs: CoefficientTable, n: int, haar_means,
                    density: DensityProfile, phis,
-                   x_ladder=(1e4, 1e5, 1e6), step: float | None = None,
-                   trend_floor: float = 2e-3) -> CompareReport:
+                   x_ladder=(1e4, 1e5, 1e6)) -> CompareReport:
     """Three-route comparison: alpha-averages vs Haar samples vs density.
 
     haar_means are the order-n Haar means of phis, as ``haar_oracle``
     returns them.  The trend check asks each discrepancy ladder to be
     non-increasing up to a factor-2 noise allowance above the quadrature
-    floor.
+    floor ``TREND_FLOOR``.
     """
     if (isinstance(density.order, int) and density.order != n) \
             or (density.n_used is not None and density.n_used != n):
         raise RangeError("truncation orders of the two routes do not match")
-    ladders = alpha_average_many(coeffs, n, phis, x_ladder, step)
+    ladders = alpha_average_many(coeffs, n, phis, x_ladder)
     rows = []
     worst = 0.0
     for phi, ladder, haar in zip(phis, ladders, haar_means, strict=True):
         dens = integrate_against(density, phi)
         disc = tuple(abs(a - dens) for a in ladder)
         trend_ok = all(
-            disc[k + 1] <= max(2.0 * disc[k], trend_floor)
+            disc[k + 1] <= max(2.0 * disc[k], TREND_FLOOR)
             for k in range(len(disc) - 1))
         worst = max(worst, disc[-1])
         rows.append(CompareRow(
             phi=phi.label, density_value=dens, haar_value=haar,
             alpha_values=tuple(ladder), x_ladder=tuple(x_ladder),
             discrepancies=disc, trend_ok=trend_ok))
-    return CompareReport(rows=tuple(rows), max_discrepancy=worst,
-                         trend_floor=trend_floor)
+    return CompareReport(rows=tuple(rows), max_discrepancy=worst)

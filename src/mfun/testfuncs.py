@@ -132,7 +132,11 @@ class TestFunction:
             return np.exp(-np.abs(w - p["center"]) ** 2
                           / (2.0 * p["sigma"] ** 2))
         if self.kind == "character":
-            return np.exp(1j * (np.conj(p["z"]) * w).real)
+            x = (np.conj(p["z"]) * w).real
+            out = np.empty(w.shape, dtype=np.complex128)
+            np.cos(x, out=out.real)
+            np.sin(x, out=out.imag)
+            return out
         raise ValueError(f"unknown kind {self.kind!r}")
 
     def angular_average(self, r):

@@ -147,9 +147,12 @@ def no_grid(monkeypatch):
     monkeypatch.setattr(mfun.density, "default_rho_grid", fail)
 
 
-def test_compare_short_x_is_usage_error(tmp_path, no_grid):
+def test_compare_short_x_is_usage_error(tmp_path, no_grid, capsys):
     assert run(["compare", "--N", "6", "--samples", "100000",
                 "--X", "10", "--out", str(tmp_path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: X=10.0 below the minimum usable")
 
 
 def test_compare_low_order_is_usage_error(tmp_path, no_grid):

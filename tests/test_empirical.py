@@ -123,11 +123,42 @@ def test_alpha_average_independent_of_chunk(coeffs, monkeypatch):
     assert em.alpha_average_many(coeffs, n, phis, ladder) == whole
 
 
+def test_haar_oracle_independent_of_chunk(coeffs, monkeypatch):
+    """Smaller chunks of whole blocks give the same Haar means bit for bit.
+
+    The draws are the same Philox stream in any chunking, and the Phi
+    values are summed per grid block, so only the block sums' order fixes
+    the means.
+    """
+    import mfun.empirical as em
+    n = 10
+    s = float(np.sum(coeffs.c[:n]))
+    phis = [TestFunction.disc(0.0, 0.5 * s),
+            TestFunction.gaussian(0.1 * s + 0.2j * s, s / 3.0),
+            TestFunction.character(4.0 / s)]
+    whole = haar_oracle(coeffs, n, phis, 300000, seed=3)
+    monkeypatch.setattr(em, "_CHUNK", 4 * em.GRID_BLOCK)
+    assert haar_oracle(coeffs, n, phis, 300000, seed=3) == whole
+
+
+def test_routes_share_the_type_rule(coeffs):
+    """Both routes give float means for a real Phi, complex for a complex one.
+
+    character(0) is identically 1 + 0j, and its means stay complex.
+    """
+    from mfun.empirical import alpha_average_many
+    phis = [TestFunction.disc(0.0, 0.005), TestFunction.character(0.0)]
+    haar, _ = haar_oracle(coeffs, 5, phis, 20000, seed=1)
+    (alpha,), (flat,) = alpha_average_many(coeffs, 5, phis, [1000.0])
+    for disc, character in ((haar[0], haar[1]), (alpha, flat)):
+        assert type(disc) is float
+        assert type(character) is complex
+        assert character == 1.0
+
+
 def test_alpha_average_guards(coeffs):
     with pytest.raises(RangeError):
         alpha_average(coeffs, 5, TestFunction.one(), 10.0)   # X too short
-    with pytest.raises(RangeError):
-        alpha_average(coeffs, 5, TestFunction.one(), 1000.0, step=1.0)
 
 
 def test_weyl_bound_exact(coeffs):
