@@ -185,7 +185,6 @@ class CompareRow:
     density_value: complex
     haar_value: complex
     alpha_values: tuple
-    x_ladder: tuple
     discrepancies: tuple
     trend_ok: bool
 
@@ -194,10 +193,6 @@ class CompareRow:
 class CompareReport:
     rows: tuple[CompareRow, ...]
     max_discrepancy: float
-
-    @property
-    def all_trends_ok(self) -> bool:
-        return all(r.trend_ok for r in self.rows)
 
 
 def compare_report(coeffs: CoefficientTable, n: int, haar_means,
@@ -225,6 +220,5 @@ def compare_report(coeffs: CoefficientTable, n: int, haar_means,
         worst = max(worst, disc[-1])
         rows.append(CompareRow(
             phi=phi.label, density_value=dens, haar_value=haar,
-            alpha_values=tuple(ladder), x_ladder=tuple(x_ladder),
-            discrepancies=disc, trend_ok=trend_ok))
+            alpha_values=tuple(ladder), discrepancies=disc, trend_ok=trend_ok))
     return CompareReport(rows=tuple(rows), max_discrepancy=worst)

@@ -110,10 +110,6 @@ class TestFunction:
                                                        key=lambda kv: kv[0]))
         return f"{self.kind}({inner})"
 
-    @property
-    def is_indicator(self) -> bool:
-        return self.kind in ("rectangle", "disc", "annulus")
-
     def __call__(self, w):
         w = np.asarray(w, dtype=np.complex128)
         p = self.params

@@ -2,8 +2,9 @@
 
 A zero table is a plain text file with one positive ordinate per line
 (ascending, ``#`` comments allowed).  Verification evaluates the Hardy
-Z-function via Euler-Maclaurin summation of zeta(1/2+it) and brackets a
-sign change around each claimed ordinate.
+Z-function via Euler-Maclaurin summation of zeta(1/2+it), brackets a
+sign change around each claimed ordinate on a 21-point grid, and refines
+it by Illinois regula falsi seeded with the two grid values.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import loggamma
 
 from .errors import AmbiguousBracketError, RangeError, ZeroTableError
@@ -129,6 +129,28 @@ def hardy_z(t: float) -> float:
     return math.cos(theta) * z.real - math.sin(theta) * z.imag
 
 
+def _refine_root(a: float, b: float, fa: float, fb: float) -> float:
+    """Illinois regula falsi (Dowell and Jarratt, 1971) for the sign change
+    of Z in [a, b], seeded with Z(a) = fa and Z(b) = fb of opposite signs:
+    the secant point replaces the end of its sign, and an end kept twice in
+    a row has its value halved.  Returns the midpoint of the last bracket,
+    which is at most 1e-13 wide.
+    """
+    side = 0   # -1: the last step moved b, +1: it moved a
+    while abs(b - a) > 1e-13:
+        c = b - fb * (b - a) / (fb - fa)
+        fc = hardy_z(c)
+        if fc == 0.0:
+            return c
+        if (fc > 0.0) == (fb > 0.0):
+            fa *= 0.5 if side == -1 else 1.0
+            b, fb, side = c, fc, -1
+        else:
+            fb *= 0.5 if side == 1 else 1.0
+            a, fa, side = c, fc, 1
+    return 0.5 * (a + b)
+
+
 def verify_zero(gamma: float, tolerance: float) -> tuple[bool, float]:
     """Check that a sign change of Z brackets `gamma` within `tolerance`.
 
@@ -141,18 +163,18 @@ def verify_zero(gamma: float, tolerance: float) -> tuple[bool, float]:
         raise ValueError("gamma and tolerance must be positive")
     delta = _BRACKET
     for _ in range(_MAX_SHRINK + 1):
-        grid = np.linspace(gamma - delta, gamma + delta, 21)
-        vals = np.array([hardy_z(t) for t in grid])
+        grid = np.linspace(gamma - delta, gamma + delta, 21).tolist()
+        vals = [hardy_z(t) for t in grid]
         flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
         if len(flips) == 0:
             return False, math.inf
         if len(flips) == 1:
             i = flips[0]
-            root = brentq(hardy_z, grid[i], grid[i + 1], xtol=1e-13)
+            root = _refine_root(grid[i], grid[i + 1], vals[i], vals[i + 1])
             residual = abs(root - gamma)
             return residual <= tolerance, residual
         delta *= 0.5
-    roots = [brentq(hardy_z, grid[i], grid[i + 1], xtol=1e-13)
+    roots = [_refine_root(grid[i], grid[i + 1], vals[i], vals[i + 1])
              for i in flips[:2]]
     raise AmbiguousBracketError(gamma, roots)
 

@@ -243,3 +243,15 @@ def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_cli_import_leaves_out_heavy_scipy():
+    """Importing the CLI loads no scipy.integrate, interpolate or optimize."""
+    src = str(Path(mfun.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, mfun.cli; print(*sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    heavy = ("scipy.integrate", "scipy.interpolate", "scipy.optimize")
+    assert [m for m in proc.stdout.split() if m.startswith(heavy)] == []

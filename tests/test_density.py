@@ -16,6 +16,7 @@ from mfun import TestFunction, _kernels
 from mfun.density import (
     _envelope_cutoff_rho,
     _limit_error_budget,
+    _radial_integral,
     _tail_sq_sum,
     bessel_j0,
     char_M_N,
@@ -279,10 +280,36 @@ def test_integrate_against_one_is_mass(coeffs):
     n = 6
     prof = char_M_N(coeffs, n, default_rho_grid(coeffs, n))
     d = invert_to_density(prof, default_r_grid(coeffs, n, 1024))
-    # the mass field is the exact Fourier-Bessel sum, while this is
-    # Simpson's rule on the r grid: they agree to that rule's accuracy
+    # the mass field is the exact Fourier-Bessel sum, while this is the
+    # radial rule on the r grid, whose h^4 error needs a smooth M; M_6 is
+    # not smooth (its transform decays only like rho^-3)
     assert integrate_against(d, TestFunction.one()) == pytest.approx(
         1.0, abs=5e-5)
+    # M_10 is smooth enough for the rule to meet the exact mass
+    n = 10
+    prof = char_M_N(coeffs, n, default_rho_grid(coeffs, n))
+    d = invert_to_density(prof, default_r_grid(coeffs, n, 4096))
+    assert integrate_against(d, TestFunction.one()) == pytest.approx(
+        d.mass, abs=1e-12)
+
+
+def test_radial_integral_error_term():
+    """On exp(-r^2) the rule is off by its leading term h^4 g''(0)/240."""
+    r = np.linspace(0.0, 8.0, 257)
+    predicted = r[1] ** 4 * -2.0 / 240.0   # g''(0) = -2
+    err = _radial_integral(r, np.exp(-r * r)) - 0.5 * (1.0 - math.exp(-64.0))
+    assert err == pytest.approx(predicted, rel=1e-3)
+
+
+@pytest.mark.parametrize("start", ["geomspace", "above_zero"])
+def test_integrate_against_rejects_other_grids(coeffs, start):
+    n = 10
+    top = 1.1 * support_radius(coeffs, n)
+    r = (np.concatenate(([0.0], np.geomspace(1e-3, top, 511)))
+         if start == "geomspace" else np.linspace(0.01, top, 512))
+    d = invert_to_density(char_M_N(coeffs, n, default_rho_grid(coeffs, n)), r)
+    with pytest.raises(QuadratureError):
+        integrate_against(d, TestFunction.one())
 
 
 def test_integrate_against_annulus_partition(coeffs):

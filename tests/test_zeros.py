@@ -9,7 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from mfun.errors import RangeError, ZeroTableError
+import mfun.zeros
+from mfun.errors import AmbiguousBracketError, RangeError, ZeroTableError
 from mfun.zeros import (
     bundled_zeros_path,
     counting_check,
@@ -68,6 +69,23 @@ def test_verify_zero_rejects_typo():
     ok, residual = verify_zero(GAMMA_1 + 0.3, 1e-6)
     assert not ok
     assert residual == math.inf
+
+
+@pytest.mark.parametrize("gamma", [GAMMA_1, GAMMA_2, GAMMA_3, GAMMA_100])
+def test_verify_zero_refines_to_oracle(gamma):
+    """The refined sign change of Z is the mpmath ordinate to 1e-12."""
+    ok, residual = verify_zero(gamma, 1e-6)
+    assert ok and residual <= 1e-12
+
+
+def test_verify_zero_reports_both_roots(monkeypatch):
+    """Two sign changes 1e-3 apart survive every shrink and are reported."""
+    monkeypatch.setattr(mfun.zeros, "hardy_z",
+                        lambda t: (t - 10.0) * (t - 10.001))
+    with pytest.raises(AmbiguousBracketError) as info:
+        verify_zero(10.0005, 1e-6)
+    low, high = info.value.roots
+    assert abs(low - 10.0) <= 1e-12 and abs(high - 10.001) <= 1e-12
 
 
 def test_verify_table_all_pass(zero_table):
