@@ -134,10 +134,10 @@ def _refine_root(a: float, b: float, fa: float, fb: float) -> float:
     of Z in [a, b], seeded with Z(a) = fa and Z(b) = fb of opposite signs:
     the secant point replaces the end of its sign, and an end kept twice in
     a row has its value halved.  Returns the midpoint of the last bracket,
-    which is at most 1e-13 wide.
+    which is at most max(1e-13, ulp(b)) wide (ulp(t) > 1e-13 above 512).
     """
     side = 0   # -1: the last step moved b, +1: it moved a
-    while abs(b - a) > 1e-13:
+    while abs(b - a) > max(1e-13, math.ulp(b)):
         c = b - fb * (b - a) / (fb - fa)
         fc = hardy_z(c)
         if fc == 0.0:

@@ -88,6 +88,18 @@ def test_verify_zero_reports_both_roots(monkeypatch):
     assert abs(low - 10.0) <= 1e-12 and abs(high - 10.001) <= 1e-12
 
 
+def test_verify_zero_refines_above_512(monkeypatch):
+    """Above t = 512 neighbouring doubles are more than 1e-13 apart; the
+    refinement still stops, a few ulp from a root that is not a double."""
+    root = 600.3013
+    half_ulp = 0.5 * math.ulp(root)
+    monkeypatch.setattr(mfun.zeros, "hardy_z",
+                        lambda t: (t - root) + half_ulp)
+    ok, residual = verify_zero(600.3, 1e-2)
+    assert ok
+    assert abs(residual - (root - 600.3)) <= 4 * math.ulp(root)
+
+
 def test_verify_table_all_pass(zero_table):
     verified = verify_table(zero_table, 1e-6)
     assert all(z.verified for z in verified.zeros)
