@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import GRID_BLOCK, f_grid, phasor_sum
+from ._kernels import GRID_BLOCK, f_grid, f_grid_chunks, phasor_sum
 from .density import DensityProfile, integrate_against
 from .errors import MfunError, RangeError
 from .spectral import CoefficientTable
@@ -31,7 +31,10 @@ __all__ = [
 MIN_HAAR_SAMPLES = 10 ** 4
 RESONANCE_FLOOR = 1e-9
 TREND_FLOOR = 2e-3
-_CHUNK = 1 << 20
+# Points per chunk, whole grid blocks.  At N = 10 a chunk's N x _CHUNK angle
+# matrix is 5 MB, which the last-level cache holds; at 2^20 points (80 MB)
+# every pass over a chunk went to main memory.
+_CHUNK = 1 << 16
 
 
 class ResonanceError(MfunError):
@@ -135,8 +138,7 @@ def alpha_average_many(coeffs: CoefficientTable, n: int, phis, x_list):
     h = x_max / (total_pts - 1)
     marks = [min(int(round(x / h)), total_pts - 1) for x in x_list]
     c, g, b = coeffs.c[:n], coeffs.gamma[:n], coeffs.beta[:n]
-    chunks = (f_grid(lo, min(_CHUNK, total_pts - lo), h, c, g, b)
-              for lo in range(0, total_pts, _CHUNK))
+    chunks = f_grid_chunks(0, total_pts, _CHUNK, h, c, g, b)
     sums, _ = _stream_sums(chunks, phis, marks)
     # a node's f_grid value depends only on its index: the trapezoid ends
     ends = np.concatenate([f_grid(k, 1, h, c, g, b) for k in [0, *marks]])

@@ -14,46 +14,53 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._kernels import expi
+
 __all__ = ["TestFunction"]
 
 _QUAD_NODES_MIN = 64
 
 
-def _disc_arc_fraction(r: float, center: complex, radius: float) -> float:
-    """Fraction of the circle |w|=r lying inside the disc |w-center|<=radius."""
+def _disc_arc_fraction(r, center: complex, radius: float):
+    """Fraction of each circle |w|=r lying inside the disc |w-center|<=radius."""
     d = abs(center)
-    if r == 0.0:
-        return 1.0 if d <= radius else 0.0
-    if r + d <= radius:
-        return 1.0
-    if abs(r - d) >= radius:
-        return 0.0
-    cosphi = (r * r + d * d - radius * radius) / (2.0 * r * d)
-    return math.acos(max(-1.0, min(1.0, cosphi))) / math.pi
+    # r = 0 or d = 0 divides by zero; np.where below replaces those values
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cosphi = (r * r + d * d - radius * radius) / (2.0 * r * d)
+    out = np.arccos(np.clip(cosphi, -1.0, 1.0)) / math.pi
+    out = np.where(np.abs(r - d) >= radius, 0.0, out)
+    out = np.where(r + d <= radius, 1.0, out)
+    return np.where(r == 0.0, float(d <= radius), out)
 
 
-def _rect_arc_fraction(r: float, x0: float, x1: float,
-                       y0: float, y1: float) -> float:
-    """Fraction of the circle |w|=r lying inside [x0,x1] x [y0,y1]."""
-    if r == 0.0:
-        return 1.0 if (x0 <= 0.0 <= x1 and y0 <= 0.0 <= y1) else 0.0
-    cuts = {0.0, 2.0 * math.pi}
-    for x in (x0, x1):
-        if abs(x) < r:
-            a = math.acos(x / r)
-            cuts.update(((a) % (2 * math.pi), (-a) % (2 * math.pi)))
-    for y in (y0, y1):
-        if abs(y) < r:
-            a = math.asin(y / r)
-            cuts.update((a % (2 * math.pi), (math.pi - a) % (2 * math.pi)))
-    angles = sorted(cuts)
-    inside = 0.0
-    for lo, hi in zip(angles[:-1], angles[1:]):
-        mid = 0.5 * (lo + hi)
-        u, v = r * math.cos(mid), r * math.sin(mid)
-        if x0 <= u <= x1 and y0 <= v <= y1:
-            inside += hi - lo
-    return inside / (2.0 * math.pi)
+def _rect_arc_fraction(r, x0: float, x1: float, y0: float, y1: float):
+    """Fraction of each circle |w|=r lying inside [x0,x1] x [y0,y1].
+
+    The circle is cut where it crosses the four edge lines; an arc between
+    neighbouring cuts lies inside or outside as its midpoint does.  A
+    missing crossing is a repeated cut at 0, an arc of length zero.
+    """
+    two_pi = 2.0 * math.pi
+    cuts = [np.zeros(r.shape), np.full(r.shape, two_pi)]
+    for edge, arc, mirror in ((x0, np.arccos, 0.0), (x1, np.arccos, 0.0),
+                              (y0, np.arcsin, math.pi),
+                              (y1, np.arcsin, math.pi)):
+        hit = abs(edge) < r
+        a = arc(np.divide(edge, r, out=np.zeros(r.shape), where=hit))
+        cuts += [np.where(hit, a % two_pi, 0.0),
+                 np.where(hit, (mirror - a) % two_pi, 0.0)]
+    cuts = np.sort(np.stack(cuts, axis=1), axis=1)
+    lo, hi = cuts[:, :-1], cuts[:, 1:]
+    w = r[:, None] * expi(0.5 * (lo + hi))
+    inside = ((x0 <= w.real) & (w.real <= x1)
+              & (y0 <= w.imag) & (w.imag <= y1))
+    arcs = np.where(inside, hi - lo, 0.0)
+    total = np.zeros(r.shape)
+    for j in range(arcs.shape[1]):   # ascending angle, as a running sum
+        total += arcs[:, j]
+    frac = total / two_pi
+    centre_in = x0 <= 0.0 <= x1 and y0 <= 0.0 <= y1
+    return np.where(r == 0.0, float(centre_in), frac)
 
 
 @dataclass(frozen=True)
@@ -128,11 +135,10 @@ class TestFunction:
             return np.exp(-np.abs(w - p["center"]) ** 2
                           / (2.0 * p["sigma"] ** 2))
         if self.kind == "character":
-            x = (np.conj(p["z"]) * w).real
-            out = np.empty(w.shape, dtype=np.complex128)
-            np.cos(x, out=out.real)
-            np.sin(x, out=out.imag)
-            return out
+            z = p["z"]
+            x = w.real * z.real   # Re(conj(z) w), written contiguously
+            x += w.imag * z.imag
+            return expi(x)
         raise ValueError(f"unknown kind {self.kind!r}")
 
     def angular_average(self, r):
@@ -142,11 +148,9 @@ class TestFunction:
         if self.kind == "one":
             return np.ones(r.shape)
         if self.kind == "rectangle":
-            return np.array([_rect_arc_fraction(ri, p["x0"], p["x1"],
-                                                p["y0"], p["y1"]) for ri in r])
+            return _rect_arc_fraction(r, p["x0"], p["x1"], p["y0"], p["y1"])
         if self.kind == "disc":
-            return np.array([_disc_arc_fraction(ri, p["center"], p["radius"])
-                             for ri in r])
+            return _disc_arc_fraction(r, p["center"], p["radius"])
         if self.kind == "annulus":
             return ((r > p["r_inner"]) & (r <= p["r_outer"])).astype(np.float64)
         # smooth kinds: periodic trapezoid in theta
@@ -158,5 +162,5 @@ class TestFunction:
             raise ValueError(f"unknown kind {self.kind!r}")
         n = max(_QUAD_NODES_MIN, 4 * int(scale) + 16)
         theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        w = np.outer(r, np.exp(1j * theta))
+        w = np.outer(r, expi(theta))
         return self(w).mean(axis=1)

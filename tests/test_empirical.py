@@ -23,7 +23,7 @@ from mfun.spectral import eval_f_N
 def test_torus_map_identity_bit_exact(coeffs):
     """f_N(alpha) equals the torus map at angles theta_m = alpha gamma_m - beta_m.
 
-    Both paths evaluate cos/sin on identical doubles, so the match is exact.
+    Both paths evaluate ``expi`` on identical doubles, so the match is exact.
     """
     n = 12
     for alpha in (0.0, 1.0, 2.5, 17.3):
@@ -139,6 +139,37 @@ def test_haar_oracle_independent_of_chunk(coeffs, monkeypatch):
     whole = haar_oracle(coeffs, n, phis, 300000, seed=3)
     monkeypatch.setattr(em, "_CHUNK", 4 * em.GRID_BLOCK)
     assert haar_oracle(coeffs, n, phis, 300000, seed=3) == whole
+
+
+def test_streams_hold_about_one_chunk(coeffs):
+    """Peak traced memory of both routes stays within 2 chunk working sets.
+
+    A chunk's working set is its N x _CHUNK float64 angle matrix.  The
+    runs cover at least four chunks, so a route that kept more than the
+    current chunk alive, or a chunk too large for the run, fails.
+    """
+    import tracemalloc
+
+    import mfun.empirical as em
+    n = 10
+    s = float(np.sum(coeffs.c[:n]))
+    phis = [TestFunction.disc(0.0, 0.5 * s), TestFunction.character(4.0 / s)]
+    samples = 1 << 21
+    h = 2.0 * math.pi / (10.0 * coeffs.gamma[n - 1])
+    x = 4.5 * em._CHUNK * h
+    assert samples >= 4 * em._CHUNK
+    budget = 2 * em._CHUNK * n * 8
+    tracemalloc.start()
+    try:
+        haar_oracle(coeffs, n, phis, samples, seed=4)
+        haar_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        em.alpha_average_many(coeffs, n, phis, [x / 2.0, x])
+        alpha_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert haar_peak <= budget, (haar_peak, budget)
+    assert alpha_peak <= budget, (alpha_peak, budget)
 
 
 def test_routes_share_the_type_rule(coeffs):
