@@ -7,7 +7,6 @@ arithmetic side (Goldbach representation counts) at desk scale.
 """
 
 from .density import (
-    CharacteristicProfile,
     DensityProfile,
     char_M_N,
     convolve_step,
@@ -46,7 +45,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmbiguousBracketError",
-    "CharacteristicProfile",
     "CoefficientTable",
     "DensityProfile",
     "MfunError",

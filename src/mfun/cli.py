@@ -79,6 +79,7 @@ def _load_config_file(path: str) -> dict:
 # Accepted values of each numeric option, checked before any grid, sample
 # or file is made.  Chained comparisons also refuse NaN.  eps = 0 keeps its
 # meaning of a fixed-order density; the seed keys a 64-bit Philox stream.
+# The library checks the last three again where it uses them.
 _RANGES = {
     "N": (lambda v: v >= 1, ">= 1"),
     "X": (lambda v: 0 < v < math.inf, "positive and finite"),
@@ -87,6 +88,11 @@ _RANGES = {
     "eps": (lambda v: 0 <= v < math.inf, ">= 0 and finite"),
     "r_points": (lambda v: v >= 2, ">= 2"),
     "tol": (lambda v: 0 < v < math.inf, "positive and finite"),
+    "x_max": (lambda v: 2 <= v <= gb.X_MAX_GUARD, f"in [2, {gb.X_MAX_GUARD}]"),
+    "prime_cutoff": (lambda v: v >= gb.MIN_PRIME_CUTOFF,
+                     f">= {gb.MIN_PRIME_CUTOFF}"),
+    "samples": (lambda v: v >= em.MIN_HAAR_SAMPLES,
+                f">= {em.MIN_HAAR_SAMPLES}"),
 }
 
 
@@ -176,38 +182,32 @@ def cmd_zeros_verify(config: RunConfig, out: Path) -> int:
 def cmd_density(config: RunConfig, out: Path) -> int:
     _, coeffs = _coefficients(config)
     if config.eps > 0:
-        n_used, budget = dn.limit_order(coeffs, config.eps)
+        d = dn.invert_limit_density(coeffs, config.eps, config.r_points)
     else:
-        n_used, budget = config.N, None
-        dn.check_inversion_order(n_used)   # before the grid and the CSV
-    rho = dn.default_rho_grid(coeffs, n_used)
-    prof = dn.char_M_N(coeffs, n_used, rho)
+        r_grid = dn.default_r_grid(coeffs, config.N, config.r_points)
+        d = dn.invert_to_density(coeffs, config.N, r_grid)
     _write_csv(out / "characteristic.csv", ["rho", "value"],
-               zip(prof.rho_grid, prof.values))
-    d = dn.invert_to_density(
-        prof, dn.default_r_grid(coeffs, n_used, config.r_points))
-    if budget is not None:
-        d = dn.limit_density(d, coeffs, budget)
+               zip(d.rho_grid, d.characteristic))
     _write_csv(out / "density.csv", ["r", "value"],
                zip(d.r_grid, d.values))
     meta = {
-        "order": d.order,
-        "n_used": n_used,
+        "order": d.order if d.error_budget is None else "limit",
+        "n_used": d.order,
         "mass": d.mass,
         "support_radius": d.support_radius,
         "leakage": d.leakage,
         "error_budget": d.error_budget,
         "r_points": len(d.r_grid),
-        "rho_points": len(rho),
+        "rho_points": len(d.rho_grid),
     }
     with open(out / "density_meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
     line_plot(out / "density.svg",
-              [(f"M_{n_used}(r)", d.r_grid, d.values)],
+              [(f"M_{d.order}(r)", d.r_grid, d.values)],
               title="radial value-distribution density",
               xlabel="r", ylabel="M(r)")
-    print(f"density at order {n_used}: mass {d.mass:.9f}, "
+    print(f"density at order {d.order}: mass {d.mass:.9f}, "
           f"support {d.support_radius:.6g}, leakage {d.leakage:.2e}")
     return EXIT_OK
 
@@ -242,11 +242,9 @@ def cmd_compare(config: RunConfig, out: Path) -> int:
     dn.check_inversion_order(n)   # usage errors before the grid and samples
     ladder, trend_usable = _ladder(config, coeffs)
     phis = default_test_functions(dn.support_radius(coeffs, n))
-    # the sampler checks --samples before drawing, so before any grid
     haar_means, _ = em.haar_oracle(coeffs, n, phis, config.samples,
                                    config.seed)
-    rho = dn.default_rho_grid(coeffs, n)
-    d = dn.invert_to_density(dn.char_M_N(coeffs, n, rho),
+    d = dn.invert_to_density(coeffs, n,
                              dn.default_r_grid(coeffs, n, config.r_points))
     report = em.compare_report(coeffs, n, haar_means, d, phis,
                                x_ladder=ladder)
@@ -306,7 +304,7 @@ def cmd_goldbach(config: RunConfig, out: Path) -> int:
     n = min(config.N, len(coeffs))
     table = gb.sieve_lambda(config.x_max)
     sums = gb.a2_curve(table, config.prime_cutoff)
-    lo = min(100, config.x_max // 2)
+    lo = max(2, min(100, config.x_max // 2))
     grid = sorted(set(np.unique(np.geomspace(lo, config.x_max, 257)
                                 .astype(int)).tolist()))
     rows = gb.compare_main_term(sums, coeffs, n, grid)

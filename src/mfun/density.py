@@ -11,8 +11,13 @@ itself is recovered by an order-zero Hankel inversion
 M_N vanishes beyond s = sum_{n<=N} c_n, so on any [0, R] with R >= s it is
 a Fourier-Bessel series whose coefficients are the characteristic function
 at the nodes j_{0,k}/R (the sampling theorem of the discrete Hankel
-transform); that series is the inversion used here.  Radial integrals use
-one rule, the trapezoid plus an Euler-Maclaurin end term at r = 0.
+transform); that series is the inversion used here.  ``invert_to_density``
+is its one entry point: it takes R = max(r_grid[-1], s), so the series
+covers the whole r grid, and it builds the nodes k = 1..K itself, up to
+the first node past the point where the |J0| amplitude envelope of the
+characteristic function falls below ENVELOPE_CUTOFF; cutting the series
+there is its only error.  Radial integrals use one rule, the trapezoid
+plus an Euler-Maclaurin end term at r = 0.
 
 Planar measure is normalized as |dw| = du dv / (2*pi), so total mass is
 integral_0^inf r * M_N(r) dr.
@@ -27,18 +32,16 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import jn_zeros
 
-from ._kernels import char_prod, hankel_sum, j0_arr, j1_arr
+from ._kernels import char_prod, hankel_sum, j1_arr
 from .errors import PrecisionError, QuadratureError, RangeError
 from .spectral import CoefficientTable, tail_bound
 from .testfuncs import TestFunction
 
 __all__ = [
-    "CharacteristicProfile", "DensityProfile",
-    "bessel_j0", "char_m_n", "char_M_N", "char_tail_gap", "support_radius",
+    "DensityProfile", "char_M_N", "char_tail_gap", "support_radius",
     "default_r_grid", "default_rho_grid", "check_inversion_order",
-    "invert_to_density", "limit_order", "limit_density",
-    "invert_limit_density", "convolve_step",
-    "integrate_against",
+    "invert_to_density", "limit_order", "invert_limit_density",
+    "convolve_step", "integrate_against",
 ]
 
 MIN_INVERSION_ORDER = 5
@@ -47,31 +50,23 @@ R_GRID_POINTS = 4096
 
 
 @dataclass(frozen=True)
-class CharacteristicProfile:
-    """The radial Fourier side rho -> prod_{n<=N} J0(c_n*rho)."""
-    rho_grid: np.ndarray
-    values: np.ndarray
-    order: int
-    c_used: np.ndarray
-
-    def __post_init__(self):
-        if self.rho_grid[0] < 0.0 or np.any(np.diff(self.rho_grid) <= 0):
-            raise ValueError("rho grid must be nonnegative and increase")
-        if np.max(np.abs(self.values)) > 1.0 + 1e-12:
-            raise ValueError("characteristic values must be bounded by 1")
-
-
-@dataclass(frozen=True)
 class DensityProfile:
-    """Radial density samples r -> M_N(r), with bookkeeping."""
+    """Radial density samples r -> M_N(r), with bookkeeping.
+
+    An inversion also holds its Fourier-Bessel nodes ``rho_grid`` and the
+    characteristic function there.  A limit density (``error_budget``
+    set) is M_order, within that certified scaled sup-error of the
+    N -> inf limit, and its support radius is the limit's.
+    """
     r_grid: np.ndarray
     values: np.ndarray
-    order: int | str
+    order: int
     support_radius: float
     mass: float
     negativity_tolerance: float
+    rho_grid: np.ndarray | None = None
+    characteristic: np.ndarray | None = None
     error_budget: float | None = None
-    n_used: int | None = None
 
     @property
     def peak(self) -> float:
@@ -86,18 +81,6 @@ class DensityProfile:
         return float(np.max(np.abs(self.values[outside]))) / self.peak
 
 
-def bessel_j0(x):
-    """Order-zero Bessel function, elementwise; scalar in, scalar out."""
-    out = j0_arr(np.asarray(x, dtype=np.float64))
-    return float(out) if np.isscalar(x) else out
-
-
-def char_m_n(c: float, rho):
-    """Characteristic function of one circle measure: J0(c*rho)."""
-    return bessel_j0(c * np.asarray(rho)) if not np.isscalar(rho) \
-        else bessel_j0(c * rho)
-
-
 def support_radius(coeffs: CoefficientTable, n: int,
                    limit: bool = False) -> float:
     """Radius of the disc carrying the order-n truncation (or the limit)."""
@@ -108,13 +91,10 @@ def support_radius(coeffs: CoefficientTable, n: int,
     return radius
 
 
-def char_M_N(coeffs: CoefficientTable, n: int, rho_grid) -> CharacteristicProfile:
-    """Pointwise product of the per-circle factors on the given grid."""
+def char_M_N(coeffs: CoefficientTable, n: int, rho) -> np.ndarray:
+    """The characteristic function prod_{m<=n} J0(c_m*rho) at each rho."""
     coeffs.check_order(n)
-    rho = np.asarray(rho_grid, dtype=np.float64)
-    c = coeffs.c[:n]
-    return CharacteristicProfile(rho_grid=rho, values=char_prod(rho, c),
-                                 order=n, c_used=c)
+    return char_prod(np.asarray(rho, dtype=np.float64), coeffs.c[:n])
 
 
 def _tail_sq_sum(coeffs: CoefficientTable, n: int) -> float:
@@ -179,17 +159,14 @@ def _j0_zeros(k: int) -> np.ndarray:
 
 
 def default_rho_grid(coeffs: CoefficientTable, n: int,
-                     r_max: float | None = None) -> np.ndarray:
-    """Fourier-Bessel nodes j_{0,k}/R, k = 1..K, for the order-n inversion.
+                     radius: float) -> np.ndarray:
+    """Fourier-Bessel nodes j_{0,k}/R, k = 1..K, of the order-n inversion
+    on [0, R], R = radius (``invert_to_density`` passes R >= s).
 
-    R = max(r_max, s) with s the support radius (r_max defaults to 1.1 s),
-    and K = ceil(rho_cut R / pi) + 1, so the last node (j_{0,K} > (K - 1/4)
-    pi) lies beyond the cutoff rho_cut where the amplitude envelope of the
+    K = ceil(rho_cut R / pi) + 1, so the last node (j_{0,K} > (K - 1/4) pi)
+    lies beyond the cutoff rho_cut where the amplitude envelope of the
     characteristic function falls below ENVELOPE_CUTOFF.
     """
-    coeffs.check_order(n)
-    s = support_radius(coeffs, n)
-    radius = max(1.1 * s if r_max is None else r_max, s)
     rho_cut = _envelope_cutoff_rho(coeffs.c[:n], ENVELOPE_CUTOFF)
     k = int(math.ceil(rho_cut * radius / math.pi)) + 1
     return _j0_zeros(k) / radius
@@ -203,55 +180,40 @@ def check_inversion_order(n: int) -> None:
             f"got {n}; use the Monte-Carlo route for smaller orders")
 
 
-def invert_to_density(profile: CharacteristicProfile,
+def invert_to_density(coeffs: CoefficientTable, n: int,
                       r_grid) -> DensityProfile:
-    """Fourier-Bessel inversion of a characteristic profile to the density.
+    """The order-n density M_n on r_grid, by Fourier-Bessel inversion.
 
     Requires order >= 5 (below that the truncated density need not be
-    bounded; use the Monte-Carlo route instead).  The profile grid must be
-    the nodes rho_k = j_{0,k}/R of ``default_rho_grid`` with
-    R >= max(r_grid[-1], s), reaching the envelope cutoff, else
-    QuadratureError.  Then, exactly for a density supported in [0, s],
+    bounded; use the Monte-Carlo route instead).  With s the support
+    radius, R = max(r_grid[-1], s) and the nodes rho_k = j_{0,k}/R of
+    ``default_rho_grid``, exactly for a density supported in [0, s],
 
         M(r) = sum_k 2 phi(rho_k) J0(rho_k r) / (R J1(j_{0,k}))**2,
         integral_0^R r M(r) dr = sum_k 2 phi(rho_k) / (j_{0,k} J1(j_{0,k})).
 
-    The only error is the truncation of both series at the last node,
-    where the envelope of |phi| is below ENVELOPE_CUTOFF.  The mass is
-    numpy's pairwise ``sum`` over the nodes (not a BLAS dot, whose order
-    can change with the thread count).
+    The only error is the truncation of both series after the last node
+    K: every term left out has |phi(rho_k)| <= env_n(rho_k), the |J0|
+    amplitude envelope, which is below ENVELOPE_CUTOFF at rho_K and falls
+    beyond it.  The mass is numpy's pairwise ``sum`` over the nodes (not
+    a BLAS dot, whose order can change with the thread count).  The
+    profile keeps the nodes and phi.
     """
-    n = profile.order
     check_inversion_order(n)
-    c = profile.c_used
-    s = float(np.sum(c))
+    s = support_radius(coeffs, n)
     r_grid = np.asarray(r_grid, dtype=np.float64)
-    rho = profile.rho_grid
-    not_nodes = "rho grid must be the Fourier-Bessel nodes j_{0,k}/R"
-    if rho[0] <= 0.0:
-        raise QuadratureError(not_nodes)
-    # the cheap checks first: all K zeros are computed only to compare
-    radius = _j0_zeros(1)[0] / rho[0]
-    need = max(float(r_grid[-1]), s)
-    if radius < need * (1.0 - 1e-12):
-        raise QuadratureError(
-            f"node radius R = {radius:.6e} below max(r_max, support) = "
-            f"{need:.6e}")
-    if decay_envelope(c, rho[-1])[0] > ENVELOPE_CUTOFF:
-        raise QuadratureError(
-            "rho grid ends before the envelope cutoff; tail estimate "
-            "exceeds tolerance")
+    radius = max(float(r_grid[-1]), s)
+    rho = default_rho_grid(coeffs, n, radius)
+    phi = char_M_N(coeffs, n, rho)
     jk = _j0_zeros(rho.size)
-    if not np.all(np.abs(rho * radius - jk) <= 1e-12 * jk):
-        raise QuadratureError(not_nodes)
     j1k = j1_arr(jk)
-    coef = 2.0 * profile.values
+    coef = 2.0 * phi
     values = hankel_sum(r_grid, rho, coef / (radius * j1k) ** 2)
     mass = float(np.sum(coef / (jk * j1k)))
     return DensityProfile(
         r_grid=r_grid, values=values, order=n, support_radius=s,
         mass=mass, negativity_tolerance=1e-6 * max(np.max(values), 0.0),
-        n_used=n)
+        rho_grid=rho, characteristic=phi)
 
 
 def _limit_error_budget(coeffs: CoefficientTable, n: int) -> float:
@@ -300,25 +262,17 @@ def limit_order(coeffs: CoefficientTable, eps: float) -> tuple[int, float]:
         "supply more zeros")
 
 
-def limit_density(density: DensityProfile, coeffs: CoefficientTable,
-                  budget: float) -> DensityProfile:
-    """An order-n inversion relabelled as the limit density within budget."""
-    return replace(
-        density, order="limit", error_budget=budget,
-        support_radius=support_radius(coeffs, density.n_used, limit=True))
-
-
 def invert_limit_density(coeffs: CoefficientTable, eps: float,
-                         r_grid=None) -> DensityProfile:
+                         points: int = R_GRID_POINTS) -> DensityProfile:
     """Density of the full limit, to a certified scaled sup-error <= eps.
 
-    Inverts at the order ``limit_order`` picks for eps.
+    Inverts at the order n that ``limit_order`` picks for eps, on the
+    default r grid of that order with the given number of points.
     """
     n, budget = limit_order(coeffs, eps)
-    if r_grid is None:
-        r_grid = default_r_grid(coeffs, n)
-    profile = char_M_N(coeffs, n, default_rho_grid(coeffs, n, float(r_grid[-1])))
-    return limit_density(invert_to_density(profile, r_grid), coeffs, budget)
+    density = invert_to_density(coeffs, n, default_r_grid(coeffs, n, points))
+    return replace(density, error_budget=budget,
+                   support_radius=support_radius(coeffs, n, limit=True))
 
 
 def convolve_step(density: DensityProfile, c: float) -> DensityProfile:
@@ -328,7 +282,7 @@ def convolve_step(density: DensityProfile, c: float) -> DensityProfile:
     """
     if c < 0:
         raise ValueError("radius must be nonnegative")
-    if not isinstance(density.order, int) or density.order < MIN_INVERSION_ORDER:
+    if density.error_budget is not None or density.order < MIN_INVERSION_ORDER:
         raise RangeError("convolve_step needs a finite order >= 5 input")
     r = density.r_grid
     h = r[1] - r[0]
@@ -353,8 +307,7 @@ def convolve_step(density: DensityProfile, c: float) -> DensityProfile:
     return DensityProfile(
         r_grid=r, values=new_values, order=density.order + 1,
         support_radius=density.support_radius + c, mass=mass,
-        negativity_tolerance=density.negativity_tolerance,
-        n_used=density.order + 1)
+        negativity_tolerance=density.negativity_tolerance)
 
 
 def _radial_integral(r: np.ndarray, g: np.ndarray):

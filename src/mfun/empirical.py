@@ -207,8 +207,7 @@ def compare_report(coeffs: CoefficientTable, n: int, haar_means,
     non-increasing up to a factor-2 noise allowance above the quadrature
     floor ``TREND_FLOOR``.
     """
-    if (isinstance(density.order, int) and density.order != n) \
-            or (density.n_used is not None and density.n_used != n):
+    if density.order != n:
         raise RangeError("truncation orders of the two routes do not match")
     ladders = alpha_average_many(coeffs, n, phis, x_ladder)
     rows = []

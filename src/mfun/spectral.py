@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,6 @@ class Coefficient:
 @dataclass(frozen=True)
 class CoefficientTable:
     coefficients: tuple[Coefficient, ...]
-    _tail_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         cs = self.c
@@ -98,14 +97,8 @@ def analytic_tail_remainder(gamma_max: float) -> float:
 def tail_bound(table: CoefficientTable, n: int) -> float:
     """Upper bound for sum of c_m over m > n (table tail + analytic rest)."""
     table.check_order(n)
-    cached = table._tail_cache.get(n)
-    if cached is not None:
-        return cached
-    cs = table.c
-    bound = float(np.sum(cs[n:])) + analytic_tail_remainder(
+    return float(np.sum(table.c[n:])) + analytic_tail_remainder(
         table.coefficients[-1].gamma)
-    table._tail_cache[n] = bound
-    return bound
 
 
 def eval_f_N(table: CoefficientTable, n: int, alpha):

@@ -25,12 +25,11 @@ import numpy as np
 import pytest
 
 from mfun import TestFunction
+from mfun._kernels import j0_arr
 from mfun.cli import NORMALIZED_RESIDUAL_BOUND
 from mfun.density import (
-    char_M_N,
     convolve_step,
     default_r_grid,
-    default_rho_grid,
     integrate_against,
     invert_to_density,
     support_radius,
@@ -56,9 +55,7 @@ def densities(coeffs):
     out = {}
     for n in (5, 10, 25):
         t0 = time.monotonic()
-        rho = default_rho_grid(coeffs, n)
-        prof = char_M_N(coeffs, n, rho)
-        d = invert_to_density(prof, default_r_grid(coeffs, n))
+        d = invert_to_density(coeffs, n, default_r_grid(coeffs, n))
         out[n] = (d, time.monotonic() - t0)
     return out
 
@@ -89,7 +86,6 @@ def test_criterion_01_normalization(densities):
 def test_criterion_02_characteristic_identity(coeffs):
     t0 = time.monotonic()
     worst = 0.0
-    from mfun.density import char_m_n
     for idx in (1, 5, 50):
         c = float(coeffs.c[idx - 1])
         rho = np.linspace(0.0, 4.0 / c, 200)
@@ -98,7 +94,7 @@ def test_criterion_02_characteristic_identity(coeffs):
             theta = tau + 2.0 * math.pi * np.arange(nodes) / nodes
             quad = np.array([np.mean(np.cos(c * r * np.cos(theta)))
                              for r in rho])
-            worst = max(worst, float(np.max(np.abs(quad - char_m_n(c, rho)))))
+            worst = max(worst, float(np.max(np.abs(quad - j0_arr(c * rho)))))
     dt = time.monotonic() - t0
     verdict(2, "characteristic identity", worst <= 1e-10 and dt <= 5.0,
             f"max |quadrature - J0| = {worst:.2e} <= 1e-10 over n in "
@@ -135,10 +131,7 @@ def test_criterion_03_bound_suite(coeffs):
 
 def test_criterion_04_route_equivalence(coeffs, densities):
     t0 = time.monotonic()
-    r10 = default_r_grid(coeffs, 10)
-    rho = default_rho_grid(coeffs, 5,
-                           r_max=1.1 * support_radius(coeffs, 10))
-    d = invert_to_density(char_M_N(coeffs, 5, rho), r10)
+    d = invert_to_density(coeffs, 5, default_r_grid(coeffs, 10))
     for m in range(5, 10):
         d = convolve_step(d, float(coeffs.c[m]))
     direct = densities[10][0]

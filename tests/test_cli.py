@@ -177,6 +177,9 @@ def test_compare_few_samples_is_usage_error(tmp_path, no_grid):
     (["density", "--r-points", "1"], None),
     (["zeros-verify", "--tol", "0"], None),
     (["weyl"], "N = inf\n"),
+    (["goldbach-validate", "--x-max", str(10 ** 7 + 1)], None),
+    (["goldbach-validate", "--prime-cutoff", "10"], None),
+    (["compare", "--samples", "100"], None),
 ])
 def test_out_of_range_input_is_usage_error(tmp_path, args, config):
     """Exit 2 before the output directory is made."""
@@ -216,6 +219,12 @@ def test_goldbach_validate_desk_scale(tmp_path, capsys):
     assert (out / "goldbach.csv").exists()
     assert (out / "goldbach.svg").exists()
     assert "brute-force cross-check" in capsys.readouterr().out
+
+
+def test_goldbach_validate_smallest_x_max(tmp_path, capsys):
+    """The least accepted --x-max runs: the x grid starts at 2, not 1."""
+    assert run(["goldbach-validate", "--x-max", "2",
+                "--out", str(tmp_path)]) == 0
 
 
 def test_goldbach_guard_is_usage_error(tmp_path):

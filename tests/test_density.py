@@ -13,19 +13,18 @@ from scipy.special import jn_zeros
 
 import mfun.density
 from mfun import TestFunction, _kernels
+from mfun._kernels import j0_arr
 from mfun.density import (
+    ENVELOPE_CUTOFF,
     _envelope_cutoff_rho,
     _limit_error_budget,
     _radial_integral,
     _tail_sq_sum,
-    bessel_j0,
     char_M_N,
-    char_m_n,
     char_tail_gap,
     convolve_step,
     decay_envelope,
     default_r_grid,
-    default_rho_grid,
     integrate_against,
     invert_limit_density,
     invert_to_density,
@@ -46,7 +45,7 @@ def quad_oracle(c, rho, nodes=2048, tau=0.0):
 def test_char_m_n_matches_quadrature():
     rho = np.linspace(0.0, 2000.0, 200)
     for c in (0.005, 0.0022):
-        assert np.max(np.abs(char_m_n(c, rho) - quad_oracle(c, rho))) <= 1e-10
+        assert np.max(np.abs(j0_arr(c * rho) - quad_oracle(c, rho))) <= 1e-10
 
 
 def test_char_m_n_tau_independent():
@@ -57,23 +56,23 @@ def test_char_m_n_tau_independent():
 
 
 def test_j0_first_root():
-    assert bessel_j0(J0_FIRST_ROOT) == pytest.approx(0.0, abs=1e-12)
-    assert bessel_j0(J0_FIRST_ROOT - 0.1) > 0 > bessel_j0(J0_FIRST_ROOT + 0.1)
+    assert j0_arr(J0_FIRST_ROOT) == pytest.approx(0.0, abs=1e-12)
+    assert j0_arr(J0_FIRST_ROOT - 0.1) > 0 > j0_arr(J0_FIRST_ROOT + 0.1)
 
 
 def test_char_bounded_by_one(coeffs):
     rho = np.linspace(0.0, 5e4, 20001)
-    prof = char_M_N(coeffs, 10, rho)
-    assert np.max(np.abs(prof.values)) <= 1.0
-    assert prof.values[0] == pytest.approx(1.0)
+    phi = char_M_N(coeffs, 10, rho)
+    assert np.max(np.abs(phi)) <= 1.0
+    assert phi[0] == pytest.approx(1.0)
 
 
 def test_char_envelope(coeffs):
     c = coeffs.c[:5]
     rho = np.linspace(0.0, 5e4, 5001)
-    prof = char_M_N(coeffs, 5, rho)
+    phi = char_M_N(coeffs, 5, rho)
     env = decay_envelope(c, rho)
-    assert np.all(np.abs(prof.values) <= env + 1e-12)
+    assert np.all(np.abs(phi) <= env + 1e-12)
 
 
 def direct_envelope(c, rho):
@@ -154,8 +153,8 @@ def test_char_tail_gap_brute(coeffs):
     """|M_tilde_N - M_tilde_M| for M > N is within the propagated bound."""
     rho = np.linspace(0.0, 3000.0, 301)
     for n in (10, 25):
-        big = char_M_N(coeffs, 100, rho).values
-        small = char_M_N(coeffs, n, rho).values
+        big = char_M_N(coeffs, 100, rho)
+        small = char_M_N(coeffs, n, rho)
         gap = np.abs(big - small)
         assert np.all(gap <= char_tail_gap(coeffs, n, rho) + 1e-14)
 
@@ -168,79 +167,61 @@ def test_support_radius_values(coeffs):
 
 def test_inversion_mass_and_positivity(coeffs):
     n = 6
-    prof = char_M_N(coeffs, n, default_rho_grid(coeffs, n))
-    d = invert_to_density(prof, default_r_grid(coeffs, n, 1024))
+    d = invert_to_density(coeffs, n, default_r_grid(coeffs, n, 1024))
     assert abs(d.mass - 1.0) <= 1e-6
     assert d.values.min() >= -d.negativity_tolerance
     assert d.leakage <= 1e-4
 
 
-def test_inversion_rejects_low_order(coeffs):
-    # a coarse grid: the order check must come before the grid checks
-    prof = char_M_N(coeffs, 3, np.linspace(0.0, 1e4, 501))
+def test_inversion_rejects_low_order(coeffs, monkeypatch):
+    # at order 3 the envelope cutoff, and so the node count, is huge: the
+    # order check must come before the nodes are built
+    def fail(*args, **kwargs):
+        raise AssertionError("nodes built before the order check")
+    monkeypatch.setattr(mfun.density, "default_rho_grid", fail)
     with pytest.raises(RangeError):
-        invert_to_density(prof, default_r_grid(coeffs, 3, 256))
+        invert_to_density(coeffs, 3, default_r_grid(coeffs, 3, 256))
 
 
-def test_inversion_rejects_coarse_grid(coeffs):
-    rho = np.linspace(0.0, 1e4, 501)   # far below the step rule
-    prof = char_M_N(coeffs, 6, rho)
-    with pytest.raises(QuadratureError):
-        invert_to_density(prof, default_r_grid(coeffs, 6, 256))
+@pytest.mark.parametrize("n, grid_order", [(6, 6), (10, 10), (25, 25),
+                                           (5, 10), (25, 10)])
+def test_inversion_builds_its_nodes(coeffs, n, grid_order):
+    """The nodes are j_{0,k}/R, R = max(r_grid[-1], s), out to the cutoff.
 
-
-def test_inversion_rejects_short_radius(coeffs):
-    # nodes for R = 1.1 s cannot represent the density out to 1.5 s
-    n = 6
-    prof = char_M_N(coeffs, n, default_rho_grid(coeffs, n))
-    r_grid = np.linspace(0.0, 1.5 * support_radius(coeffs, n), 256)
-    with pytest.raises(QuadratureError):
-        invert_to_density(prof, r_grid)
-
-
-def test_inversion_rejects_nodes_before_cutoff(coeffs):
-    n = 6
-    rho = default_rho_grid(coeffs, n)
-    prof = char_M_N(coeffs, n, rho[:rho.size // 2])
-    with pytest.raises(QuadratureError):
-        invert_to_density(prof, default_r_grid(coeffs, n, 256))
-
-
-@pytest.mark.parametrize("start", [0.0, 1.0])
-def test_inversion_refuses_long_grid_before_all_zeros(coeffs, monkeypatch,
-                                                      start):
-    """A grid that fails the radius or envelope check costs one zero."""
-    def few_zeros(order, count):
-        assert count < 1000, "all zeros computed before the cheap checks"
-        return jn_zeros(order, count)
-    monkeypatch.setattr(mfun.density, "jn_zeros", few_zeros)
-    prof = char_M_N(coeffs, 6, np.linspace(start, 1e4, 200_000))
-    with pytest.raises(QuadratureError):
-        invert_to_density(prof, default_r_grid(coeffs, 6, 256))
+    Order 5 on the order-10 grid has R = 1.1 s_10 > s_5, as in the
+    convolution chain of criterion 4; the order-10 grid ends before s_25,
+    so order 25 on it has R = s_25."""
+    r_grid = default_r_grid(coeffs, grid_order, 64)
+    d = invert_to_density(coeffs, n, r_grid)
+    radius = max(r_grid[-1], support_radius(coeffs, n))
+    rho = d.rho_grid
+    assert np.allclose(rho * radius, jn_zeros(0, rho.size),
+                       rtol=1e-12, atol=0.0)
+    assert decay_envelope(coeffs.c[:n], rho[-1])[0] <= ENVELOPE_CUTOFF
+    assert np.array_equal(d.characteristic, char_M_N(coeffs, n, rho))
 
 
 def test_fourier_round_trip(coeffs):
     """Forward transform of the inverted density reproduces M_tilde."""
     n = 10
-    rho = default_rho_grid(coeffs, n)
-    prof = char_M_N(coeffs, n, rho)
-    d = invert_to_density(prof, default_r_grid(coeffs, n, 2048))
+    d = invert_to_density(coeffs, n, default_r_grid(coeffs, n, 2048))
     h = d.r_grid[1] - d.r_grid[0]
-    probe = np.linspace(0.0, 0.5 * rho[-1], 40)
+    probe = np.linspace(0.0, 0.5 * d.rho_grid[-1], 40)
     w = np.full(d.r_grid.size, h)
     w[0] = w[-1] = 0.5 * h
     kernel = w * d.r_grid * d.values
-    back = np.array([float(np.dot(kernel, bessel_j0(p * d.r_grid)))
+    back = np.array([float(np.dot(kernel, j0_arr(p * d.r_grid)))
                      for p in probe])
-    assert np.max(np.abs(back - char_M_N(coeffs, n, probe).values)) <= 1e-6
+    assert np.max(np.abs(back - char_M_N(coeffs, n, probe))) <= 1e-6
 
 
 def test_hankel_sum_independent_of_batch(coeffs, monkeypatch):
     """Each output sums its own row: same alone, in a batch, across chunks."""
     n = 10
-    rho = default_rho_grid(coeffs, n)
-    g = rho * char_M_N(coeffs, n, rho).values
     r = default_r_grid(coeffs, n, 300)
+    d = invert_to_density(coeffs, n, r)
+    rho = d.rho_grid
+    g = rho * d.characteristic
     whole = _kernels.hankel_sum(r, rho, g)
     monkeypatch.setattr(_kernels, "_HANKEL_CHUNK", 7 * rho.size)
     assert np.array_equal(_kernels.hankel_sum(r, rho, g), whole)
@@ -250,8 +231,8 @@ def test_hankel_sum_independent_of_batch(coeffs, monkeypatch):
 
 def test_invert_limit_density_budget(coeffs):
     d = invert_limit_density(coeffs, 2.0)
-    assert d.order == "limit"
-    assert d.n_used >= 5
+    assert d.order >= 5
+    assert d.support_radius == support_radius(coeffs, d.order, limit=True)
     assert d.error_budget <= 2.0
     assert abs(d.mass - 1.0) <= 1e-6
 
@@ -265,21 +246,17 @@ def test_invert_limit_density_floor(coeffs):
 def test_convolve_step_matches_direct(coeffs):
     """Adding one circle by angular convolution equals direct inversion."""
     n = 6
-    rho = default_rho_grid(coeffs, n,
-                           r_max=1.1 * support_radius(coeffs, n + 1))
-    prof = char_M_N(coeffs, n, rho)
-    d6 = invert_to_density(prof, default_r_grid(coeffs, n + 1, 1024))
-    d7c = convolve_step(d6, float(coeffs.c[n]))
-    prof7 = char_M_N(coeffs, n + 1, default_rho_grid(coeffs, n + 1))
-    d7 = invert_to_density(prof7, default_r_grid(coeffs, n + 1, 1024))
+    r_grid = default_r_grid(coeffs, n + 1, 1024)
+    d7c = convolve_step(invert_to_density(coeffs, n, r_grid),
+                        float(coeffs.c[n]))
+    d7 = invert_to_density(coeffs, n + 1, r_grid)
     assert np.max(np.abs(d7c.values - d7.values)) <= 1e-4 * d7.peak
     assert abs(d7c.mass - 1.0) <= 1e-5
 
 
 def test_integrate_against_one_is_mass(coeffs):
     n = 6
-    prof = char_M_N(coeffs, n, default_rho_grid(coeffs, n))
-    d = invert_to_density(prof, default_r_grid(coeffs, n, 1024))
+    d = invert_to_density(coeffs, n, default_r_grid(coeffs, n, 1024))
     # the mass field is the exact Fourier-Bessel sum, while this is the
     # radial rule on the r grid, whose h^4 error needs a smooth M; M_6 is
     # not smooth (its transform decays only like rho^-3)
@@ -287,8 +264,7 @@ def test_integrate_against_one_is_mass(coeffs):
         1.0, abs=5e-5)
     # M_10 is smooth enough for the rule to meet the exact mass
     n = 10
-    prof = char_M_N(coeffs, n, default_rho_grid(coeffs, n))
-    d = invert_to_density(prof, default_r_grid(coeffs, n, 4096))
+    d = invert_to_density(coeffs, n, default_r_grid(coeffs, n, 4096))
     assert integrate_against(d, TestFunction.one()) == pytest.approx(
         d.mass, abs=1e-12)
 
@@ -307,7 +283,7 @@ def test_integrate_against_rejects_other_grids(coeffs, start):
     top = 1.1 * support_radius(coeffs, n)
     r = (np.concatenate(([0.0], np.geomspace(1e-3, top, 511)))
          if start == "geomspace" else np.linspace(0.01, top, 512))
-    d = invert_to_density(char_M_N(coeffs, n, default_rho_grid(coeffs, n)), r)
+    d = invert_to_density(coeffs, n, r)
     with pytest.raises(QuadratureError):
         integrate_against(d, TestFunction.one())
 
@@ -315,8 +291,7 @@ def test_integrate_against_rejects_other_grids(coeffs, start):
 def test_integrate_against_annulus_partition(coeffs):
     """Annuli partitioning the support account for the whole mass."""
     n = 6
-    prof = char_M_N(coeffs, n, default_rho_grid(coeffs, n))
-    d = invert_to_density(prof, default_r_grid(coeffs, n, 1024))
+    d = invert_to_density(coeffs, n, default_r_grid(coeffs, n, 1024))
     edges = np.linspace(0.0, float(d.r_grid[-1]), 9)
     total = sum(integrate_against(
         d, TestFunction.annulus(float(a), float(b)))
