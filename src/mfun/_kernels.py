@@ -2,8 +2,10 @@
 
 Everything here is vectorized numpy: one table-driven phase exponential,
 ``expi``, for every e^{i theta} (f_series, phasor_sum, f_grid and the
-test functions), and scipy's Cephes routines for the Bessel functions.
-Loops run over chunks or cache-sized blocks to keep peak memory bounded.
+test functions), scipy's Cephes routines for the Bessel functions, and
+numpy's FFT for the far field of the Fourier-Bessel sum on its uniform
+grid (``hankel_sum``).  Loops run over chunks or cache-sized blocks to
+keep peak memory bounded.
 
 No kernel reduces through BLAS, whose summation order can change with the
 matrix shape and the thread count.  The phase sums ``f_series`` and
@@ -12,9 +14,13 @@ element, so each result depends only on its own alpha or angle row: it is
 the same double whatever the number of points evaluated together, the
 chunking and the thread count.  ``expi`` is elementwise too: a value
 depends only on its own argument, not on the block it falls in.
-``hankel_sum`` sums each output element along its own row with numpy's
-pairwise summation, whose order is fixed by the length of the rho grid
-alone.
+``hankel_sum`` on a Schloemilch grid (r uniform from 0, nodes j_{0,k}/R
+with R = r[-1]) sums near pairs directly and the far field with FFTs in
+dyadic blocks of rows: a value depends on r_i and the grid's point
+count, and it stays byte-identical across reruns, chunk splits and
+thread counts.  Any other input is summed by ``_hankel_direct``, each
+output along its own row with numpy's pairwise summation, so a value
+depends only on its own r_i.
 
 Time averages evaluate f_N on the uniform grid alpha_j = j*h with
 ``f_grid``, which factors each phase as a per-block phasor times a table
@@ -25,6 +31,8 @@ differs from the exact sum by at most u * sum_m c_m (3 gamma_m alpha_j +
 beta_m + 2N + 16), u = 2^-53 (see ``f_grid``); the direct ``f_series``
 carries the same order of phase rounding, u * gamma_m * alpha_j per term.
 """
+
+import math
 
 import numpy as np
 from scipy.special import j0 as _sj0, j1 as _sj1
@@ -45,8 +53,26 @@ _STEP_3 = float.fromhex("0x1.0b4611a626331p-32") / _EXPI_L
 _INV_STEP = float.fromhex("0x1.45f306dc9c883p+9")   # L / 2pi
 _ROUND = 1.5 * 2.0 ** 52   # t + _ROUND - _ROUND rounds t to an integer
 EXPI_LIMIT = 2.0 ** 26
+_U = 2.0 ** -53
+# pi/4 in the same three parts: (4k - 1) * part is exact for the first two
+_QUARTER_PI = tuple(s * (_EXPI_L // 8) for s in (_STEP_1, _STEP_2, _STEP_3))
 # Elements per block: the block's temporaries (about 0.5 MB) stay in cache.
 _EXPI_BLOCK = 1 << 13
+
+# hankel_sum on a uniform grid: pairs with x = rho_k r_i >= _HANKEL_X0 take
+# Hankel's expansion of J0 to _HANKEL_M terms (even: the first terms left
+# out are a_M and a_{M+1}) and e^{-i e_k t} to _HANKEL_P Taylor terms.
+_HANKEL_X0 = 20.0
+_HANKEL_M = 20
+_HANKEL_P = 8
+# a_m = (-1)^m prod_{l<=m} (2l - 1)^2 / (m! 8^m), m = 0 .. M-1
+_HANKEL_A = np.cumprod(
+    [1.0] + [-(2 * l - 1) ** 2 / (8.0 * l) for l in range(1, _HANKEL_M)])
+# bound on |rho_k R - (k - 1/4) pi| for the nodes rho_k = j_{0,k}/R
+_MCMAHON_E = 0.0487
+# One J0 evaluation costs about as much as this many butterflies of a real
+# FFT (scipy's J0 about 45 ns, a butterfly about 2 ns on a 2-core Xeon).
+_J0_COST = 20
 
 
 def j0_arr(x):
@@ -268,19 +294,15 @@ def char_prod(rho, c):
     return out
 
 
-def hankel_sum(r, rho, g):
-    """sum_j g_j * J0(rho_j * r_i) for each r_i.
+def _hankel_direct(r, rho, g):
+    """sum_k g_k * J0(rho_k * r_i) for each r_i, one J0 per pair.
 
-    This is the Fourier-Bessel series of the radial Fourier inversion;
-    g carries its coefficients.  Each output is the
-    pairwise (numpy ``sum``) reduction over j of its own row of the
-    products g_j * J0(rho_j * r_i), not a BLAS product, so its value
-    depends only on r_i, rho and g: not on the other r values, the
-    ``_HANKEL_CHUNK`` split or the thread count.
+    Each output is the pairwise (numpy ``sum``) reduction over k of its
+    own row of the products g_k * J0(rho_k * r_i), not a BLAS product, so
+    its value depends only on r_i, rho and g: not on the other r values,
+    the ``_HANKEL_CHUNK`` split or the thread count.  It is the oracle of
+    ``hankel_sum``.
     """
-    r = np.asarray(r, dtype=np.float64)
-    rho = np.asarray(rho, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
     out = np.empty(r.shape, dtype=np.float64)
     cols = max(1, _HANKEL_CHUNK // max(rho.size, 1))
     buf = np.empty((min(cols, r.size), rho.size))   # one chunk, reused
@@ -293,3 +315,178 @@ def hankel_sum(r, rho, g):
         out[lo:hi] = terms.sum(axis=1)
     return out
 
+
+def _mcmahon_offsets(x):
+    """e_k = x_k - (k - 1/4) pi for k = 1 .. K.
+
+    (k - 1/4) pi = (4k - 1) pi/4 is subtracted in the three parts of
+    ``expi``'s 2pi / 8; the first two products are exact, so e_k carries
+    only the rounding of its own size.
+    """
+    q = 4.0 * np.arange(1, x.size + 1) - 1.0
+    return x - q * _QUARTER_PI[0] - q * _QUARTER_PI[1] - q * _QUARTER_PI[2]
+
+
+def _schlomilch(r, rho):
+    """True if r_i = i R/(n - 1), R = r[-1] > 0, to 4 ulps and every
+    rho_k R lies within ``_MCMAHON_E`` of (k - 1/4) pi."""
+    if (r.ndim != 1 or r.size < 2 or rho.ndim != 1 or rho.size == 0
+            or not r[-1] > 0.0):
+        return False
+    grid = np.arange(r.size) * (r[-1] / (r.size - 1))
+    # NaN compares false, so it fails both tests
+    return bool(np.all(np.abs(r - grid) <= 4.0 * _U * grid)
+                and np.all(np.abs(_mcmahon_offsets(rho * r[-1]))
+                           <= _MCMAHON_E))
+
+
+def _far_coefficients(x, g):
+    """The far-field coefficients of ``hankel_sum``: a (M + P - 1, K) array
+    whose row d + M - 1 holds, for d = -(M - 1) .. P - 1,
+
+        g_k x_k^{-1/2} sum_{p - m = d} (-e_k)^p / p! * a_m x_k^{-m}.
+    """
+    m, p = _HANKEL_M, _HANKEL_P
+    # row M - 1 - j holds g_k x_k^{-1/2} a_j x_k^{-j}
+    powers = np.empty((m, x.size))
+    powers[-1] = g / np.sqrt(x)
+    inv = 1.0 / x
+    for j in range(m - 2, -1, -1):
+        np.multiply(powers[j + 1], inv, out=powers[j])
+    powers *= _HANKEL_A[::-1, None]
+    coef = np.zeros((m + p - 1, x.size))
+    minus_e = -_mcmahon_offsets(x)
+    taylor = np.ones(x.size)
+    for j in range(p):
+        if j:
+            taylor *= minus_e / j
+        coef[j:j + m] += taylor * powers
+    return coef
+
+
+def _fold(folded, coef, start, stop):
+    """Add the coefficient columns start .. stop-1, the nodes
+    k = start+1 .. stop, into the columns k mod L of folded."""
+    length = folded.shape[1]
+    k = start + 1
+    while k <= stop:
+        pos = k % length
+        step = min(length - pos, stop + 1 - k)
+        folded[:, pos:pos + step] += coef[:, k - 1:k - 1 + step]
+        k += step
+
+
+def _far_rows(folded, lo, hi, n):
+    """The far field of ``hankel_sum`` at rows lo .. hi-1 of an n-point
+    grid, from the coefficients of its far nodes folded by k mod L,
+    L = 2(n - 1).
+
+    One real FFT per power d gives sum_k coef[d, k] e^{-2 pi i k i/L};
+    the powers (i t)^d are added by Horner's rule, d >= 0 in i t and
+    d < 0 in 1/(i t).
+    """
+    spec = np.fft.rfft(folded, axis=1)[:, lo:hi]
+    t = np.arange(lo, hi) / (n - 1)
+    z, w = 1j * t, -1j / t
+    top = _HANKEL_M - 1   # the row of d = 0
+    out = spec[-1].copy()
+    for j in range(spec.shape[0] - 2, top - 1, -1):
+        out *= z
+        out += spec[j]
+    tail = spec[0].copy()
+    for j in range(1, top):
+        tail *= w
+        tail += spec[j]
+    tail *= w
+    out += tail
+    out *= expi(0.25 * np.pi * (1.0 + t))
+    return math.sqrt(2.0 / math.pi) * out.real / np.sqrt(t)
+
+
+def hankel_sum(r, rho, g):
+    """sum_k g_k * J0(rho_k * r_i) for each r_i.
+
+    This is the Fourier-Bessel series of the radial Fourier inversion; g
+    carries its coefficients.  An input is summed as ``_hankel_direct``
+    does it, one J0 per pair and each row its own pairwise sum, unless it
+    has the Schloemilch structure of the inversion grid: r_i = i R/(n - 1),
+    R = r[-1], to 4 ulps, and every x_k = rho_k R within e_max =
+    ``_MCMAHON_E`` of (k - 1/4) pi, as for the nodes rho_k = j_{0,k}/R
+    (McMahon: 0 < j_{0,k} - (k - 1/4) pi <= 0.04863).  Then rho_k r_i is
+    x_k t_i with t_i = i/(n - 1), and the rows are summed in dyadic blocks
+    i in [2^b, 2^{b+1}); row 0 is sum_k g_k.
+
+    - Pairs with x_k t < x0 = ``_HANKEL_X0`` at the block's first row are
+      summed directly, with the same products r_i rho_k and pairwise row
+      sums as ``_hankel_direct``.
+    - The far field takes Hankel's expansion to M = ``_HANKEL_M`` terms,
+      J0(y) = sqrt(2/(pi y)) Re[e^{-i(y - pi/4)} sum_{m<M} a_m (-i/y)^m],
+      a_m = (-1)^m prod_{l<=m} (2l - 1)^2 / (m! 8^m), and with
+      x_k = (k - 1/4) pi + e_k the Taylor series of e^{-i e_k t} to
+      P = ``_HANKEL_P`` terms.  As e^{-i (k - 1/4) pi t_i} =
+      e^{i pi t_i / 4} e^{-2 pi i k i/L}, L = 2(n - 1), each power t^d,
+      d = p - m, is one real FFT of length L over the coefficients
+      g_k x_k^{-1/2} (-e_k)^p/p! a_m x_k^{-m}, folded by k mod L: M + P - 1
+      FFTs per block, with the coefficients built once per call.
+
+    A block takes the FFTs only when its far pairs, each worth
+    ``_J0_COST`` butterflies, outnumber the (M + P - 1) L log2 L
+    butterflies of its FFTs; otherwise it is summed directly.  So short
+    rho grids (order 25, ``--eps 1``) are summed as ``_hankel_direct``
+    sums them, bit for bit.
+
+    Error bound against ``_hankel_direct``, with u = 2^-53, K nodes,
+    s = sqrt(2/(pi x0)) and A = sum_{m<M} |a_m| x0^-m:
+
+        |hankel_sum - _hankel_direct|
+            <= sum_k |g_k| (E_M + E_P + E_F) + 8u sum_k |g_k| sqrt(x_k),
+        E_M = s (|a_M| x0^-M + |a_{M+1}| x0^-(M+1)),
+        E_P = s A e_max^P / P!,
+        E_F = 4u (M + P + K/L + log2 L + log2 K).
+
+    E_M is the asymptotic remainder at x0: for real y each of the even
+    and odd parts of Hankel's series errs by at most its first omitted
+    term (DLMF 10.17(iii)).  E_P is the Taylor remainder (e_max t)^P/P!
+    at t <= 1, times the series' size.  E_F is the rounding of the
+    coefficients, the fold, the FFT, Horner's rule and the row sums.  The
+    last term is the rounding the direct sum carries in its own arguments:
+    r_i rho_k is within 8u x_k t_i of x_k t_i, |J1(y)| <= 0.8/sqrt(y) for
+    y >= x0, and scipy's J0 reduces y - pi/4 within u y.  At x0 = 20, M = 20, P = 8: E_M = 9.3e-17, E_P = 1.4e-16.
+
+    On a Schloemilch grid a value depends on r_i and the grid's point
+    count (its block and FFT length), besides rho and g.  numpy's FFT and
+    every sum here run in a fixed order, so the result is byte-identical
+    across reruns, ``_HANKEL_CHUNK`` splits and thread counts.
+    """
+    r = np.asarray(r, dtype=np.float64)
+    rho = np.asarray(rho, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
+    if not _schlomilch(r, rho):
+        return _hankel_direct(r, rho, g)
+    n, size = r.size, rho.size
+    x = rho * r[-1]
+    length = 2 * (n - 1)
+    fft_work = (_HANKEL_M + _HANKEL_P - 1) * length * math.log2(length)
+    out = np.empty(n)
+    out[0] = np.sum(g)
+    coef = folded = None
+    lo = 1
+    while lo < n:
+        hi = min(2 * lo, n)
+        # the pairs k < near have x_k t < x0 on the block's first row; near
+        # falls from block to block, so each node is folded in once
+        near = int(np.searchsorted(x * (lo / (n - 1)), _HANKEL_X0))
+        if (hi - lo) * (size - near) * _J0_COST <= fft_work:
+            out[lo:hi] = _hankel_direct(r[lo:hi], rho, g)
+        else:
+            if coef is None:
+                coef = _far_coefficients(x, g)
+                folded = np.zeros((coef.shape[0], length))
+                done = size
+            _fold(folded, coef, near, done)
+            done = near
+            out[lo:hi] = _far_rows(folded, lo, hi, n)
+            if near:
+                out[lo:hi] += _hankel_direct(r[lo:hi], rho[:near], g[:near])
+        lo = hi
+    return out

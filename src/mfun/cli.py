@@ -139,8 +139,21 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: Path, header, rows):
+    """Write header and rows; each cell as ``_fmt`` prints it.
+
+    rows is an iterable of rows, or a 2-D float array whose rows all take
+    one "%.17g" template, as ``_fmt`` prints a float (an integral value
+    below 1e17 prints as its int).  The array is formatted 4096 rows per
+    string, which bounds the memory the text takes.
+    """
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
+        if isinstance(rows, np.ndarray):
+            line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+            for lo in range(0, rows.shape[0], 4096):
+                block = rows[lo:lo + 4096]
+                fh.write(line * block.shape[0] % tuple(block.ravel().tolist()))
+            return
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
@@ -187,9 +200,9 @@ def cmd_density(config: RunConfig, out: Path) -> int:
         r_grid = dn.default_r_grid(coeffs, config.N, config.r_points)
         d = dn.invert_to_density(coeffs, config.N, r_grid)
     _write_csv(out / "characteristic.csv", ["rho", "value"],
-               zip(d.rho_grid, d.characteristic))
+               np.column_stack([d.rho_grid, d.characteristic]))
     _write_csv(out / "density.csv", ["r", "value"],
-               zip(d.r_grid, d.values))
+               np.column_stack([d.r_grid, d.values]))
     meta = {
         "order": d.order if d.error_budget is None else "limit",
         "n_used": d.order,

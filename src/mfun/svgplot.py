@@ -64,7 +64,9 @@ def line_plot(path, curves, title="", xlabel="", ylabel=""):
                  'fill="none" stroke="black"/>')
     for i, (label, x, y) in enumerate(curves):
         color = _COLORS[i % len(_COLORS)]
-        pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(x, y))
+        u = px(np.asarray(x, dtype=float)).tolist()
+        v = py(np.asarray(y, dtype=float)).tolist()
+        pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(u, v))
         parts.append(f'<polyline points="{pts}" fill="none" '
                      f'stroke="{color}" stroke-width="1.5"/>')
         parts.append(f'<text x="{_W - _MR - 8}" y="{_MT + 18 + 16 * i}" '

@@ -7,10 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mfun.density
-from mfun.cli import _fmt, default_test_functions, main
+from mfun.cli import _fmt, _write_csv, default_test_functions, main
 from mfun.density import support_radius
 from mfun.empirical import haar_oracle
 from mfun.zeros import bundled_zeros_path
@@ -82,6 +83,22 @@ def test_density_outputs_and_determinism(tmp_path, capsys):
     assert len(rows) == meta["rho_points"]
 
 
+def test_write_csv_float_array_matches_fmt(tmp_path):
+    """A float array's rows, printed with one template, match ``_fmt``
+    value for value: signed zeros, infinities, NaN, subnormals and ints."""
+    inf, nan = float("inf"), float("nan")
+    rows = [(0.0, -0.0), (inf, -inf), (nan, -nan), (1.0 / 3.0, -2.5e-7),
+            (5e-324, 1.7976931348623157e308), (0, 7), (-12, 2 ** 53),
+            (10 ** 16, 123456789.0)]
+    _write_csv(tmp_path / "array.csv", ["a", "b"],
+               np.array(rows, dtype=np.float64))
+    _write_csv(tmp_path / "cells.csv", ["a", "b"], rows)
+    lines = (tmp_path / "array.csv").read_text().splitlines()[1:]
+    assert lines == [",".join(_fmt(v) for v in row) for row in rows]
+    assert ((tmp_path / "array.csv").read_bytes()
+            == (tmp_path / "cells.csv").read_bytes())
+
+
 def test_density_low_order_is_usage_error(tmp_path):
     assert run(["density", "--N", "3", "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "characteristic.csv").exists()
@@ -108,21 +125,26 @@ def run_process(args, out, timeout, **env):
 
 
 def test_density_and_compare_independent_of_threads(tmp_path):
-    runs = [(["density", "--N", "25"], ("density.csv", "density_meta.json")),
+    """Order 25 sums its Hankel series directly; order 5 on 512 points
+    and the order-6 inversion of compare take the FFT path."""
+    density = ("density.csv", "density_meta.json")
+    runs = [(["density", "--N", "25"], density),
+            (["density", "--N", "5", "--r-points", "512"], density),
             (["compare", "--N", "6", "--samples", "100000", "--X", "20000"],
              ("compare.csv",))]
     outputs = []
     for threads in ("1", "2"):
         files = {}
-        for args, names in runs:
-            out = tmp_path / threads / args[0]
+        for i, (args, names) in enumerate(runs):
+            out = tmp_path / threads / str(i)
             proc = run_process(args, out, 300, OMP_NUM_THREADS=threads,
                                OPENBLAS_NUM_THREADS=threads)
             assert proc.returncode == 0, proc.stderr
-            files.update((name, (out / name).read_bytes()) for name in names)
+            files.update(((i, name), (out / name).read_bytes())
+                         for name in names)
         outputs.append(files)
-    for name, data in outputs[0].items():
-        assert outputs[1][name] == data, name
+    for key, data in outputs[0].items():
+        assert outputs[1][key] == data, key
 
 
 def test_compare_small(tmp_path, capsys, coeffs):

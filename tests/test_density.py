@@ -216,17 +216,85 @@ def test_fourier_round_trip(coeffs):
 
 
 def test_hankel_sum_independent_of_batch(coeffs, monkeypatch):
-    """Each output sums its own row: same alone, in a batch, across chunks."""
+    """The direct sum sums each row on its own: the same alone, in a batch
+    and across chunks.  The grid path, which takes the FFT on this grid,
+    gives the same bytes on a rerun and across chunk splits."""
     n = 10
     r = default_r_grid(coeffs, n, 300)
     d = invert_to_density(coeffs, n, r)
     rho = d.rho_grid
     g = rho * d.characteristic
-    whole = _kernels.hankel_sum(r, rho, g)
+    whole = _kernels._hankel_direct(r, rho, g)
+    grid = _kernels.hankel_sum(r, rho, g)
+    assert np.array_equal(_kernels.hankel_sum(r, rho, g), grid)
     monkeypatch.setattr(_kernels, "_HANKEL_CHUNK", 7 * rho.size)
-    assert np.array_equal(_kernels.hankel_sum(r, rho, g), whole)
+    assert np.array_equal(_kernels._hankel_direct(r, rho, g), whole)
+    assert np.array_equal(_kernels.hankel_sum(r, rho, g), grid)
     for i in (0, 6, 7, 8, 299):
-        assert _kernels.hankel_sum(r[i:i + 1], rho, g)[0] == whole[i]
+        assert _kernels._hankel_direct(r[i:i + 1], rho, g)[0] == whole[i]
+
+
+def _hankel_stated_bound(r, rho, g):
+    """The bound of the ``hankel_sum`` docstring against ``_hankel_direct``,
+    with a_m recomputed from its product formula."""
+    u = 2.0 ** -53
+    x0 = _kernels._HANKEL_X0
+    m, p = _kernels._HANKEL_M, _kernels._HANKEL_P
+    a = [math.prod((2 * l - 1) ** 2 for l in range(1, j + 1))
+         / (math.factorial(j) * 8.0 ** j) for j in range(m + 2)]
+    s = math.sqrt(2.0 / (math.pi * x0))
+    amp = s * sum(a[j] * x0 ** -j for j in range(m))
+    e_m = s * (a[m] * x0 ** -m + a[m + 1] * x0 ** -(m + 1))
+    e_p = amp * _kernels._MCMAHON_E ** p / math.factorial(p)
+    length = 2 * (r.size - 1)
+    e_f = 4.0 * u * (m + p + rho.size / length + math.log2(length)
+                     + math.log2(rho.size))
+    g = np.abs(g)
+    return (np.sum(g) * (e_m + e_p + e_f)
+            + 8.0 * u * np.sum(g * np.sqrt(rho * r[-1])))
+
+
+@pytest.mark.parametrize("order, points, fft", [
+    (5, 512, True), (5, 4096, True), (10, 4096, True), (25, 4096, False)])
+def test_hankel_sum_within_stated_bound(coeffs, monkeypatch, order, points,
+                                        fft):
+    """The grid path against the direct sum, on the inversion's own
+    coefficients, within the docstring's bound; order 25 stays direct."""
+    r = default_r_grid(coeffs, order, points)
+    d = invert_to_density(coeffs, order, r)
+    rho = d.rho_grid
+    g = 2.0 * d.characteristic / (r[-1] * _kernels.j1_arr(rho * r[-1])) ** 2
+    calls = []
+    far_rows = _kernels._far_rows
+    monkeypatch.setattr(_kernels, "_far_rows",
+                        lambda *a: calls.append(a) or far_rows(*a))
+    got = _kernels.hankel_sum(r, rho, g)
+    direct = _kernels._hankel_direct(r, rho, g)
+    assert bool(calls) == fft
+    if fft:
+        gap = np.max(np.abs(got - direct))
+        assert gap <= _hankel_stated_bound(r, rho, g)
+    else:
+        assert np.array_equal(got, direct)
+
+
+def test_hankel_sum_without_grid_structure_is_direct(coeffs):
+    """A non-uniform grid, a single point, and nodes j_{0,k}/R with
+    R > r[-1] are summed bit for bit as the direct sum sums them."""
+    r = default_r_grid(coeffs, 10, 600)
+    d = invert_to_density(coeffs, 10, r)
+    rho = d.rho_grid
+    g = rho * d.characteristic
+    bent = r[-1] * np.linspace(0.0, 1.0, r.size) ** 2
+    for x in (bent, r[300:301], r[-1:]):
+        assert np.array_equal(_kernels.hankel_sum(x, rho, g),
+                              _kernels._hankel_direct(x, rho, g))
+    # order 25 on the order-10 grid: R = s_25 > r[-1]
+    d = invert_to_density(coeffs, 25, r)
+    assert d.support_radius > r[-1]
+    g = d.rho_grid * d.characteristic
+    assert np.array_equal(_kernels.hankel_sum(r, d.rho_grid, g),
+                          _kernels._hankel_direct(r, d.rho_grid, g))
 
 
 def test_invert_limit_density_budget(coeffs):
