@@ -9,12 +9,11 @@ reruns produce byte-identical primary outputs.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,28 +38,46 @@ COUNTING_SLACK = 2
 NORMALIZED_RESIDUAL_BOUND = 0.05
 
 
-@dataclass
-class RunConfig:
-    zeros: str = ""          # empty -> bundled table
-    N: int = 10
-    eps: float = 0.0         # 0 -> fixed-order density (no limit targeting)
-    X: float = 1e6
-    samples: int = 10 ** 7
-    seed: int = 1
-    out: str = "mfun-out"
-    x_max: int = 200000
-    tol: float = 1e-6
-    prime_cutoff: int = 10 ** 7
-    r_points: int = 4096
-    count: int = 50          # weyl vectors
-
-    def zeros_path(self) -> Path:
-        return Path(self.zeros) if self.zeros else bundled_zeros_path()
+class Option(NamedTuple):
+    """A flag's and a config-file value's converter, the default, and the
+    test a value must pass, with the rule that states it in words."""
+    convert: Callable[[str], object]
+    default: object
+    rule: str
+    accepts: Callable[[object], bool] = lambda v: True
 
 
-def _load_config_file(path: str) -> dict:
+# Every option, declared once.  Its range is checked before any grid, sample
+# or file is made; chained comparisons also refuse NaN.  eps = 0 keeps its
+# meaning of a fixed-order density; the seed keys a 64-bit Philox stream.
+# The library checks the last three again where it uses them.
+_OPTIONS = {
+    "zeros": Option(Path, bundled_zeros_path(), "zero-ordinate file"),
+    "out": Option(str, "mfun-out", "output directory"),
+    "N": Option(int, 10, ">= 1", lambda v: v >= 1),
+    "eps": Option(float, 0.0, ">= 0 and finite", lambda v: 0 <= v < math.inf),
+    "X": Option(float, 1e6, "positive and finite", lambda v: 0 < v < math.inf),
+    "count": Option(int, 50, ">= 1", lambda v: v >= 1),
+    "seed": Option(int, 1, "in [0, 2^64)", lambda v: 0 <= v < 2 ** 64),
+    "r_points": Option(int, 4096, ">= 2", lambda v: v >= 2),
+    "tol": Option(float, 1e-6, "positive and finite",
+                  lambda v: 0 < v < math.inf),
+    "x_max": Option(int, 200000, f"in [2, {gb.X_MAX_GUARD}]",
+                    lambda v: 2 <= v <= gb.X_MAX_GUARD),
+    "prime_cutoff": Option(int, 10 ** 7, f">= {gb.MIN_PRIME_CUTOFF}",
+                           lambda v: v >= gb.MIN_PRIME_CUTOFF),
+    "samples": Option(int, 10 ** 7, f">= {em.MIN_HAAR_SAMPLES}",
+                      lambda v: v >= em.MIN_HAAR_SAMPLES),
+}
+
+
+def _key(name: str) -> str:
+    return name.replace("_", "-")
+
+
+def _load_config_file(path: str, command: str) -> dict:
+    """``key = value`` lines, each value converted as its flag's value is."""
     values = {}
-    fields = {f.name: f.type for f in dataclasses.fields(RunConfig)}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             text = line.split("#", 1)[0].strip()
@@ -68,62 +85,32 @@ def _load_config_file(path: str) -> dict:
                 continue
             if "=" not in text:
                 raise MfunError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, val = text.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in fields:
-                raise MfunError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = val.strip()
+            key, _, val = (part.strip() for part in text.partition("="))
+            key = key.replace("-", "_")
+            if key not in _COMMANDS[command][1]:
+                raise MfunError(f"{path}:{lineno}: {command} has no option "
+                                f"{_key(key)!r}")
+            try:
+                values[key] = _OPTIONS[key].convert(val)
+            except ValueError:
+                raise MfunError(f"{path}:{lineno}: bad value for "
+                                f"{_key(key)}: {val!r}") from None
     return values
 
 
-# Accepted values of each numeric option, checked before any grid, sample
-# or file is made.  Chained comparisons also refuse NaN.  eps = 0 keeps its
-# meaning of a fixed-order density; the seed keys a 64-bit Philox stream.
-# The library checks the last three again where it uses them.
-_RANGES = {
-    "N": (lambda v: v >= 1, ">= 1"),
-    "X": (lambda v: 0 < v < math.inf, "positive and finite"),
-    "count": (lambda v: v >= 1, ">= 1"),
-    "seed": (lambda v: 0 <= v < 2 ** 64, "in [0, 2^64)"),
-    "eps": (lambda v: 0 <= v < math.inf, ">= 0 and finite"),
-    "r_points": (lambda v: v >= 2, ">= 2"),
-    "tol": (lambda v: 0 < v < math.inf, "positive and finite"),
-    "x_max": (lambda v: 2 <= v <= gb.X_MAX_GUARD, f"in [2, {gb.X_MAX_GUARD}]"),
-    "prime_cutoff": (lambda v: v >= gb.MIN_PRIME_CUTOFF,
-                     f">= {gb.MIN_PRIME_CUTOFF}"),
-    "samples": (lambda v: v >= em.MIN_HAAR_SAMPLES,
-                f">= {em.MIN_HAAR_SAMPLES}"),
-}
-
-
-def _coerce(config: RunConfig) -> RunConfig:
-    for f in dataclasses.fields(RunConfig):
-        raw = getattr(config, f.name)
-        if isinstance(raw, str) and f.type in ("int", "float"):
-            try:
-                value = float(raw)
-                value = int(value) if f.type == "int" else value
-            except (ValueError, OverflowError):
-                raise MfunError(f"bad value for {f.name}: {raw!r}") from None
-            setattr(config, f.name, value)
-    for name, (accepts, rule) in _RANGES.items():
-        value = getattr(config, name)
-        if not accepts(value):
-            raise MfunError(f"{name.replace('_', '-')} must be {rule}, "
-                            f"got {value}")
-    return config
-
-
-def _build_config(args) -> RunConfig:
-    config = RunConfig()
+def _resolve(args) -> argparse.Namespace:
+    """The command's options: defaults, then the config file, then flags."""
+    names = _COMMANDS[args.command][1]
+    values = {name: _OPTIONS[name].default for name in names}
     if args.config:
-        for k, v in _load_config_file(args.config).items():
-            setattr(config, k, v)
-    for f in dataclasses.fields(RunConfig):
-        cli_val = getattr(args, f.name, None)
-        if cli_val is not None:
-            setattr(config, f.name, cli_val)
-    return _coerce(config)
+        values.update(_load_config_file(args.config, args.command))
+    values.update((name, getattr(args, name)) for name in names
+                  if getattr(args, name) is not None)
+    for name, value in values.items():
+        if not _OPTIONS[name].accepts(value):
+            raise MfunError(f"{_key(name)} must be {_OPTIONS[name].rule}, "
+                            f"got {value}")
+    return argparse.Namespace(**values)
 
 
 def _fmt(x) -> str:
@@ -158,15 +145,14 @@ def _write_csv(path: Path, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _coefficients(config: RunConfig):
-    table = load_zeros(config.zeros_path())
-    return table, sp.build_coefficients(table)
+def _coefficients(config: argparse.Namespace):
+    return sp.build_coefficients(load_zeros(config.zeros))
 
 
 # ---------------------------------------------------------------- commands
 
-def cmd_zeros_verify(config: RunConfig, out: Path) -> int:
-    table = load_zeros(config.zeros_path())
+def cmd_zeros_verify(config: argparse.Namespace, out: Path) -> int:
+    table = load_zeros(config.zeros)
     verified = verify_table(table, config.tol)
     rows = [(z.index, z.gamma, z.verified, z.residual)
             for z in verified.zeros]
@@ -192,8 +178,8 @@ def cmd_zeros_verify(config: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_density(config: RunConfig, out: Path) -> int:
-    _, coeffs = _coefficients(config)
+def cmd_density(config: argparse.Namespace, out: Path) -> int:
+    coeffs = _coefficients(config)
     if config.eps > 0:
         d = dn.invert_limit_density(coeffs, config.eps, config.r_points)
     else:
@@ -239,8 +225,8 @@ def default_test_functions(support: float) -> list[TestFunction]:
     ]
 
 
-def _ladder(config: RunConfig, coeffs) -> tuple[list[float], bool]:
-    x_min = 100.0 * 2.0 * math.pi / coeffs.gamma[0]
+def _ladder(config: argparse.Namespace, coeffs) -> tuple[list[float], bool]:
+    x_min = em.min_average_length(coeffs)
     rungs = [config.X / 100.0, config.X / 10.0, config.X]
     usable = [x for x in rungs if x >= x_min]
     if not usable:
@@ -249,8 +235,8 @@ def _ladder(config: RunConfig, coeffs) -> tuple[list[float], bool]:
     return usable, len(usable) >= 2
 
 
-def cmd_compare(config: RunConfig, out: Path) -> int:
-    _, coeffs = _coefficients(config)
+def cmd_compare(config: argparse.Namespace, out: Path) -> int:
+    coeffs = _coefficients(config)
     n = config.N
     dn.check_inversion_order(n)   # usage errors before the grid and samples
     ladder, trend_usable = _ladder(config, coeffs)
@@ -278,42 +264,44 @@ def cmd_compare(config: RunConfig, out: Path) -> int:
         if trend == "fail":
             failed = True
     _write_csv(out / "compare.csv", header, rows)
-    _weyl_appendix(config, coeffs, out / "compare_weyl.csv", 10)
+    failed |= not _weyl_appendix(config, coeffs, out / "compare_weyl.csv", 10)
     print(f"max discrepancy {report.max_discrepancy:.3e} "
           f"({'FAIL' if failed else 'pass'})")
     return EXIT_FAIL if failed else EXIT_OK
 
 
-def _weyl_appendix(config: RunConfig, coeffs, path: Path, count: int) -> bool:
+def _weyl_appendix(config: argparse.Namespace, coeffs, path: Path,
+                   count: int) -> bool:
+    """Check count random Weyl sums against their bounds; print failures."""
     rng = np.random.Generator(np.random.Philox(key=np.uint64(config.seed)))
     n = min(config.N, len(coeffs))
     rows = []
-    ok = True
-    made = 0
-    while made < count:
+    while len(rows) < count:
         vec = rng.integers(-3, 4, size=n)
         if not np.any(vec):
             continue
-        made += 1
         val = em.weyl_test(coeffs, vec.astype(float), config.X)
         omega = float(np.dot(vec, coeffs.gamma[:n]))
         bound = 2.0 / (config.X * abs(omega))
-        ok &= abs(val) <= bound * (1.0 + 1e-12)
         rows.append(["(" + " ".join(str(int(v)) for v in vec) + ")",
                      config.X, abs(val), bound, abs(val) <= bound * (1 + 1e-12)])
     _write_csv(path, ["n_vector", "X", "modulus", "bound", "ok"], rows)
-    return ok
+    bad = [row for row in rows if not row[-1]]
+    for vec, _, modulus, bound, _ in bad:
+        print(f"Weyl bound FAILED for n = {vec}: modulus {modulus:.6e} "
+              f"> bound {bound:.6e}")
+    return not bad
 
 
-def cmd_weyl(config: RunConfig, out: Path) -> int:
-    _, coeffs = _coefficients(config)
+def cmd_weyl(config: argparse.Namespace, out: Path) -> int:
+    coeffs = _coefficients(config)
     ok = _weyl_appendix(config, coeffs, out / "weyl.csv", config.count)
     print(f"{config.count} Weyl vectors: {'pass' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def cmd_goldbach(config: RunConfig, out: Path) -> int:
-    _, coeffs = _coefficients(config)
+def cmd_goldbach(config: argparse.Namespace, out: Path) -> int:
+    coeffs = _coefficients(config)
     n = min(config.N, len(coeffs))
     table = gb.sieve_lambda(config.x_max)
     sums = gb.a2_curve(table, config.prime_cutoff)
@@ -360,12 +348,16 @@ def _brute_force_a2(table, sums) -> np.ndarray:
 
 # ------------------------------------------------------------------- main
 
+# Each command with the options it reads; --config and --print-config are
+# common to all.
 _COMMANDS = {
-    "zeros-verify": cmd_zeros_verify,
-    "density": cmd_density,
-    "compare": cmd_compare,
-    "goldbach-validate": cmd_goldbach,
-    "weyl": cmd_weyl,
+    "zeros-verify": (cmd_zeros_verify, ("zeros", "out", "tol")),
+    "density": (cmd_density, ("zeros", "out", "N", "eps", "r_points")),
+    "compare": (cmd_compare, ("zeros", "out", "N", "X", "samples", "seed",
+                              "r_points")),
+    "goldbach-validate": (cmd_goldbach, ("zeros", "out", "N", "x_max",
+                                         "prime_cutoff")),
+    "weyl": (cmd_weyl, ("zeros", "out", "N", "X", "seed", "count")),
 }
 
 
@@ -375,38 +367,30 @@ def _parser() -> argparse.ArgumentParser:
         description="value-distribution density of the summatory Goldbach "
                     "main term, with three-route verification")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="key = value file")
-        p.add_argument("--zeros", default=None, help="zero-ordinate file")
-        p.add_argument("--N", type=int, default=None)
-        p.add_argument("--eps", type=float, default=None)
-        p.add_argument("--X", type=float, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--x-max", dest="x_max", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--prime-cutoff", dest="prime_cutoff", type=int,
-                       default=None)
-        p.add_argument("--r-points", dest="r_points", type=int, default=None)
-        p.add_argument("--count", type=int, default=None)
-        p.add_argument("--print-config", action="store_true")
+    for command, (_, names) in _COMMANDS.items():
+        p = sub.add_parser(command)
+        p.add_argument("--config", help="file of 'key = value' lines, keys "
+                                        "among this command's options")
+        p.add_argument("--print-config", action="store_true",
+                       help="print the resolved options and exit")
+        for name in names:
+            opt = _OPTIONS[name]
+            p.add_argument("--" + _key(name), dest=name, type=opt.convert,
+                           help=f"{opt.rule} (default {opt.default})")
     return parser
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        config = _build_config(args)
+        config = _resolve(args)
         if args.print_config:
-            for f in dataclasses.fields(RunConfig):
-                print(f"{f.name.replace('_', '-')} = "
-                      f"{getattr(config, f.name)}")
+            for name, value in vars(config).items():
+                print(f"{_key(name)} = {value}")
             return EXIT_OK
         out = Path(config.out)
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](config, out)
+        return _COMMANDS[args.command][0](config, out)
     except (MfunError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

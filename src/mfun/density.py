@@ -34,7 +34,7 @@ from scipy.special import jn_zeros
 
 from ._kernels import char_prod, hankel_sum, j1_arr
 from .errors import PrecisionError, QuadratureError, RangeError
-from .spectral import CoefficientTable, tail_bound
+from .spectral import CoefficientTable, analytic_tail_remainder, tail_bound
 from .testfuncs import TestFunction
 
 __all__ = [
@@ -100,10 +100,8 @@ def char_M_N(coeffs: CoefficientTable, n: int, rho) -> np.ndarray:
 def _tail_sq_sum(coeffs: CoefficientTable, n: int) -> float:
     """Bound for sum of c_m^2 over m > n (table tail + analytic rest)."""
     coeffs.check_order(n)
-    gmax = coeffs.coefficients[-1].gamma
-    rest = (math.log(gmax / (2 * math.pi)) / 3.0 + 1.0 / 9.0) \
-        / (2 * math.pi * gmax ** 3)
-    return float(np.sum(coeffs.c[n:] ** 2)) + rest
+    return float(np.sum(coeffs.c[n:] ** 2)) + analytic_tail_remainder(
+        coeffs.coefficients[-1].gamma, 4)
 
 
 def char_tail_gap(coeffs: CoefficientTable, n: int, rho):

@@ -113,11 +113,16 @@ def haar_oracle(coeffs: CoefficientTable, n: int, phis, samples: int,
     return [(s / samples).item() for s in sums], max_abs
 
 
+def min_average_length(coeffs: CoefficientTable) -> float:
+    """The shortest usable average length X: 100 periods 2 pi / gamma_1."""
+    return 100.0 * 2.0 * math.pi / coeffs.gamma[0]
+
+
 def _alpha_grid_step(coeffs: CoefficientTable, n: int, x: float) -> float:
     """The trapezoid step 2 pi / (10 gamma_n), once X is long enough."""
-    if x < 100.0 * 2.0 * math.pi / coeffs.gamma[0]:
-        raise RangeError(f"X={x} too short; need at least "
-                         f"{100 * 2 * math.pi / coeffs.gamma[0]:.1f}")
+    x_min = min_average_length(coeffs)
+    if x < x_min:
+        raise RangeError(f"X={x} too short; need at least {x_min:.1f}")
     return 2.0 * math.pi / (10.0 * coeffs.gamma[n - 1])
 
 

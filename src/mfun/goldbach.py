@@ -235,9 +235,10 @@ def compare_main_term(sums: GoldbachSums, coeffs: CoefficientTable, n: int,
     x_grid = sorted(int(x) for x in x_grid)
     if not x_grid or x_grid[0] < 2 or x_grid[-1] >= len(sums.a2):
         raise RangeError("x_grid must lie within [2, x_max]")
+    f = eval_f_N(coeffs, n, [math.log(x) for x in x_grid]).real.tolist()
     rows = []
-    for x in x_grid:
-        main = -4.0 * x ** 1.5 * eval_f_N(coeffs, n, math.log(x)).real
+    for x, f_real in zip(x_grid, f):
+        main = -4.0 * x ** 1.5 * f_real
         residual = float(sums.a2[x]) - main
         rows.append({
             "x": x,

@@ -85,20 +85,23 @@ def build_coefficients(table: ZeroTable) -> CoefficientTable:
     return CoefficientTable(coeffs)
 
 
-def analytic_tail_remainder(gamma_max: float) -> float:
-    """Certified bound for sum of c_m over zeros above gamma_max.
+def analytic_tail_remainder(gamma_max: float, p: int) -> float:
+    """Sum of gamma_m^-p over the zeros above gamma_max, by zero density.
 
-    Uses c_m < 1/gamma_m^2 and the zero-counting density log(t/2pi)/(2pi):
-    integral_{gamma_max}^inf log(t/2pi)/(2pi) t^-2 dt in closed form.
+    integral_{gamma_max}^inf log(t/2pi)/(2pi) t^-p dt in closed form, for
+    p > 1.  Since c_m < 1/gamma_m^2, p = 2 bounds the tail of c_m and
+    p = 4 that of c_m^2.
     """
-    return (math.log(gamma_max / (2 * math.pi)) + 1.0) / (2 * math.pi * gamma_max)
+    q = p - 1
+    return ((math.log(gamma_max / (2 * math.pi)) / q + 1.0 / q ** 2)
+            / (2 * math.pi * gamma_max ** q))
 
 
 def tail_bound(table: CoefficientTable, n: int) -> float:
     """Upper bound for sum of c_m over m > n (table tail + analytic rest)."""
     table.check_order(n)
     return float(np.sum(table.c[n:])) + analytic_tail_remainder(
-        table.coefficients[-1].gamma)
+        table.coefficients[-1].gamma, 2)
 
 
 def eval_f_N(table: CoefficientTable, n: int, alpha):

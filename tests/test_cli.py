@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import mfun.density
+import mfun.empirical
 from mfun.cli import _fmt, _write_csv, default_test_functions, main
 from mfun.density import support_radius
 from mfun.empirical import haar_oracle
@@ -18,11 +20,15 @@ from mfun.zeros import bundled_zeros_path
 
 
 def run(args):
-    return main(args)
+    """main's exit code, argparse's usage errors included."""
+    try:
+        return main(args)
+    except SystemExit as exc:
+        return exc.code
 
 
 def test_print_config(capsys):
-    assert run(["density", "--print-config", "--N", "7"]) == 0
+    assert run(["weyl", "--print-config", "--N", "7"]) == 0
     out = capsys.readouterr().out
     assert "N = 7" in out
     assert "seed = 1" in out
@@ -30,19 +36,47 @@ def test_print_config(capsys):
 
 def test_config_file_and_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("N = 9\nseed = 4  # comment\nx-max = 1500\n")
-    assert run(["density", "--config", str(cfg), "--seed", "6",
+    cfg.write_text("N = 9\nseed = 4  # comment\n")
+    assert run(["weyl", "--config", str(cfg), "--seed", "6",
                 "--print-config"]) == 0
     out = capsys.readouterr().out
     assert "N = 9" in out           # from file
     assert "seed = 6" in out        # flag wins
-    assert "x-max = 1500" in out
+    cfg.write_text("x-max = 1500\n")
+    assert run(["goldbach-validate", "--config", str(cfg),
+                "--print-config"]) == 0
+    assert "x-max = 1500" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed", [2 ** 53 + 1, 2 ** 64 - 1])
+def test_config_file_integer_is_exact(tmp_path, capsys, seed):
+    """A file value is converted as its flag is, not through a float."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed = {seed}\n")
+    assert run(["weyl", "--config", str(cfg), "--print-config"]) == 0
+    assert f"seed = {seed}" in capsys.readouterr().out.splitlines()
 
 
 def test_config_file_bad_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("wibble = 3\n")
     assert run(["density", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("command, options", [
+    ("zeros-verify", {"--zeros", "--out", "--tol"}),
+    ("density", {"--zeros", "--out", "--N", "--eps", "--r-points"}),
+    ("compare", {"--zeros", "--out", "--N", "--X", "--samples", "--seed",
+                 "--r-points"}),
+    ("goldbach-validate", {"--zeros", "--out", "--N", "--x-max",
+                           "--prime-cutoff"}),
+    ("weyl", {"--zeros", "--out", "--N", "--X", "--seed", "--count"}),
+])
+def test_help_lists_only_the_options_read(capsys, command, options):
+    assert run([command, "--help"]) == 0
+    listed = set(re.findall(r"^  (?:-h, )?(--[\w-]+)",
+                            capsys.readouterr().out, re.MULTILINE))
+    assert listed == options | {"--help", "--config", "--print-config"}
 
 
 def test_zeros_verify_ok(tmp_path, capsys):
@@ -161,6 +195,18 @@ def test_compare_small(tmp_path, capsys, coeffs):
     assert [row[2] for row in rows] == [_fmt(m) for m in means]
 
 
+@pytest.mark.parametrize("args", [
+    ["compare", "--N", "6", "--samples", "100000", "--X", "20000"],
+    ["weyl", "--count", "3"],
+])
+def test_failed_weyl_bound_is_failure(tmp_path, monkeypatch, capsys, args):
+    monkeypatch.setattr(mfun.empirical, "weyl_test", lambda *a: 1.0 + 0j)
+    assert run([*args, "--out", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert re.search(r"Weyl bound FAILED for n = \([-\d ]+\): "
+                     r"modulus 1\.0+e\+00 > bound \d", out)
+
+
 @pytest.fixture
 def no_grid(monkeypatch):
     """Fail the test if a rho grid is built: usage errors must come first."""
@@ -202,9 +248,13 @@ def test_compare_few_samples_is_usage_error(tmp_path, no_grid):
     (["goldbach-validate", "--x-max", str(10 ** 7 + 1)], None),
     (["goldbach-validate", "--prime-cutoff", "10"], None),
     (["compare", "--samples", "100"], None),
+    (["weyl"], "N = 9.7\n"),
+    (["zeros-verify", "--samples", "20000"], None),
+    (["density"], "x-max = 1500\n"),
 ])
 def test_out_of_range_input_is_usage_error(tmp_path, args, config):
-    """Exit 2 before the output directory is made."""
+    """Out-of-range values, and options the command does not read, exit 2
+    before the output directory is made."""
     if config is not None:
         (tmp_path / "run.cfg").write_text(config)
         args = [*args, "--config", str(tmp_path / "run.cfg")]

@@ -170,7 +170,20 @@ def test_tail_bound_dominates_table_tail(coeffs):
 
 
 def test_analytic_tail_remainder_monotone():
-    assert analytic_tail_remainder(100.0) > analytic_tail_remainder(1000.0) > 0
+    for p in (2, 4):
+        assert (analytic_tail_remainder(100.0, p)
+                > analytic_tail_remainder(1000.0, p) > 0)
+
+
+@pytest.mark.parametrize("p", [2, 4])
+def test_analytic_tail_remainder_matches_mpmath_quad(coeffs, p):
+    mp = pytest.importorskip("mpmath")
+    t0 = coeffs.gamma[-1]
+    with mp.workdps(30):
+        want = mp.quad(lambda t: mp.log(t / (2 * mp.pi)) / (2 * mp.pi)
+                       * t ** -p, [t0, mp.inf])
+    assert analytic_tail_remainder(t0, p) == pytest.approx(float(want),
+                                                          rel=1e-14)
 
 
 def test_eval_f_meets_eps(coeffs):
