@@ -1,19 +1,21 @@
 """The hot kernels, in numpy.
 
 Everything here is vectorized numpy: one table-driven phase exponential,
-``expi``, for every e^{i theta} (f_series, phasor_sum, f_grid and the
-test functions), scipy's Cephes routines for the Bessel functions, and
-numpy's FFT for the far field of the Fourier-Bessel sum on its uniform
-grid (``hankel_sum``).  Loops run over chunks or cache-sized blocks to
-keep peak memory bounded.
+``expi``, for every e^{i theta} (f_series, phasor_sum, f_grid, the test
+functions and the Bessel far field), the Bessel functions J0 and J1
+(``j0_arr``, ``j1_arr``: stored polynomials below x0 = 20, Hankel's
+expansion above), and numpy's FFT for the far field of the
+Fourier-Bessel sum on its uniform grid (``hankel_sum``).  Loops run over
+chunks or cache-sized blocks to keep peak memory bounded.
 
 No kernel reduces through BLAS, whose summation order can change with the
 matrix shape and the thread count.  The phase sums ``f_series`` and
 ``phasor_sum`` add their terms in ascending m, one running sum per output
 element, so each result depends only on its own alpha or angle row: it is
 the same double whatever the number of points evaluated together, the
-chunking and the thread count.  ``expi`` is elementwise too: a value
-depends only on its own argument, not on the block it falls in.
+chunking and the thread count.  ``expi``, ``j0_arr`` and ``j1_arr`` are
+elementwise too: a value depends only on its own argument, not on the
+block it falls in.
 ``hankel_sum`` on a Schloemilch grid (r uniform from 0, nodes j_{0,k}/R
 with R = r[-1]) sums near pairs directly and the far field with FFTs in
 dyadic blocks of rows: a value depends on r_i and the grid's point
@@ -35,7 +37,8 @@ carries the same order of phase rounding, u * gamma_m * alpha_j per term.
 import math
 
 import numpy as np
-from scipy.special import j0 as _sj0, j1 as _sj1
+
+from . import _bessel_table
 
 # Chunk sizes keep intermediate matrices around ~32 MB.
 _F_CHUNK = 1 << 19
@@ -59,30 +62,144 @@ _QUARTER_PI = tuple(s * (_EXPI_L // 8) for s in (_STEP_1, _STEP_2, _STEP_3))
 # Elements per block: the block's temporaries (about 0.5 MB) stay in cache.
 _EXPI_BLOCK = 1 << 13
 
-# hankel_sum on a uniform grid: pairs with x = rho_k r_i >= _HANKEL_X0 take
-# Hankel's expansion of J0 to _HANKEL_M terms (even: the first terms left
-# out are a_M and a_{M+1}) and e^{-i e_k t} to _HANKEL_P Taylor terms.
+# Pairs and Bessel arguments x >= _HANKEL_X0 take Hankel's expansion of J0
+# (and J1) to _HANKEL_M terms (even: the first terms left out are a_M and
+# a_{M+1}); hankel_sum expands e^{-i e_k t} to _HANKEL_P Taylor terms.
 _HANKEL_X0 = 20.0
 _HANKEL_M = 20
 _HANKEL_P = 8
-# a_m = (-1)^m prod_{l<=m} (2l - 1)^2 / (m! 8^m), m = 0 .. M-1
+# a_m = (-1)^m prod_{l<=m} (2l - 1)^2 / (m! 8^m), m = 0 .. M-1, are J0's
+# Hankel coefficients a_m(0); J1's are prod_{l<=m} (4 - (2l - 1)^2) / (m! 8^m)
 _HANKEL_A = np.cumprod(
     [1.0] + [-(2 * l - 1) ** 2 / (8.0 * l) for l in range(1, _HANKEL_M)])
+_HANKEL_A1 = np.cumprod(
+    [1.0] + [(4 - (2 * l - 1) ** 2) / (8.0 * l) for l in range(1, _HANKEL_M)])
 # bound on |rho_k R - (k - 1/4) pi| for the nodes rho_k = j_{0,k}/R
 _MCMAHON_E = 0.0487
-# One J0 evaluation costs about as much as this many butterflies of a real
-# FFT (scipy's J0 about 45 ns, a butterfly about 2 ns on a 2-core Xeon).
-_J0_COST = 20
+# One J0 pair of the direct sum costs about as much as this many butterflies
+# of the FFT path.  On a 2-core Xeon a pair takes about 60 ns (j0_arr itself
+# about 31 ns per element), a butterfly with its share of Horner's rule 0.8
+# ns (n = 4096) to 2 ns (n = 512); timed whole, hankel_sum breaks even near
+# 30.  25 keeps the order-25 and --eps 1 grids (which switch at 27) summed
+# directly, bit for bit.
+_J0_COST = 25
+
+# j0_arr and j1_arr below _HANKEL_X0: row j of _NEAR[nu] holds the s^j
+# coefficients of the polynomials on the unit intervals [i, i+1), in
+# s = x - (i + 1/2).  Above it, Hankel's series: _FAR[nu] holds the even and
+# the odd m of (-i)^m a_m(nu) as polynomials in 1/x^2.
+_NEAR = tuple(np.ascontiguousarray(np.array(t).T)
+              for t in (_bessel_table.J0, _bessel_table.J1))
+_FAR = tuple(np.stack([a[0::2], a[1::2]]) * (-1.0) ** np.arange(_HANKEL_M // 2)
+             for a in (_HANKEL_A, _HANKEL_A1))
+# Elements per block of the Bessel kernel: its temporaries stay in cache.
+_BESSEL_BLOCK = 1 << 15
 
 
-def j0_arr(x):
-    """Bessel J0 evaluated elementwise on an array."""
-    return _sj0(np.asarray(x, dtype=np.float64))
+def _bessel_near(x, table, out):
+    """J_nu at 0 <= x < x0 by Horner's rule on the unit interval of x."""
+    t = np.floor(x)
+    idx = t.astype(np.intp)
+    s = x - t
+    s -= 0.5   # exact from x >= 1; below, within u/4 of x - 1/2
+    coef = np.empty_like(x)
+    table[-1].take(idx, out=out)
+    for row in table[-2::-1]:
+        out *= s
+        row.take(idx, out=coef)
+        out += coef
+
+
+def _bessel_far(x, nu, out):
+    """J_nu at x >= x0 by Hankel's expansion to _HANKEL_M terms.
+
+    J_nu(x) = sqrt(2/(pi x)) (P cos w - Q sin w), w = x - (2 nu + 1) pi/4,
+    with P and Q the even and odd terms of sum_m (-i)^m a_m(nu) x^-m.  As
+    cos w and sin w are (cos x +- sin x)/sqrt(2) with the signs of nu, the
+    phase is ``expi(x)`` alone: no multiple of pi/4 is rounded.
+    """
+    coef = _FAR[nu]
+    inv = 1.0 / x
+    inv2 = inv * inv
+    acc = np.empty((2, x.size))
+    acc[...] = coef[:, -1:]
+    for j in range(coef.shape[1] - 2, -1, -1):
+        acc *= inv2
+        acc += coef[:, j:j + 1]
+    p, q = acc
+    q *= inv
+    e = expi(x)
+    plus = p + q
+    if nu:   # J1: (Q - P) cos x + (P + Q) sin x
+        cos_part, sin_part = np.subtract(q, p, out=p), plus
+    else:    # J0: (P + Q) cos x + (P - Q) sin x
+        cos_part, sin_part = plus, np.subtract(p, q, out=p)
+    cos_part *= e.real
+    sin_part *= e.imag
+    cos_part += sin_part
+    inv *= 1.0 / math.pi
+    np.sqrt(inv, out=inv)
+    np.multiply(cos_part, inv, out=out)
+
+
+def _bessel(x, nu, out):
+    """J_nu, nu = 0 or 1, elementwise over x into out (see ``j0_arr``)."""
+    flat, res = x.reshape(-1), out.reshape(-1)
+    for lo in range(0, flat.size, _BESSEL_BLOCK):
+        hi = min(lo + _BESSEL_BLOCK, flat.size)
+        signed = flat[lo:hi]
+        xb = np.abs(signed)
+        flip = signed < 0.0 if nu else None   # J1 is odd; read before out
+        ob = res[lo:hi]
+        near = xb < _HANKEL_X0   # NaN is far, and stays NaN there
+        if near.all():
+            _bessel_near(xb, _NEAR[nu], ob)
+        elif not near.any():
+            _bessel_far(xb, nu, ob)
+        else:
+            part = np.empty(xb.size - np.count_nonzero(near))
+            _bessel_far(xb[~near], nu, part)
+            ob[~near] = part
+            part = np.empty(xb.size - part.size)
+            _bessel_near(xb[near], _NEAR[nu], part)
+            ob[near] = part
+        if nu and flip.any():
+            np.negative(ob, out=ob, where=flip)
+    return out
+
+
+def j0_arr(x, out=None):
+    """Bessel J0 evaluated elementwise on an array.
+
+    |x| < x0 = ``_HANKEL_X0`` takes the degree-12 polynomial of its unit
+    interval (``_bessel_table``, interpolated at Chebyshev points); |x| >=
+    x0 takes Hankel's expansion to M = ``_HANKEL_M`` terms with the phase
+    from ``expi``, whose Cody-Waite reduction is exact (see
+    ``_bessel_far``).  Non-finite x gives NaN.
+
+    Error bound, absolute, for every finite double x: |j0_arr(x) - J0(x)|
+    <= 2.5u, u = 2^-53.  Below x0 the stored polynomials c_j s^j, taken
+    exactly, are within 0.42u of J0 (their rounded coefficients; the
+    interpolation error is below 1e-19), and Horner's rule adds at most
+    u sum_j (2j + 1) |c_j| 2^-j <= 1.63u.  Above x0 Hankel's remainder is
+    at most sqrt(2/(pi x)) (|a_M| x^-M + |a_{M+1}| x^-(M+1)) <= 0.84u (at
+    x = x0), and ``expi``'s 4u per part times sqrt(1/(pi x)) <= 0.127,
+    with the sums and products, stays below 1.6u.  The same holds for
+    ``j1_arr``.
+
+    out, if given, is a C-contiguous float64 array of x's shape (it may be
+    x itself).  Every value depends only on its own x, not on the array
+    around it or the block it falls in.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    return _bessel(x, 0, np.empty(x.shape) if out is None else out)
 
 
 def j1_arr(x):
-    """Bessel J1 evaluated elementwise on an array."""
-    return _sj1(np.asarray(x, dtype=np.float64))
+    """Bessel J1 evaluated elementwise on an array, as ``j0_arr`` does J0
+    and within the same bound."""
+    x = np.asarray(x, dtype=np.float64)
+    return _bessel(x, 1, np.empty(x.shape))
 
 
 def _expi_table():
@@ -290,7 +407,7 @@ def char_prod(rho, c):
     rho = np.asarray(rho, dtype=np.float64)
     out = np.ones(rho.shape, dtype=np.float64)
     for cm in np.asarray(c, dtype=np.float64):
-        out *= _sj0(cm * rho)
+        out *= j0_arr(cm * rho)
     return out
 
 
@@ -310,7 +427,7 @@ def _hankel_direct(r, rho, g):
         hi = min(lo + cols, r.size)
         terms = buf[:hi - lo]
         np.multiply.outer(r[lo:hi], rho, out=terms)
-        _sj0(terms, out=terms)
+        j0_arr(terms, out=terms)
         terms *= g
         out[lo:hi] = terms.sum(axis=1)
     return out
@@ -449,9 +566,11 @@ def hankel_sum(r, rho, g):
     term (DLMF 10.17(iii)).  E_P is the Taylor remainder (e_max t)^P/P!
     at t <= 1, times the series' size.  E_F is the rounding of the
     coefficients, the fold, the FFT, Horner's rule and the row sums.  The
-    last term is the rounding the direct sum carries in its own arguments:
-    r_i rho_k is within 8u x_k t_i of x_k t_i, |J1(y)| <= 0.8/sqrt(y) for
-    y >= x0, and scipy's J0 reduces y - pi/4 within u y.  At x0 = 20, M = 20, P = 8: E_M = 9.3e-17, E_P = 1.4e-16.
+    last term is the error the direct sum carries at the far pairs
+    y = x_k t_i >= x0: r_i rho_k is within 8u y of y and |J1(y)| <=
+    0.8/sqrt(y), which is 6.4u sqrt(y), and ``j0_arr`` is within 2.5u <=
+    0.6u sqrt(y) of J0(y), its phase reduced exactly by ``expi``.  At
+    x0 = 20, M = 20, P = 8: E_M = 9.3e-17, E_P = 1.4e-16.
 
     On a Schloemilch grid a value depends on r_i and the grid's point
     count (its block and FFT length), besides rho and g.  numpy's FFT and

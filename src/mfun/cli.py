@@ -306,8 +306,8 @@ def cmd_goldbach(config: argparse.Namespace, out: Path) -> int:
     table = gb.sieve_lambda(config.x_max)
     sums = gb.a2_curve(table, config.prime_cutoff)
     lo = max(2, min(100, config.x_max // 2))
-    grid = sorted(set(np.unique(np.geomspace(lo, config.x_max, 257)
-                                .astype(int)).tolist()))
+    grid = sorted(set(np.geomspace(lo, config.x_max, 257).astype(int)
+                      .tolist()))
     rows = gb.compare_main_term(sums, coeffs, n, grid)
     _write_csv(out / "goldbach.csv",
                ["x", "a2", "main_term", "residual", "normalized_residual"],
@@ -382,6 +382,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    made = []   # the directories this run creates, deepest first
     try:
         config = _resolve(args)
         if args.print_config:
@@ -389,10 +390,16 @@ def main(argv=None) -> int:
                 print(f"{_key(name)} = {value}")
             return EXIT_OK
         out = Path(config.out)
+        made = [p for p in (out, *out.parents) if not p.exists()]
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command][0](config, out)
     except (MfunError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        # a usage error leaves no empty directory behind
+        for path in made:
+            if not path.is_dir() or any(path.iterdir()):
+                break
+            path.rmdir()
         return EXIT_USAGE
 
 

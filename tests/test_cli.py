@@ -268,6 +268,26 @@ def test_out_of_range_input_is_usage_error(tmp_path, args, config):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["compare", "--X", "10", "--samples", "10000"],
+    ["density", "--N", "3"],
+    ["density", "--zeros", "/nonexistent"],
+])
+def test_usage_error_in_command_leaves_no_directory(tmp_path, args):
+    """A usage error found by the command itself removes the --out
+    directory (and its parents) that the run created."""
+    out = tmp_path / "new" / "out"
+    assert run([*args, "--out", str(out)]) == 2
+    assert not (tmp_path / "new").exists()
+
+
+def test_usage_error_keeps_existing_directory(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(["density", "--N", "3", "--out", str(out)]) == 2
+    assert out.is_dir()
+
+
 def test_internal_value_error_is_not_usage_error(tmp_path, monkeypatch):
     """A broken invariant inside the library is a bug, not exit 2."""
     def broken(*args, **kwargs):
@@ -326,13 +346,33 @@ def test_unknown_command_exits_2():
     assert exc.value.code == 2
 
 
-def test_cli_import_leaves_out_heavy_scipy():
-    """Importing the CLI loads no scipy.integrate, interpolate or optimize."""
+def _modules_after(code):
+    """The modules loaded once a fresh interpreter has run code."""
     src = str(Path(mfun.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, mfun.cli; print(*sys.modules)"],
+        [sys.executable, "-c", code + "\nimport sys\nprint(*sys.modules)"],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
-        timeout=60)
+        timeout=120)
     assert proc.returncode == 0, proc.stderr
-    heavy = ("scipy.integrate", "scipy.interpolate", "scipy.optimize")
-    assert [m for m in proc.stdout.split() if m.startswith(heavy)] == []
+    modules = proc.stdout.split()
+    assert "mfun" in modules
+    return [m for m in modules if m.split(".")[0] == "scipy"]
+
+
+def test_cli_import_leaves_out_heavy_scipy():
+    """mfun runs on numpy alone: importing the package or the CLI loads no
+    scipy module at all."""
+    assert _modules_after("import mfun") == []
+    assert _modules_after("import mfun.cli") == []
+
+
+def test_commands_load_no_scipy():
+    """Nor does running every command, at desk scale."""
+    assert _modules_after(
+        "import mfun.cli, tempfile\n"
+        "for argv in ('zeros-verify', 'density --N 10 --r-points 64',\n"
+        "             'compare --N 6 --samples 10000 --X 1e4',\n"
+        "             'goldbach-validate --x-max 1500', 'weyl --count 2'):\n"
+        "    with tempfile.TemporaryDirectory() as out:\n"
+        "        assert mfun.cli.main([*argv.split(), '--out', out]) == 0"
+    ) == []

@@ -9,7 +9,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import jn_zeros
 
 import mfun.density
 from mfun import TestFunction, _kernels
@@ -17,8 +16,10 @@ from mfun._kernels import j0_arr
 from mfun.density import (
     ENVELOPE_CUTOFF,
     _envelope_cutoff_rho,
+    _j0_zeros,
     _limit_error_budget,
     _radial_integral,
+    _spline,
     _tail_sq_sum,
     char_M_N,
     char_tail_gap,
@@ -195,7 +196,7 @@ def test_inversion_builds_its_nodes(coeffs, n, grid_order):
     d = invert_to_density(coeffs, n, r_grid)
     radius = max(r_grid[-1], support_radius(coeffs, n))
     rho = d.rho_grid
-    assert np.allclose(rho * radius, jn_zeros(0, rho.size),
+    assert np.allclose(rho * radius, _j0_zeros(rho.size),
                        rtol=1e-12, atol=0.0)
     assert decay_envelope(coeffs.c[:n], rho[-1])[0] <= ENVELOPE_CUTOFF
     assert np.array_equal(d.characteristic, char_M_N(coeffs, n, rho))
@@ -320,6 +321,20 @@ def test_convolve_step_matches_direct(coeffs):
     d7 = invert_to_density(coeffs, n + 1, r_grid)
     assert np.max(np.abs(d7c.values - d7.values)) <= 1e-4 * d7.peak
     assert abs(d7c.mass - 1.0) <= 1e-5
+
+
+def test_spline_interpolates_within_cubic_bound():
+    """The B-spline interpolant meets the values at the nodes and, for
+    exp(-r^2) (even at 0 and flat at the end, as a density is), stays
+    within the cubic spline bound 5/384 h^4 max|f^(4)|, max|f^(4)| = 12."""
+    r = np.linspace(0.0, 6.0, 301)
+    f = np.exp(-r * r)
+    assert np.max(np.abs(_spline(r, f, r) - f)) <= 1e-15
+    x = np.random.Generator(np.random.Philox(key=np.uint64(3))).uniform(
+        0.0, 6.0, 5000)
+    h = r[1] - r[0]
+    assert np.max(np.abs(_spline(r, f, x) - np.exp(-x * x))) <= (
+        5.0 / 384.0 * h ** 4 * 12.0)
 
 
 def test_integrate_against_one_is_mass(coeffs):

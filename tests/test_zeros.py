@@ -60,6 +60,29 @@ def test_hardy_z_against_mpmath_scan():
             float(mp.siegelz(mp.mpf(float(t)))), abs=1e-8)
 
 
+@pytest.mark.parametrize("t", [1000.3, 1419.4])
+def test_hardy_z_far_up_the_line(t):
+    """Above the bundled table: about 1.2e-12 and 3.6e-13 off mpmath."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        assert abs(hardy_z(t) - float(mp.siegelz(mp.mpf(t)))) <= 1e-11
+
+
+def test_riemann_siegel_theta_matches_mpmath_within_bound():
+    """The Stirling series, shifted up for small t, within its stated
+    2e-15 (t + 1) from t = 0.5 to 1500."""
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(11)))
+    wide = 10.0 ** rng.uniform(math.log10(0.5), math.log10(1500.0), 400)
+    # t = 24 is where |1/4 + it/2| reaches 12 and the shift stops
+    ts = np.concatenate([np.linspace(0.5, 30.0, 119), wide,
+                         [23.9, 24.0, 24.1, 1500.0]])
+    with mp.workdps(30):
+        for t in ts.tolist():
+            theta = mfun.zeros._riemann_siegel_theta(t)
+            assert abs(theta - mp.siegeltheta(mp.mpf(t))) <= 2e-15 * (t + 1)
+
+
 def test_verify_zero_accepts_true_ordinate():
     ok, residual = verify_zero(GAMMA_1, 1e-6)
     assert ok and residual <= 1e-6
