@@ -15,12 +15,7 @@ from .density import (
     invert_to_density,
     support_radius,
 )
-from .empirical import (
-    alpha_average,
-    compare_report,
-    haar_oracle,
-    weyl_test,
-)
+from .empirical import compare_report, haar_oracle, weyl_test
 from .errors import (
     AmbiguousBracketError,
     MfunError,
@@ -30,14 +25,7 @@ from .errors import (
     ZeroTableError,
 )
 from .goldbach import a2_curve, compare_main_term, r2_all, sieve_lambda, singular_series
-from .spectral import (
-    CoefficientTable,
-    build_coefficients,
-    eval_f,
-    eval_f_N,
-    main_term,
-    tail_bound,
-)
+from .spectral import CoefficientTable, build_coefficients, eval_f_N, tail_bound
 from .testfuncs import TestFunction
 from .zeros import ZeroTable, bundled_zeros_path, load_zeros, verify_table
 
@@ -55,21 +43,18 @@ __all__ = [
     "ZeroTable",
     "ZeroTableError",
     "a2_curve",
-    "alpha_average",
     "build_coefficients",
     "bundled_zeros_path",
     "char_M_N",
     "compare_main_term",
     "compare_report",
     "convolve_step",
-    "eval_f",
     "eval_f_N",
     "haar_oracle",
     "integrate_against",
     "invert_limit_density",
     "invert_to_density",
     "load_zeros",
-    "main_term",
     "r2_all",
     "sieve_lambda",
     "singular_series",

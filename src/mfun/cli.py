@@ -32,6 +32,7 @@ EXIT_USAGE = 2
 
 COMPARE_TOLERANCE = 1e-2
 COUNTING_SLACK = 2
+COUNTING_T_MIN = 25.0
 
 # Calibrated once on the bundled pipeline (x_max=2e5, N=100, observed
 # maximum 0.0099 over x >= 1000) and frozen with a 5x margin.
@@ -153,16 +154,20 @@ def _coefficients(config: argparse.Namespace):
 
 def cmd_zeros_verify(config: argparse.Namespace, out: Path) -> int:
     table = load_zeros(config.zeros)
-    verified = verify_table(table, config.tol)
-    rows = [(z.index, z.gamma, z.verified, z.residual)
-            for z in verified.zeros]
+    gammas = table.gammas.tolist()
+    if gammas[-1] < COUNTING_T_MIN:
+        raise RangeError(f"the counting check starts at T = {COUNTING_T_MIN}, "
+                         f"above the last ordinate {gammas[-1]}")
+    verified, residuals = verify_table(table, config.tol)
     _write_csv(out / "zeros_report.csv",
-               ["index", "gamma", "verified", "residual"], rows)
-    bad = [z.index for z in verified.zeros if not z.verified]
+               ["index", "gamma", "verified", "residual"],
+               zip(range(1, len(gammas) + 1), gammas, verified.tolist(),
+                   residuals.tolist()))
+    bad = (np.flatnonzero(~verified) + 1).tolist()
     count_rows = []
     count_bad = False
-    for t in np.linspace(25.0, verified.zeros[-1].gamma, 20):
-        observed, expected = counting_check(verified, float(t))
+    for t in np.linspace(COUNTING_T_MIN, gammas[-1], 20):
+        observed, expected = counting_check(table, float(t))
         ok = abs(observed - expected) <= COUNTING_SLACK
         count_bad |= not ok
         count_rows.append((t, observed, expected, ok))
@@ -174,7 +179,7 @@ def cmd_zeros_verify(config: argparse.Namespace, out: Path) -> int:
     if count_bad:
         print("counting check FAILED (possible gap in the table)")
         return EXIT_FAIL
-    print(f"all {verified.count} ordinates verified (tol {config.tol})")
+    print(f"all {len(gammas)} ordinates verified (tol {config.tol})")
     return EXIT_OK
 
 
@@ -273,8 +278,9 @@ def cmd_compare(config: argparse.Namespace, out: Path) -> int:
 def _weyl_appendix(config: argparse.Namespace, coeffs, path: Path,
                    count: int) -> bool:
     """Check count random Weyl sums against their bounds; print failures."""
+    n = config.N
+    coeffs.check_order(n)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(config.seed)))
-    n = min(config.N, len(coeffs))
     rows = []
     while len(rows) < count:
         vec = rng.integers(-3, 4, size=n)
@@ -302,13 +308,13 @@ def cmd_weyl(config: argparse.Namespace, out: Path) -> int:
 
 def cmd_goldbach(config: argparse.Namespace, out: Path) -> int:
     coeffs = _coefficients(config)
-    n = min(config.N, len(coeffs))
+    coeffs.check_order(config.N)
     table = gb.sieve_lambda(config.x_max)
     sums = gb.a2_curve(table, config.prime_cutoff)
     lo = max(2, min(100, config.x_max // 2))
     grid = sorted(set(np.geomspace(lo, config.x_max, 257).astype(int)
                       .tolist()))
-    rows = gb.compare_main_term(sums, coeffs, n, grid)
+    rows = gb.compare_main_term(sums, coeffs, config.N, grid)
     _write_csv(out / "goldbach.csv",
                ["x", "a2", "main_term", "residual", "normalized_residual"],
                [(r["x"], r["a2"], r["main_term"], r["residual"],
@@ -321,29 +327,20 @@ def cmd_goldbach(config: argparse.Namespace, out: Path) -> int:
               xlabel="x", ylabel="value")
     failed = False
     if config.x_max <= 2000:
-        brute = _brute_force_a2(table, sums)
-        mismatch = float(np.max(np.abs(brute - sums.a2[:len(brute)])))
-        scale = float(np.max(np.abs(brute))) or 1.0
-        print(f"brute-force cross-check: max |diff| = {mismatch:.3e}")
-        failed |= mismatch > 1e-9 * scale
+        brute = gb.brute_force_sums(table, sums.s2).a2
+        mismatch = float(np.max(np.abs(brute - sums.a2)))
+        bound = 1e-9 * (float(np.max(np.abs(brute))) or 1.0)
+        bad = not mismatch <= bound
+        print(f"brute-force cross-check: max |A2 - brute force| = "
+              f"{mismatch:.3e} (bound {bound:.3e}) {'FAIL' if bad else 'pass'}")
+        failed |= bad
     tail = [abs(r["normalized_residual"]) for r in rows if r["x"] >= 1000]
     worst = max(tail) if tail else 0.0
-    failed |= worst > NORMALIZED_RESIDUAL_BOUND
+    bad = worst > NORMALIZED_RESIDUAL_BOUND
     print(f"max normalized residual (x >= 1000): {worst:.4f} "
-          f"(bound {NORMALIZED_RESIDUAL_BOUND}) "
-          f"{'FAIL' if failed else 'pass'}")
+          f"(bound {NORMALIZED_RESIDUAL_BOUND}) {'FAIL' if bad else 'pass'}")
+    failed |= bad
     return EXIT_FAIL if failed else EXIT_OK
-
-
-def _brute_force_a2(table, sums) -> np.ndarray:
-    """O(x^2) reference for A_2; only used at desk scale (x <= 2000)."""
-    lam = table.lam
-    x_max = table.limit
-    r2 = np.zeros(x_max + 1)
-    for m in range(2, x_max + 1):
-        r2[m] = float(np.dot(lam[1:m], lam[m - 1:0:-1]))
-    n = np.arange(x_max + 1, dtype=float)
-    return np.cumsum(r2 - n * sums.s2[:x_max + 1])
 
 
 # ------------------------------------------------------------------- main

@@ -37,7 +37,7 @@ from .spectral import CoefficientTable, analytic_tail_remainder, tail_bound
 from .testfuncs import TestFunction
 
 __all__ = [
-    "DensityProfile", "char_M_N", "char_tail_gap", "support_radius",
+    "DensityProfile", "char_M_N", "support_radius",
     "default_r_grid", "default_rho_grid", "check_inversion_order",
     "invert_to_density", "limit_order", "invert_limit_density",
     "convolve_step", "integrate_against",
@@ -62,7 +62,6 @@ class DensityProfile:
     order: int
     support_radius: float
     mass: float
-    negativity_tolerance: float
     rho_grid: np.ndarray | None = None
     characteristic: np.ndarray | None = None
     error_budget: float | None = None
@@ -100,16 +99,7 @@ def _tail_sq_sum(coeffs: CoefficientTable, n: int) -> float:
     """Bound for sum of c_m^2 over m > n (table tail + analytic rest)."""
     coeffs.check_order(n)
     return float(np.sum(coeffs.c[n:] ** 2)) + analytic_tail_remainder(
-        coeffs.coefficients[-1].gamma, 4)
-
-
-def char_tail_gap(coeffs: CoefficientTable, n: int, rho):
-    """Certified bound (rho^2/4) * sum_{m>n} c_m^2 for the factor-product gap.
-
-    The 1/4 comes from |e^{ix}-1-ix| <= x^2/2 averaged over the circle,
-    where the mean of cos^2 contributes another 1/2.
-    """
-    return 0.25 * _tail_sq_sum(coeffs, n) * np.asarray(rho, dtype=np.float64) ** 2
+        float(coeffs.gamma[-1]), 4)
 
 
 def _envelope_pieces(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -222,8 +212,7 @@ def invert_to_density(coeffs: CoefficientTable, n: int,
     mass = float(np.sum(coef / (jk * j1k)))
     return DensityProfile(
         r_grid=r_grid, values=values, order=n, support_radius=s,
-        mass=mass, negativity_tolerance=1e-6 * max(np.max(values), 0.0),
-        rho_grid=rho, characteristic=phi)
+        mass=mass, rho_grid=rho, characteristic=phi)
 
 
 def _limit_error_budget(coeffs: CoefficientTable, n: int) -> float:
@@ -232,6 +221,9 @@ def _limit_error_budget(coeffs: CoefficientTable, n: int) -> float:
     Integrates rho * min(a*rho^2, 2*envelope), a = sum_{m>n} c_m^2 / 4, in
     closed form over the envelope's power-law pieces, and converts to
     density units of 1/c_1^2 (the natural O(1) normalization of the problem).
+    a*rho^2 bounds the gap of the factor product past n: the 1/4 comes from
+    |e^{ix}-1-ix| <= x^2/2 averaged over the circle, where the mean of
+    cos^2 contributes another 1/2.
     """
     a = 0.25 * _tail_sq_sum(coeffs, n)
     b, log_k = _envelope_pieces(coeffs.c[:n])
@@ -314,8 +306,7 @@ def convolve_step(density: DensityProfile, c: float) -> DensityProfile:
     mass = float(_radial_integral(r, new_values))
     return DensityProfile(
         r_grid=r, values=new_values, order=density.order + 1,
-        support_radius=density.support_radius + c, mass=mass,
-        negativity_tolerance=density.negativity_tolerance)
+        support_radius=density.support_radius + c, mass=mass)
 
 
 # pole of the cubic B-spline prefilter; |pole|^30 < 1e-17

@@ -11,6 +11,7 @@ so a fixed seed reproduces results bit for bit.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -20,12 +21,10 @@ from ._kernels import GRID_BLOCK, f_grid, f_grid_chunks, phasor_sum
 from .density import DensityProfile, integrate_against
 from .errors import MfunError, RangeError
 from .spectral import CoefficientTable
-from .testfuncs import TestFunction
 
 __all__ = [
-    "TorusPoint", "torus_map", "haar_oracle", "alpha_average",
-    "alpha_average_many", "weyl_test",
-    "compare_report", "CompareReport",
+    "haar_oracle", "alpha_average_many", "weyl_test", "compare_report",
+    "CompareReport",
 ]
 
 MIN_HAAR_SAMPLES = 10 ** 4
@@ -39,26 +38,6 @@ _CHUNK = 1 << 16
 
 class ResonanceError(MfunError):
     """The integer combination of ordinates is numerically near zero."""
-
-
-@dataclass(frozen=True)
-class TorusPoint:
-    angles: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.angles, dtype=np.float64)
-        if not np.all(np.isfinite(a)):
-            raise ValueError("angles must be finite (interpreted mod 2*pi)")
-
-
-def torus_map(coeffs: CoefficientTable, point: TorusPoint) -> complex:
-    """sum c_m t_m for a torus point t = (e^{i theta_1}, ..., e^{i theta_N})."""
-    angles = np.asarray(point.angles, dtype=np.float64)
-    if angles.ndim != 1 or not 1 <= angles.size <= len(coeffs):
-        raise RangeError(
-            f"angle vector length {angles.size} does not match an available "
-            f"truncation order (1..{len(coeffs)})")
-    return complex(phasor_sum(angles[None, :], coeffs.c[:angles.size])[0])
 
 
 def _stream_sums(chunks, phis, marks):
@@ -155,12 +134,6 @@ def alpha_average_many(coeffs: CoefficientTable, n: int, phis, x_list):
     return out
 
 
-def alpha_average(coeffs: CoefficientTable, n: int, phi: TestFunction,
-                  x: float):
-    """(1/X) integral_0^X Phi(f_N(alpha)) d alpha by composite trapezoid."""
-    return alpha_average_many(coeffs, n, [phi], [x])[0][0]
-
-
 def weyl_test(coeffs: CoefficientTable, n_vector, x: float) -> complex:
     """Closed-form (1/X) integral_0^X e^{i alpha n.gamma} d alpha * e^{-i n.beta}.
 
@@ -179,11 +152,8 @@ def weyl_test(coeffs: CoefficientTable, n_vector, x: float) -> complex:
             f"|n.gamma| = {abs(omega):.3e} below {RESONANCE_FLOOR}; "
             "near-rational relation between ordinates")
     phase = float(np.dot(n_vector, coeffs.beta[:n_vector.size]))
-    return cmathexp(-phase) * (cmathexp(x * omega) - 1.0) / (1j * x * omega)
-
-
-def cmathexp(t: float) -> complex:
-    return complex(math.cos(t), math.sin(t))
+    return (cmath.rect(1.0, -phase) * (cmath.rect(1.0, x * omega) - 1.0)
+            / (1j * x * omega))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Desk-scale Goldbach arithmetic: von Mangoldt sieve, the weighted
 representation counts r_2(n), the singular series S_2(n), the summatory
-residue A_2(x), and its comparison against the zero-sum main term.
+residue A_2(x), and its comparison against the zero-sum main term, with
+an O(x^2) brute-force reference for r_2 and A_2.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .spectral import CoefficientTable, eval_f_N
 __all__ = [
     "ArithmeticTable", "GoldbachSums", "sieve_lambda", "r2_convolve",
     "r2_all", "twin_prime_constant", "singular_series", "singular_series_all",
-    "a2_curve", "compare_main_term", "primes_up_to",
+    "a2_curve", "brute_force_sums", "compare_main_term", "primes_up_to",
 ]
 
 X_MAX_GUARD = 10 ** 7
@@ -37,7 +38,6 @@ class GoldbachSums:
     r2: np.ndarray
     s2: np.ndarray
     a2: np.ndarray
-    prime_cutoff: int
 
 
 def primes_up_to(n: int) -> np.ndarray:
@@ -226,7 +226,22 @@ def a2_curve(table: ArithmeticTable, prime_cutoff: int) -> GoldbachSums:
     steps *= s2
     np.subtract(r2, steps, out=steps)
     a2 = _compensated_cumsum(steps)
-    return GoldbachSums(r2=r2, s2=s2, a2=a2, prime_cutoff=prime_cutoff)
+    return GoldbachSums(r2=r2, s2=s2, a2=a2)
+
+
+def brute_force_sums(table: ArithmeticTable, s2: np.ndarray) -> GoldbachSums:
+    """The O(x^2) reference for ``a2_curve``, for desk scale (x <= 2000).
+
+    r_2(m) is the dot product of Lambda(1..m-1) with its reverse, and A_2
+    the plain cumulative sum of r_2(n) - n S_2(n), with s2 = S_2(0..limit)
+    as given.
+    """
+    lam = table.lam
+    r2 = np.zeros(table.limit + 1)
+    for m in range(2, table.limit + 1):
+        r2[m] = float(np.dot(lam[1:m], lam[m - 1:0:-1]))
+    n = np.arange(table.limit + 1, dtype=float)
+    return GoldbachSums(r2=r2, s2=s2, a2=np.cumsum(r2 - n * s2))
 
 
 def compare_main_term(sums: GoldbachSums, coeffs: CoefficientTable, n: int,

@@ -1,16 +1,17 @@
 """Ingestion and independent verification of zeta-zero ordinates.
 
 A zero table is a plain text file with one positive ordinate per line
-(ascending, ``#`` comments allowed).  Verification evaluates the Hardy
-Z-function via Euler-Maclaurin summation of zeta(1/2+it), brackets a
-sign change around each claimed ordinate on a 21-point grid, and refines
-it by Illinois regula falsi seeded with the two grid values.
+(ascending, ``#`` comments allowed), held as one read-only array.
+Verification evaluates the Hardy Z-function via Euler-Maclaurin summation
+of zeta(1/2+it), brackets a sign change around each claimed ordinate on a
+21-point grid, and refines it by Illinois regula falsi seeded with the two
+grid values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import AmbiguousBracketError, RangeError, ZeroTableError
 
 __all__ = [
-    "ZeroOrdinate", "ZeroTable", "load_zeros", "bundled_zeros_path",
+    "ZeroTable", "load_zeros", "bundled_zeros_path",
     "hardy_z", "verify_zero", "verify_table", "counting_check",
 ]
 
@@ -40,65 +41,49 @@ _MAX_SHRINK = 4
 
 
 @dataclass(frozen=True)
-class ZeroOrdinate:
-    index: int
-    gamma: float
-    verified: bool = False
-    residual: float = math.inf
-
-    def __post_init__(self):
-        if self.gamma <= 0:
-            raise ZeroTableError(f"ordinate #{self.index}: gamma must be "
-                                 f"positive, got {self.gamma}")
-
-
-@dataclass(frozen=True)
 class ZeroTable:
-    zeros: tuple[ZeroOrdinate, ...]
+    """Ordinates gamma_1 < gamma_2 < ..., held as one read-only array.
+
+    They are checked once, here: a nonempty list of positive, finite,
+    strictly increasing numbers.
+    """
+    gammas: np.ndarray
     source: str
 
     def __post_init__(self):
-        if not self.zeros:
+        g = np.array(self.gammas, dtype=np.float64)
+        if not g.size:
             raise ZeroTableError(f"empty zero table ({self.source})")
-        for i, z in enumerate(self.zeros):
-            if z.index != i + 1:
-                raise ZeroTableError(
-                    f"index gap at position {i}: expected {i + 1}, "
-                    f"got {z.index}")
-            if i and z.gamma <= self.zeros[i - 1].gamma:
-                raise ZeroTableError(
-                    f"ordinates not strictly increasing at index {z.index}: "
-                    f"{self.zeros[i - 1].gamma} -> {z.gamma}")
-
-    @property
-    def count(self) -> int:
-        return len(self.zeros)
-
-    @property
-    def gammas(self) -> np.ndarray:
-        return np.array([z.gamma for z in self.zeros])
+        bad = np.flatnonzero(~(np.isfinite(g) & (g > 0)))
+        if bad.size:
+            raise ZeroTableError(
+                f"{self.source}: ordinate #{bad[0] + 1} must be a positive "
+                f"finite number, got {g[bad[0]]}")
+        bad = np.flatnonzero(np.diff(g) <= 0)
+        if bad.size:
+            i = bad[0] + 1
+            raise ZeroTableError(
+                f"{self.source}: ordinates not strictly increasing at "
+                f"#{i + 1}: {g[i - 1]} -> {g[i]}")
+        g.setflags(write=False)
+        object.__setattr__(self, "gammas", g)
 
 
 def load_zeros(path) -> ZeroTable:
     """Parse a zero-ordinate file into a validated ZeroTable."""
     path = Path(path)
-    zeros = []
+    gammas = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:
                 continue
             try:
-                gamma = float(text)
+                gammas.append(float(text))
             except ValueError:
                 raise ZeroTableError(
                     f"{path}:{lineno}: cannot parse ordinate {text!r}") from None
-            if not math.isfinite(gamma) or gamma <= 0:
-                raise ZeroTableError(
-                    f"{path}:{lineno}: ordinate must be a positive finite "
-                    f"number, got {text!r}")
-            zeros.append(ZeroOrdinate(index=len(zeros) + 1, gamma=gamma))
-    return ZeroTable(tuple(zeros), source=str(path))
+    return ZeroTable(np.array(gammas), source=str(path))
 
 
 def bundled_zeros_path() -> Path:
@@ -206,13 +191,12 @@ def verify_zero(gamma: float, tolerance: float) -> tuple[bool, float]:
     raise AmbiguousBracketError(gamma, roots)
 
 
-def verify_table(table: ZeroTable, tolerance: float = 1e-6) -> ZeroTable:
-    """Run verify_zero over every entry, recording flags and residuals."""
-    verified = []
-    for z in table.zeros:
-        ok, res = verify_zero(z.gamma, tolerance)
-        verified.append(replace(z, verified=ok, residual=res))
-    return ZeroTable(tuple(verified), table.source)
+def verify_table(table: ZeroTable,
+                 tolerance: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+    """verify_zero at every ordinate: (verified flags, residuals)."""
+    verified, residuals = zip(*(verify_zero(g, tolerance)
+                                for g in table.gammas.tolist()))
+    return np.array(verified, dtype=bool), np.array(residuals)
 
 
 def counting_expected(t: float) -> float:
@@ -222,9 +206,9 @@ def counting_expected(t: float) -> float:
 
 def counting_check(table: ZeroTable, t: float) -> tuple[int, float]:
     """Observed vs expected zero count below t (completeness diagnostic)."""
-    if t > table.zeros[-1].gamma:
+    if t > table.gammas[-1]:
         raise RangeError(
             f"T={t} exceeds the table range (max ordinate "
-            f"{table.zeros[-1].gamma})")
+            f"{table.gammas[-1]})")
     observed = int(np.count_nonzero(table.gammas <= t))
     return observed, counting_expected(t)

@@ -1,6 +1,7 @@
 """CLI contract: subcommands, exit codes, determinism of outputs."""
 
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -13,6 +14,8 @@ import pytest
 
 import mfun.density
 import mfun.empirical
+import mfun.goldbach
+import mfun.zeros
 from mfun.cli import _fmt, _write_csv, default_test_functions, main
 from mfun.density import support_radius
 from mfun.empirical import haar_oracle
@@ -101,6 +104,21 @@ def test_zeros_verify_typo_is_failure(tmp_path, capsys):
 def test_zeros_verify_missing_file_is_usage_error(tmp_path):
     assert run(["zeros-verify", "--zeros", str(tmp_path / "nope.txt"),
                 "--out", str(tmp_path)]) == 2
+
+
+def test_zeros_verify_short_table_is_usage_error(tmp_path, monkeypatch,
+                                                 capsys):
+    """A table ending below the counting check's first T = 25 is refused
+    before any Z is evaluated, and leaves no output."""
+    def fail(t):
+        raise AssertionError("Z evaluated before the table range check")
+    monkeypatch.setattr(mfun.zeros, "hardy_z", fail)
+    short = tmp_path / "two.txt"
+    short.write_text("14.134725141734694\n21.022039638771555\n")
+    out = tmp_path / "out"
+    assert run(["zeros-verify", "--zeros", str(short), "--out", str(out)]) == 2
+    assert "T = 25.0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_density_outputs_and_determinism(tmp_path, capsys):
@@ -251,6 +269,8 @@ def test_compare_few_samples_is_usage_error(tmp_path, no_grid):
     (["weyl"], "N = 9.7\n"),
     (["zeros-verify", "--samples", "20000"], None),
     (["density"], "x-max = 1500\n"),
+    (["goldbach-validate", "--N", "101"], None),
+    (["weyl", "--N", "101"], None),
 ])
 def test_out_of_range_input_is_usage_error(tmp_path, args, config):
     """Out-of-range values, and options the command does not read, exit 2
@@ -311,6 +331,24 @@ def test_goldbach_validate_desk_scale(tmp_path, capsys):
     assert (out / "goldbach.csv").exists()
     assert (out / "goldbach.svg").exists()
     assert "brute-force cross-check" in capsys.readouterr().out
+
+
+def test_goldbach_cross_check_has_its_own_verdict(tmp_path, monkeypatch,
+                                                  capsys):
+    """A brute-force mismatch fails the run on a verdict line of its own,
+    with the measured gap and the bound; the residual line still passes."""
+    oracle = mfun.goldbach.brute_force_sums
+    def shifted(table, s2):
+        sums = oracle(table, s2)
+        return dataclasses.replace(sums, a2=sums.a2 + 1.0)
+    monkeypatch.setattr(mfun.goldbach, "brute_force_sums", shifted)
+    assert run(["goldbach-validate", "--x-max", "1500", "--N", "30",
+                "--out", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert re.search(r"^brute-force cross-check: max \|A2 - brute force\| = "
+                     r"1\.000e\+00 \(bound \d\.\d{3}e[-+]\d+\) FAIL$", out,
+                     re.MULTILINE)
+    assert re.search(r"^max normalized residual .* pass$", out, re.MULTILINE)
 
 
 def test_goldbach_validate_smallest_x_max(tmp_path, capsys):

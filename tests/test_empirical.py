@@ -7,21 +7,22 @@ import pytest
 
 from mfun import TestFunction
 from mfun.density import default_r_grid, invert_to_density
+from mfun._kernels import phasor_sum
 from mfun.empirical import (
     ResonanceError,
-    TorusPoint,
-    alpha_average,
+    alpha_average_many,
     compare_report,
     haar_oracle,
-    torus_map,
     weyl_test,
 )
 from mfun.errors import RangeError
-from mfun.spectral import eval_f_N
+from mfun.spectral import build_coefficients, eval_f_N
+from mfun.zeros import ZeroTable
 
 
 def test_torus_map_identity_bit_exact(coeffs):
-    """f_N(alpha) equals the torus map at angles theta_m = alpha gamma_m - beta_m.
+    """f_N(alpha) equals the torus map sum c_m e^{i theta_m} (``phasor_sum``
+    on one row) at angles theta_m = alpha gamma_m - beta_m.
 
     Both paths evaluate ``expi`` on identical doubles, so the match is exact.
     """
@@ -29,13 +30,8 @@ def test_torus_map_identity_bit_exact(coeffs):
     for alpha in (0.0, 1.0, 2.5, 17.3):
         angles = alpha * coeffs.gamma[:n] - coeffs.beta[:n]
         direct = eval_f_N(coeffs, n, alpha)
-        mapped = torus_map(coeffs, TorusPoint(angles))
+        mapped = complex(phasor_sum(angles[None, :], coeffs.c[:n])[0])
         assert direct == mapped
-
-
-def test_torus_map_rejects_bad_length(coeffs):
-    with pytest.raises(RangeError):
-        torus_map(coeffs, TorusPoint(np.zeros(101)))
 
 
 def test_haar_oracle_deterministic(coeffs):
@@ -79,15 +75,15 @@ def test_reflection_symmetry(coeffs):
 
 
 def test_alpha_average_constant(coeffs):
-    assert alpha_average(coeffs, 5, TestFunction.one(),
-                         2000.0) == pytest.approx(1.0, rel=1e-12)
+    [[mean]] = alpha_average_many(coeffs, 5, [TestFunction.one()], [2000.0])
+    assert mean == pytest.approx(1.0, rel=1e-12)
 
 
 def test_alpha_average_matches_brute_trapezoid(coeffs):
     n = 5
     phi = TestFunction.gaussian(0.0, 0.004)
     x = 500.0
-    got = alpha_average(coeffs, n, phi, x)
+    [[got]] = alpha_average_many(coeffs, n, [phi], [x])
     limit = 2.0 * math.pi / (10.0 * coeffs.gamma[n - 1])
     pts = int(math.ceil(x / limit)) + 1
     grid = np.linspace(0.0, x, pts)
@@ -97,11 +93,10 @@ def test_alpha_average_matches_brute_trapezoid(coeffs):
 
 
 def test_alpha_average_checkpoints_consistent(coeffs):
-    from mfun.empirical import alpha_average_many
     n = 5
     phi = TestFunction.disc(0.0, 0.005)
     ladder = alpha_average_many(coeffs, n, [phi], [1000.0, 4000.0])[0]
-    single = alpha_average(coeffs, n, phi, 1000.0)
+    [[single]] = alpha_average_many(coeffs, n, [phi], [1000.0])
     assert ladder[0] == pytest.approx(single, rel=1e-9)
 
 
@@ -177,7 +172,6 @@ def test_routes_share_the_type_rule(coeffs):
 
     character(0) is identically 1 + 0j, and its means stay complex.
     """
-    from mfun.empirical import alpha_average_many
     phis = [TestFunction.disc(0.0, 0.005), TestFunction.character(0.0)]
     haar, _ = haar_oracle(coeffs, 5, phis, 20000, seed=1)
     (alpha,), (flat,) = alpha_average_many(coeffs, 5, phis, [1000.0])
@@ -189,7 +183,7 @@ def test_routes_share_the_type_rule(coeffs):
 
 def test_alpha_average_guards(coeffs):
     with pytest.raises(RangeError):
-        alpha_average(coeffs, 5, TestFunction.one(), 10.0)   # X too short
+        alpha_average_many(coeffs, 5, [TestFunction.one()], [10.0])   # X too short
 
 
 def test_weyl_bound_exact(coeffs):
@@ -221,11 +215,9 @@ def test_weyl_rejects_zero_vector(coeffs):
 
 def test_weyl_resonance_guard(coeffs):
     """A synthetic table with a rational relation trips the resonance floor."""
-    from mfun.spectral import CoefficientTable, coefficient_from_gamma
     g = 14.134725141734694
-    synthetic = CoefficientTable(tuple(
-        coefficient_from_gamma(i + 1, v)
-        for i, v in enumerate([g, 2.0 * g + 1e-14])))
+    synthetic = build_coefficients(
+        ZeroTable(np.array([g, 2.0 * g + 1e-14]), "synthetic"))
     with pytest.raises(ResonanceError):
         weyl_test(synthetic, np.array([2.0, -1.0]), 1e4)
 

@@ -20,6 +20,7 @@ from mfun.goldbach import (
     MIN_PRIME_CUTOFF,
     X_MAX_GUARD,
     a2_curve,
+    brute_force_sums,
     compare_main_term,
     primes_up_to,
     r2_all,
@@ -83,11 +84,10 @@ def test_r2_closed_forms(table):
 
 
 def test_r2_matches_brute_force(table):
-    lam = table.lam
     r2 = r2_all(table)
+    brute = brute_force_sums(table, np.zeros(table.limit + 1)).r2
     for m in range(2, 2001):
-        brute = float(np.dot(lam[1:m], lam[m - 1:0:-1]))
-        assert r2[m] == pytest.approx(brute, abs=1e-9)
+        assert r2[m] == pytest.approx(brute[m], abs=1e-9)
 
 
 def test_r2_halved_symmetry(table):
@@ -216,14 +216,10 @@ def test_a2_compensated_sum_within_bound():
 
 
 def test_a2_matches_brute_force(table):
-    lam = table.lam
     sums = a2_curve(table, MIN_PRIME_CUTOFF)
-    r2b = np.zeros(2001)
-    for m in range(2, 2001):
-        r2b[m] = float(np.dot(lam[1:m], lam[m - 1:0:-1]))
-    a2b = np.cumsum(r2b - np.arange(2001, dtype=float) * sums.s2[:2001])
-    assert np.max(np.abs(a2b - sums.a2[:2001])) <= 1e-9 * float(
-        np.max(np.abs(a2b)))
+    a2b = brute_force_sums(table, sums.s2).a2
+    assert np.max(np.abs(a2b[:2001] - sums.a2[:2001])) <= 1e-9 * float(
+        np.max(np.abs(a2b[:2001])))
 
 
 def test_compare_main_term_rows(table, coeffs):

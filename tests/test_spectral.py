@@ -13,22 +13,11 @@ from hypothesis import strategies as st
 
 from mfun import _kernels
 from mfun._kernels import phasor_sum
-from mfun.empirical import (
-    MIN_HAAR_SAMPLES,
-    TorusPoint,
-    haar_oracle,
-    torus_map,
-)
-from mfun.errors import PrecisionError
-from mfun.spectral import (
-    analytic_tail_remainder,
-    build_coefficients,
-    coefficient_from_gamma,
-    eval_f,
-    eval_f_N,
-    main_term,
-    tail_bound,
-)
+from mfun.empirical import MIN_HAAR_SAMPLES, haar_oracle
+from mfun.errors import ZeroTableError
+from mfun.goldbach import a2_curve, compare_main_term, sieve_lambda
+from mfun.spectral import analytic_tail_remainder, eval_f_N, tail_bound
+from mfun.zeros import ZeroTable
 
 # [DERIVED] mpmath, 30 digits: b_m = (1/2 + i gamma_m)(3/2 + i gamma_m)
 C_ORACLE = (0.00497418478293009755,
@@ -48,6 +37,8 @@ def test_coefficients_match_oracle(coeffs):
     for m in range(3):
         assert coeffs.c[m] == pytest.approx(C_ORACLE[m], rel=1e-14)
         assert coeffs.beta[m] == pytest.approx(BETA_ORACLE[m], rel=1e-14)
+    for values in (coeffs.gamma, coeffs.c, coeffs.beta):
+        assert not values.flags.writeable
 
 
 def test_c_strictly_decreasing(coeffs):
@@ -64,9 +55,13 @@ def test_c_near_inverse_gamma_squared(coeffs):
                   <= 2.0 / coeffs.gamma ** 2)
 
 
-def test_coefficient_from_gamma_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        coefficient_from_gamma(1, -3.0)
+def test_table_rejects_bad_ordinates():
+    """Coefficients are built only from a table of positive, finite,
+    strictly increasing ordinates, which is checked as it is made."""
+    for gammas in ([-3.0], [14.1, 0.0], [14.1, math.inf], [14.1, math.nan],
+                   [21.0, 14.1], [14.1, 14.1], []):
+        with pytest.raises(ZeroTableError):
+            ZeroTable(np.array(gammas), "synthetic")
 
 
 def test_f_N_matches_oracle(coeffs):
@@ -104,7 +99,7 @@ def test_phase_sums_independent_of_batch(coeffs, monkeypatch):
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     theta = 2.0 * math.pi * rng.random((MIN_HAAR_SAMPLES, n))   # Haar's draws
     batch = phasor_sum(theta, c)
-    alone = np.array([torus_map(coeffs, TorusPoint(row)) for row in theta])
+    alone = np.concatenate([phasor_sum(row[None, :], c) for row in theta])
     assert np.array_equal(batch, alone)
     _, max_abs = haar_oracle(coeffs, n, [], MIN_HAAR_SAMPLES, seed)
     assert max_abs == float(np.max(np.abs(alone)))
@@ -186,22 +181,12 @@ def test_analytic_tail_remainder_matches_mpmath_quad(coeffs, p):
                                                           rel=1e-14)
 
 
-def test_eval_f_meets_eps(coeffs):
-    eps = 5e-3
-    value, n_used = eval_f(coeffs, 1.0, eps)
-    assert abs(value - eval_f_N(coeffs, 100, 1.0)) <= eps
-    assert tail_bound(coeffs, n_used) <= eps
-
-
-def test_eval_f_below_floor_raises(coeffs):
-    with pytest.raises(PrecisionError):
-        eval_f(coeffs, 1.0, 1e-12)
-
-
 def test_main_term_matches_definition(coeffs):
-    x = 1234.0
+    x = 1234
+    sums = a2_curve(sieve_lambda(2000), 10 ** 5)
+    (row,) = compare_main_term(sums, coeffs, 30, [x])
     want = -4.0 * x ** 1.5 * eval_f_N(coeffs, 30, math.log(x)).real
-    assert main_term(coeffs, x, 30) == pytest.approx(want, rel=1e-14)
+    assert row["main_term"] == pytest.approx(want, rel=1e-14)
 
 
 def _shared_coeffs(_cache=[]):

@@ -34,9 +34,9 @@ Z_ORACLE = {20.0: 1.14784241218519728,
 
 
 def test_bundled_table_shape(zero_table):
-    assert zero_table.count == 100
-    assert zero_table.zeros[0].index == 1
+    assert zero_table.gammas.shape == (100,)
     assert np.all(np.diff(zero_table.gammas) > 0)
+    assert not zero_table.gammas.flags.writeable
 
 
 def test_bundled_ordinates_match_oracle(zero_table):
@@ -124,9 +124,10 @@ def test_verify_zero_refines_above_512(monkeypatch):
 
 
 def test_verify_table_all_pass(zero_table):
-    verified = verify_table(zero_table, 1e-6)
-    assert all(z.verified for z in verified.zeros)
-    assert max(z.residual for z in verified.zeros) <= 1e-6
+    verified, residuals = verify_table(zero_table, 1e-6)
+    assert verified.shape == residuals.shape == (100,)
+    assert np.all(verified)
+    assert np.max(residuals) <= 1e-6
 
 
 def test_counting_expected_known_value():
