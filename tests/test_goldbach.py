@@ -2,7 +2,9 @@
 
 Oracles: exact closed forms in logs of small primes, an O(x^2) brute
 force at desk scale, the direct double loop over prime-power pairs that
-the FFT convolution replaced, and the truncated defining Euler products.
+the FFT convolution replaced, the per-prime loop that the small/large
+prime split of the singular series replaced, and the truncated defining
+Euler products.
 """
 
 import math
@@ -189,6 +191,40 @@ def test_singular_series_reduction_matches_product():
                 prod *= (p - 1.0) / (p - 2.0)
             prod *= 1.0 - 1.0 / (p - 1.0) ** 2
         assert abs(s2[n] - prod) <= abs(prod) * tail + 1e-12
+
+
+def singular_series_loop(x_max, prime_cutoff):
+    """Oracle: S_2(n) for all n <= x_max by one strided multiply per odd
+    prime up to x_max/2, in ascending order."""
+    s2 = np.zeros(x_max + 1)
+    s2[2::2] = 2.0 * twin_prime_constant(prime_cutoff)
+    for p in primes_up_to(x_max // 2)[1:]:
+        s2[2 * p::2 * p] *= (p - 1.0) / (p - 2.0)
+    return s2
+
+
+@pytest.mark.parametrize("x_max", [0, 1, 2, 3, 4, 5, 6, 7, 500_000,
+                                   2_000_000])
+def test_singular_series_split_matches_loop(x_max):
+    """The small/large prime split multiplies in the loop's order: equal
+    bit for bit."""
+    assert np.array_equal(singular_series_all(x_max, MIN_PRIME_CUTOFF),
+                          singular_series_loop(x_max, MIN_PRIME_CUTOFF))
+
+
+def test_singular_series_all_matches_scalar():
+    """The sieve equals scalar trial division at every even n <= 10^4 and
+    at 200 seeded even n up to 10^7, all read from one 10^7 array."""
+    cutoff = MIN_PRIME_CUTOFF
+    s2 = singular_series_all(10 ** 4, cutoff)
+    assert s2[1::2].tolist() == [0.0] * 5000
+    for n in range(2, 10 ** 4 + 1, 2):
+        assert s2[n] == singular_series(n, cutoff), n
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(17)))
+    sample = 2 * rng.integers(1, 5 * 10 ** 6, 200, endpoint=True)
+    s2 = singular_series_all(10 ** 7, cutoff)
+    for n in sample.tolist():
+        assert s2[n] == singular_series(n, cutoff), n
 
 
 def test_a2_recurrence(table):

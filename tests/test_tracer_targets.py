@@ -1,23 +1,44 @@
-"""The benchmark tracer still finds every ``mfun.density`` name it wraps.
+"""The benchmark tracer still finds every name it wraps in the modules
+below.
 
 A target the tracer cannot resolve reads 0 and is only listed as absent,
-so a renamed density function would silently drop its per-layer metrics.
-The tracer module is loaded from its file and nothing is installed.
+so a renamed function (``singular_series_all``, ``hardy_z``,
+``verify_table``, a density kernel) would silently drop its per-layer
+metrics.  The tracer module is loaded from its file, read and not changed,
+and nothing is installed.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def test_density_targets_resolve(monkeypatch):
+@pytest.fixture
+def tracer(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
+    module = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up in sys.modules
-    monkeypatch.setitem(sys.modules, spec.name, tracer)
-    spec.loader.exec_module(tracer)
-    targets = [t for t in tracer.TARGETS if t.module == "mfun.density"]
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def unresolved(tracer, module):
+    """The attributes of `module` that the tracer wraps but cannot find."""
+    targets = [t for t in tracer.TARGETS if t.module == module]
     assert targets
-    assert [t.attr for t in targets if tracer._resolve(t) is None] == []
+    return [t.attr for t in targets if tracer._resolve(t) is None]
+
+
+def test_density_targets_resolve(tracer):
+    assert unresolved(tracer, "mfun.density") == []
+
+
+@pytest.mark.parametrize("module", ["mfun.goldbach", "mfun.zeros",
+                                    "mfun.cli"])
+def test_arithmetic_targets_resolve(tracer, module):
+    assert unresolved(tracer, module) == []

@@ -1,7 +1,9 @@
 """Zero table loading, Hardy-Z verification and the counting diagnostic.
 
 External oracle: mpmath (zetazero / siegelz at 30 digits), evaluated live
-where cheap and frozen as constants where not.
+where cheap and frozen as constants where not.  Internal oracles: the
+scalar Euler-Maclaurin Z that the array form replaced, and verify_zero
+one ordinate at a time for the lockstep verify_table.
 """
 
 import math
@@ -12,6 +14,7 @@ import pytest
 import mfun.zeros
 from mfun.errors import AmbiguousBracketError, RangeError, ZeroTableError
 from mfun.zeros import (
+    ZeroTable,
     bundled_zeros_path,
     counting_check,
     counting_expected,
@@ -83,6 +86,74 @@ def test_riemann_siegel_theta_matches_mpmath_within_bound():
             assert abs(theta - mp.siegeltheta(mp.mpf(t))) <= 2e-15 * (t + 1)
 
 
+def verify_grids(gammas):
+    """The 21-point grids gamma +- 0.05 that zeros-verify evaluates first."""
+    gammas = np.asarray(gammas, dtype=np.float64)
+    return np.linspace(gammas - 0.05, gammas + 0.05, 21, axis=-1)
+
+
+# Stirling's series for log Gamma, for the scalar oracle's theta
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360,
+             1 / 156)
+
+
+def hardy_z_scalar(t):
+    """Oracle: Z(t) one point at a time, as before the array form: the
+    Euler-Maclaurin sum of n**-s by numpy's complex power, then theta by
+    Stirling's series in Python complex arithmetic."""
+    s = 0.5 + 1j * t
+    m = max(int(3.0 * abs(t)), 10)
+    zeta = complex(np.sum(np.arange(1, m) ** (-s)))
+    zeta += m ** (1.0 - s) / (s - 1.0) + 0.5 * m ** (-s)
+    fact, poch = 1.0, 1.0 + 0j
+    for k, b2k in enumerate((1 / 6, -1 / 30, 1 / 42, -1 / 30), start=1):
+        fact *= (2 * k - 1) * (2 * k)
+        poch *= (s + (2 * k - 2)) * (s + (2 * k - 3)) if k > 1 else s
+        zeta += (b2k / fact) * poch * m ** (1.0 - s - 2 * k)
+    b, a, shift = 0.5 * t, 0.25, 0.0
+    while a * a + b * b < 144.0:
+        shift -= math.atan2(b, a)
+        a += 1.0
+    inv = 1.0 / complex(a, b)
+    series = 0j
+    for c in reversed(_STIRLING):
+        series = series * inv * inv + c
+    theta = (b * math.log(math.hypot(a, b) / (math.pi * math.e))
+             + (a - 0.5) * math.atan2(b, a) + (series * inv).imag + shift)
+    return math.cos(theta) * zeta.real - math.sin(theta) * zeta.imag
+
+
+def test_hardy_z_scalar_equals_array_element(zero_table):
+    """A number gives the matching element of an array bit for bit, in any
+    order: on the zeros-verify grids, below t = 24 where theta takes
+    Stirling shift steps, and on the grid of an ordinate below 0.05, which
+    reaches t <= 0."""
+    t = np.concatenate([verify_grids(zero_table.gammas).ravel(),
+                        np.linspace(0.5, 24.5, 97),
+                        verify_grids([0.03]).ravel()])
+    assert t.min() < 0.0
+    z = hardy_z(t)
+    assert z.shape == t.shape
+    assert [hardy_z(x) for x in t.tolist()] == z.tolist()
+    order = np.random.Generator(np.random.Philox(key=np.uint64(5))).permutation(
+        t.size)
+    assert np.array_equal(hardy_z(t[order]), z[order])
+    assert np.array_equal(hardy_z(t.reshape(2, -1)), z.reshape(2, -1))
+
+
+def test_hardy_z_matches_scalar_form(zero_table):
+    """On the zeros-verify grids, within 1e-14 of the scalar form (1.6e-15
+    measured; max |Z| there is 0.26)."""
+    t = verify_grids(zero_table.gammas).ravel()
+    old = np.array([hardy_z_scalar(x) for x in t.tolist()])
+    assert np.max(np.abs(hardy_z(t) - old)) <= 1e-14
+
+
+def test_hardy_z_rejects_non_finite():
+    with pytest.raises(ValueError):
+        hardy_z(np.array([20.0, math.nan]))
+
+
 def test_verify_zero_accepts_true_ordinate():
     ok, residual = verify_zero(GAMMA_1, 1e-6)
     assert ok and residual <= 1e-6
@@ -128,6 +199,54 @@ def test_verify_table_all_pass(zero_table):
     assert verified.shape == residuals.shape == (100,)
     assert np.all(verified)
     assert np.max(residuals) <= 1e-6
+
+
+@pytest.fixture(scope="module")
+def typo_table(zero_table):
+    """The bundled table with its 8th ordinate moved off its zero by 0.3."""
+    g = zero_table.gammas.copy()
+    g[7] += 0.3
+    return ZeroTable(g, source="typo")
+
+
+def test_verify_table_matches_verify_zero(typo_table):
+    """Lockstep over the table gives what verify_zero gives one ordinate at
+    a time, in flags and residuals; the ordinates, moved by up to 0.03,
+    put their sign changes at different grid steps."""
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(3)))
+    moved = ZeroTable(typo_table.gammas + rng.uniform(-0.03, 0.03, 100),
+                      source="moved")
+    for tol in (1e-6, 0.02):
+        verified, residuals = verify_table(moved, tol)
+        loop = [verify_zero(g, tol) for g in moved.gammas.tolist()]
+        assert verified.tolist() == [ok for ok, _ in loop]
+        assert residuals.tolist() == [r for _, r in loop]
+    assert 0 < verified.sum() < 99
+
+
+def test_verify_table_flags_only_the_typo(typo_table):
+    verified, residuals = verify_table(typo_table, 1e-6)
+    assert np.flatnonzero(~verified).tolist() == [7]
+    assert residuals[7] == math.inf
+    assert np.max(np.delete(residuals, 7)) <= 1e-6
+
+
+def test_verify_zero_below_bracket_width():
+    """An ordinate below 0.05 puts t <= 0 on its grid; Z < 0 throughout."""
+    assert verify_zero(0.03, 1e-6) == (False, math.inf)
+
+
+def test_verify_table_reports_both_roots(monkeypatch):
+    """The lockstep table run raises for the ambiguous ordinate, with the
+    same two roots as verify_zero."""
+    monkeypatch.setattr(mfun.zeros, "hardy_z",
+                        lambda t: (t - 10.0) * (t - 10.001))
+    table = ZeroTable(np.array([5.0, 10.0005, 20.0]), source="two roots")
+    with pytest.raises(AmbiguousBracketError) as info:
+        verify_table(table, 1e-6)
+    assert info.value.gamma == 10.0005
+    low, high = info.value.roots
+    assert abs(low - 10.0) <= 1e-12 and abs(high - 10.001) <= 1e-12
 
 
 def test_counting_expected_known_value():
