@@ -34,6 +34,12 @@ COMPARE_TOLERANCE = 1e-2
 COUNTING_SLACK = 2
 COUNTING_T_MIN = 25.0
 
+# Ceilings on the two options whose memory grows with their value: a
+# density at 2^18 r points peaks near 260 MiB, and 10^5 Weyl vectors take
+# about 5 s.
+MAX_R_POINTS = 2 ** 18
+MAX_WEYL_COUNT = 10 ** 5
+
 # Calibrated once on the bundled pipeline (x_max=2e5, N=100, observed
 # maximum 0.0099 over x >= 1000) and frozen with a 5x margin.
 NORMALIZED_RESIDUAL_BOUND = 0.05
@@ -51,22 +57,22 @@ class Option(NamedTuple):
 # Every option, declared once.  Its range is checked before any grid, sample
 # or file is made; chained comparisons also refuse NaN.  eps = 0 keeps its
 # meaning of a fixed-order density; the seed keys a 64-bit Philox stream.
-# The library checks the last three again where it uses them.
+# The library checks x_max and samples again where it uses them.
 _OPTIONS = {
     "zeros": Option(Path, bundled_zeros_path(), "zero-ordinate file"),
     "out": Option(str, "mfun-out", "output directory"),
     "N": Option(int, 10, ">= 1", lambda v: v >= 1),
     "eps": Option(float, 0.0, ">= 0 and finite", lambda v: 0 <= v < math.inf),
     "X": Option(float, 1e6, "positive and finite", lambda v: 0 < v < math.inf),
-    "count": Option(int, 50, ">= 1", lambda v: v >= 1),
+    "count": Option(int, 50, f"in [1, {MAX_WEYL_COUNT}]",
+                    lambda v: 1 <= v <= MAX_WEYL_COUNT),
     "seed": Option(int, 1, "in [0, 2^64)", lambda v: 0 <= v < 2 ** 64),
-    "r_points": Option(int, 4096, ">= 2", lambda v: v >= 2),
+    "r_points": Option(int, 4096, f"in [2, {MAX_R_POINTS}]",
+                       lambda v: 2 <= v <= MAX_R_POINTS),
     "tol": Option(float, 1e-6, "positive and finite",
                   lambda v: 0 < v < math.inf),
     "x_max": Option(int, 200000, f"in [2, {gb.X_MAX_GUARD}]",
                     lambda v: 2 <= v <= gb.X_MAX_GUARD),
-    "prime_cutoff": Option(int, 10 ** 7, f">= {gb.MIN_PRIME_CUTOFF}",
-                           lambda v: v >= gb.MIN_PRIME_CUTOFF),
     "samples": Option(int, 10 ** 7, f">= {em.MIN_HAAR_SAMPLES}",
                       lambda v: v >= em.MIN_HAAR_SAMPLES),
 }
@@ -310,7 +316,7 @@ def cmd_goldbach(config: argparse.Namespace, out: Path) -> int:
     coeffs = _coefficients(config)
     coeffs.check_order(config.N)
     table = gb.sieve_lambda(config.x_max)
-    sums = gb.a2_curve(table, config.prime_cutoff)
+    sums = gb.a2_curve(table)
     lo = max(2, min(100, config.x_max // 2))
     grid = sorted(set(np.geomspace(lo, config.x_max, 257).astype(int)
                       .tolist()))
@@ -352,8 +358,7 @@ _COMMANDS = {
     "density": (cmd_density, ("zeros", "out", "N", "eps", "r_points")),
     "compare": (cmd_compare, ("zeros", "out", "N", "X", "samples", "seed",
                               "r_points")),
-    "goldbach-validate": (cmd_goldbach, ("zeros", "out", "N", "x_max",
-                                         "prime_cutoff")),
+    "goldbach-validate": (cmd_goldbach, ("zeros", "out", "N", "x_max")),
     "weyl": (cmd_weyl, ("zeros", "out", "N", "X", "seed", "count")),
 }
 

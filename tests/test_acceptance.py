@@ -226,15 +226,16 @@ def test_criterion_09_goldbach_side(coeffs):
     t0 = time.monotonic()
     # desk scale: exact against the O(x^2) brute force
     table = sieve_lambda(2000)
-    sums = a2_curve(table, 10 ** 5)
+    sums = a2_curve(table)
     brute = brute_force_sums(table, sums.s2)
     r2_gap = float(np.max(np.abs(r2_all(table) - brute.r2)))
     a2_gap = float(np.max(np.abs(brute.a2 - sums.a2)))
     scale = float(np.max(np.abs(brute.a2)))
-    # singular series reduction vs the truncated defining product
+    # singular series reduction vs the defining product truncated at
+    # 10^5 (S_2's C_2 runs to 10^7, well inside the 2/cutoff tail bound)
     from mfun.goldbach import primes_up_to, singular_series_all
     cutoff = 10 ** 5
-    s2 = singular_series_all(10 ** 4, cutoff)
+    s2 = singular_series_all(10 ** 4)
     odd = [int(p) for p in primes_up_to(cutoff)[1:]]
     s2_gap = 0.0
     for n in range(4, 10 ** 4 + 1, 2 * 499):
@@ -247,7 +248,7 @@ def test_criterion_09_goldbach_side(coeffs):
                                                   + 1e-12))
     # full comparison at x_max = 2e5, N = 100
     big = sieve_lambda(2 * 10 ** 5)
-    big_sums = a2_curve(big, 10 ** 7)
+    big_sums = a2_curve(big)
     grid = np.unique(np.geomspace(1000, 2 * 10 ** 5, 200).astype(int))
     rows = compare_main_term(big_sums, coeffs, 100, grid)
     worst_resid = max(abs(r["normalized_residual"]) for r in rows)

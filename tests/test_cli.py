@@ -71,8 +71,7 @@ def test_config_file_bad_key(tmp_path, capsys):
     ("density", {"--zeros", "--out", "--N", "--eps", "--r-points"}),
     ("compare", {"--zeros", "--out", "--N", "--X", "--samples", "--seed",
                  "--r-points"}),
-    ("goldbach-validate", {"--zeros", "--out", "--N", "--x-max",
-                           "--prime-cutoff"}),
+    ("goldbach-validate", {"--zeros", "--out", "--N", "--x-max"}),
     ("weyl", {"--zeros", "--out", "--N", "--X", "--seed", "--count"}),
 ])
 def test_help_lists_only_the_options_read(capsys, command, options):
@@ -264,13 +263,17 @@ def test_compare_few_samples_is_usage_error(tmp_path, no_grid):
     (["zeros-verify", "--tol", "0"], None),
     (["weyl"], "N = inf\n"),
     (["goldbach-validate", "--x-max", str(10 ** 7 + 1)], None),
-    (["goldbach-validate", "--prime-cutoff", "10"], None),
+    (["goldbach-validate", "--prime-cutoff", "100000"], None),
     (["compare", "--samples", "100"], None),
     (["weyl"], "N = 9.7\n"),
     (["zeros-verify", "--samples", "20000"], None),
     (["density"], "x-max = 1500\n"),
     (["goldbach-validate", "--N", "101"], None),
     (["weyl", "--N", "101"], None),
+    (["goldbach-validate"], "prime-cutoff = 100000\n"),
+    (["density", "--r-points", str(2 ** 18 + 1)], None),
+    (["compare", "--r-points", str(2 ** 18 + 1)], None),
+    (["weyl", "--count", str(10 ** 5 + 1)], None),
 ])
 def test_out_of_range_input_is_usage_error(tmp_path, args, config):
     """Out-of-range values, and options the command does not read, exit 2
@@ -286,6 +289,16 @@ def test_out_of_range_input_is_usage_error(tmp_path, args, config):
         code = run([*args, "--out", str(out)])
     assert code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("option, ceiling", [("--r-points", 2 ** 18),
+                                             ("--count", 10 ** 5)])
+def test_ceilings_are_inclusive(capsys, option, ceiling):
+    """--print-config takes a value at the ceiling and refuses one above."""
+    command = "weyl" if option == "--count" else "density"
+    assert run([command, option, str(ceiling), "--print-config"]) == 0
+    assert run([command, option, str(ceiling + 1), "--print-config"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {option[2:]} must be")
 
 
 @pytest.mark.parametrize("args", [
@@ -327,7 +340,7 @@ def test_unwritable_out_is_usage_error(tmp_path):
 def test_goldbach_validate_desk_scale(tmp_path, capsys):
     out = tmp_path / "gb"
     assert run(["goldbach-validate", "--x-max", "1500", "--N", "30",
-                "--prime-cutoff", "100000", "--out", str(out)]) == 0
+                "--out", str(out)]) == 0
     assert (out / "goldbach.csv").exists()
     assert (out / "goldbach.svg").exists()
     assert "brute-force cross-check" in capsys.readouterr().out

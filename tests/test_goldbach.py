@@ -19,7 +19,7 @@ import pytest
 import mfun
 from mfun.errors import RangeError
 from mfun.goldbach import (
-    MIN_PRIME_CUTOFF,
+    TWIN_PRIME_CONSTANT,
     X_MAX_GUARD,
     a2_curve,
     brute_force_sums,
@@ -30,13 +30,12 @@ from mfun.goldbach import (
     sieve_lambda,
     singular_series,
     singular_series_all,
-    twin_prime_constant,
 )
 
 LOG2, LOG3, LOG5 = math.log(2), math.log(3), math.log(5)
 
-# [DERIVED] 2M-prime partial product at 30 digits (mpmath)
-C2_ORACLE = 0.660161837203508125
+# [DERIVED] the infinite product C_2 = prod_{p>2} (1 - 1/(p-1)^2) (OEIS A005597)
+C2_INFINITE = 0.66016181584686957392781211001455
 
 
 @pytest.fixture(scope="module")
@@ -156,32 +155,40 @@ def test_goldbach_csv_independent_of_threads(tmp_path):
         out = tmp_path / threads
         proc = subprocess.run(
             [sys.executable, "-m", "mfun.cli", "goldbach-validate",
-             "--x-max", "20000", "--N", "30", "--prime-cutoff", "100000",
-             "--out", str(out)],
+             "--x-max", "20000", "--N", "30", "--out", str(out)],
             env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         outputs.append((out / "goldbach.csv").read_bytes())
     assert outputs[0] == outputs[1]
 
 
-def test_twin_prime_constant(table):
-    assert twin_prime_constant(2 * 10 ** 6) == pytest.approx(
-        C2_ORACLE, abs=1e-12)
+def test_twin_prime_constant():
+    """The literal is the product over the odd primes p <= 10^7, recomputed
+    here by math.fsum over the logs, and lies above the infinite product
+    by no more than the dropped factors allow."""
+    primes = primes_up_to(10 ** 7)[1:].tolist()
+    product = math.exp(math.fsum(math.log1p(-1.0 / (p - 1) ** 2)
+                                 for p in primes))
+    assert abs(TWIN_PRIME_CONSTANT - product) <= 2 * math.ulp(product)
+    excess = TWIN_PRIME_CONSTANT / C2_INFINITE - 1.0
+    # the factors over p > 10^7 multiply to at least 1 - 1/10^7
+    assert 0.0 < excess <= 2.0 / 10 ** 7
 
 
 def test_singular_series_values():
-    c2 = twin_prime_constant(10 ** 5)
-    assert singular_series(3, 10 ** 5) == 0.0
-    assert singular_series(4, 10 ** 5) == pytest.approx(2 * c2, rel=1e-9)
-    assert singular_series(6, 10 ** 5) == pytest.approx(4 * c2, rel=1e-9)
-    assert singular_series(30, 10 ** 5) == pytest.approx(
+    c2 = TWIN_PRIME_CONSTANT
+    assert singular_series(3) == 0.0
+    assert singular_series(4) == pytest.approx(2 * c2, rel=1e-9)
+    assert singular_series(6) == pytest.approx(4 * c2, rel=1e-9)
+    assert singular_series(30) == pytest.approx(
         2 * c2 * 2.0 * (4.0 / 3.0), rel=1e-9)
 
 
 def test_singular_series_reduction_matches_product():
-    """S_2 from the sieve equals the truncated double Euler product."""
-    cutoff = MIN_PRIME_CUTOFF
-    s2 = singular_series_all(10 ** 4, cutoff)
+    """S_2 from the sieve equals the double Euler product truncated at
+    10^5, within the bound on the factors that truncation drops."""
+    cutoff = 10 ** 5
+    s2 = singular_series_all(10 ** 4)
     odd_primes = [int(p) for p in primes_up_to(cutoff)[1:]]
     tail = 2.0 / cutoff   # analytic bound for the dropped factors
     for n in (4, 6, 10, 12, 90, 2310, 9240, 9998):
@@ -193,11 +200,11 @@ def test_singular_series_reduction_matches_product():
         assert abs(s2[n] - prod) <= abs(prod) * tail + 1e-12
 
 
-def singular_series_loop(x_max, prime_cutoff):
+def singular_series_loop(x_max):
     """Oracle: S_2(n) for all n <= x_max by one strided multiply per odd
     prime up to x_max/2, in ascending order."""
     s2 = np.zeros(x_max + 1)
-    s2[2::2] = 2.0 * twin_prime_constant(prime_cutoff)
+    s2[2::2] = 2.0 * TWIN_PRIME_CONSTANT
     for p in primes_up_to(x_max // 2)[1:]:
         s2[2 * p::2 * p] *= (p - 1.0) / (p - 2.0)
     return s2
@@ -208,27 +215,26 @@ def singular_series_loop(x_max, prime_cutoff):
 def test_singular_series_split_matches_loop(x_max):
     """The small/large prime split multiplies in the loop's order: equal
     bit for bit."""
-    assert np.array_equal(singular_series_all(x_max, MIN_PRIME_CUTOFF),
-                          singular_series_loop(x_max, MIN_PRIME_CUTOFF))
+    assert np.array_equal(singular_series_all(x_max),
+                          singular_series_loop(x_max))
 
 
 def test_singular_series_all_matches_scalar():
     """The sieve equals scalar trial division at every even n <= 10^4 and
     at 200 seeded even n up to 10^7, all read from one 10^7 array."""
-    cutoff = MIN_PRIME_CUTOFF
-    s2 = singular_series_all(10 ** 4, cutoff)
+    s2 = singular_series_all(10 ** 4)
     assert s2[1::2].tolist() == [0.0] * 5000
     for n in range(2, 10 ** 4 + 1, 2):
-        assert s2[n] == singular_series(n, cutoff), n
+        assert s2[n] == singular_series(n), n
     rng = np.random.Generator(np.random.Philox(key=np.uint64(17)))
     sample = 2 * rng.integers(1, 5 * 10 ** 6, 200, endpoint=True)
-    s2 = singular_series_all(10 ** 7, cutoff)
+    s2 = singular_series_all(10 ** 7)
     for n in sample.tolist():
-        assert s2[n] == singular_series(n, cutoff), n
+        assert s2[n] == singular_series(n), n
 
 
 def test_a2_recurrence(table):
-    sums = a2_curve(table, MIN_PRIME_CUTOFF)
+    sums = a2_curve(table)
     n = np.arange(len(sums.a2), dtype=float)
     steps = sums.r2 - n * sums.s2
     assert sums.a2[0] == pytest.approx(0.0)
@@ -240,7 +246,7 @@ def test_a2_recurrence(table):
 def test_a2_compensated_sum_within_bound():
     """Sampled prefixes of A_2 against math.fsum, within the stated bound."""
     x = 200000
-    sums = a2_curve(sieve_lambda(x), MIN_PRIME_CUTOFF)
+    sums = a2_curve(sieve_lambda(x))
     steps = sums.r2 - np.arange(x + 1, dtype=float) * sums.s2
     u = 2.0 ** -53
     for k in np.linspace(0, x, 60).astype(int).tolist():
@@ -252,14 +258,14 @@ def test_a2_compensated_sum_within_bound():
 
 
 def test_a2_matches_brute_force(table):
-    sums = a2_curve(table, MIN_PRIME_CUTOFF)
+    sums = a2_curve(table)
     a2b = brute_force_sums(table, sums.s2).a2
     assert np.max(np.abs(a2b[:2001] - sums.a2[:2001])) <= 1e-9 * float(
         np.max(np.abs(a2b[:2001])))
 
 
 def test_compare_main_term_rows(table, coeffs):
-    sums = a2_curve(table, MIN_PRIME_CUTOFF)
+    sums = a2_curve(table)
     rows = compare_main_term(sums, coeffs, 20, [100, 1000, 2999])
     assert [r["x"] for r in rows] == [100, 1000, 2999]
     for r in rows:
@@ -269,7 +275,7 @@ def test_compare_main_term_rows(table, coeffs):
 
 
 def test_compare_main_term_range_guard(table, coeffs):
-    sums = a2_curve(table, MIN_PRIME_CUTOFF)
+    sums = a2_curve(table)
     with pytest.raises(RangeError):
         compare_main_term(sums, coeffs, 20, [100, 10 ** 6])
 

@@ -3,8 +3,8 @@ below.
 
 A target the tracer cannot resolve reads 0 and is only listed as absent,
 so a renamed function (``singular_series_all``, ``hardy_z``,
-``verify_table``, a density kernel) would silently drop its per-layer
-metrics.  The tracer module is loaded from its file, read and not changed,
+``verify_table``, a density kernel, ``phasor_sum``, a test-function
+method) would silently drop its per-layer metrics.  The tracer module is loaded from its file, read and not changed,
 and nothing is installed.
 """
 
@@ -42,3 +42,13 @@ def test_density_targets_resolve(tracer):
                                     "mfun.cli"])
 def test_arithmetic_targets_resolve(tracer, module):
     assert unresolved(tracer, module) == []
+
+
+@pytest.mark.parametrize("module, absent", [
+    ("mfun.spectral", []),
+    # the tracer still lists f_series here, but empirical no longer calls it
+    ("mfun.empirical", ["f_series"]),
+    ("mfun.testfuncs", []),
+])
+def test_compare_targets_resolve(tracer, module, absent):
+    assert unresolved(tracer, module) == absent
