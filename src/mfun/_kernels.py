@@ -1,8 +1,8 @@
 """The hot kernels, in numpy.
 
 Everything here is vectorized numpy: one table-driven phase exponential,
-``expi``, for every e^{i theta} (f_series, phasor_sum, f_grid, the test
-functions and the Bessel far field), the Bessel functions J0 and J1
+``expi``, for every e^{i theta} (f_series, phasor_sum, f_grid_chunks, the
+test functions and the Bessel far field), the Bessel functions J0 and J1
 (``j0_arr``, ``j1_arr``: stored polynomials below x0 = 20, Hankel's
 expansion above), and numpy's FFT for the far field of the
 Fourier-Bessel sum on its uniform grid (``hankel_sum``).  Loops run over
@@ -10,12 +10,12 @@ chunks or cache-sized blocks to keep peak memory bounded.
 
 No kernel reduces through BLAS, whose summation order can change with the
 matrix shape and the thread count.  The phase sums ``f_series`` and
-``phasor_sum`` add their terms in ascending m, one running sum per output
-element, so each result depends only on its own alpha or angle row: it is
-the same double whatever the number of points evaluated together, the
-chunking and the thread count.  ``expi``, ``j0_arr`` and ``j1_arr`` are
-elementwise too: a value depends only on its own argument, not on the
-block it falls in.
+``phasor_sum`` share ``_ascending_sum``, which takes the angles a cache
+block of points at a time and adds the terms in ascending m, one running
+sum per point, so a result depends only on its own alpha or angle row,
+not on the points evaluated with it, the blocking or the thread count.
+``expi``, ``j0_arr`` and ``j1_arr`` are elementwise too: a value depends
+only on its own argument, not on the block it falls in.
 ``hankel_sum`` on a Schloemilch grid (r uniform from 0, nodes j_{0,k}/R
 with R = r[-1]) sums near pairs directly and the far field with FFTs in
 dyadic blocks of rows: a value depends on r_i and the grid's point
@@ -25,13 +25,9 @@ output along its own row with numpy's pairwise summation, so a value
 depends only on its own r_i.
 
 Time averages evaluate f_N on the uniform grid alpha_j = j*h with
-``f_grid``, which factors each phase as a per-block phasor times a table
-row over blocks of ``GRID_BLOCK`` nodes aligned to the absolute index j.
-Its terms are also added in ascending m, elementwise, so a value depends
-only on j: not on the chunk it is computed in or the thread count.  It
-differs from the exact sum by at most u * sum_m c_m (3 gamma_m alpha_j +
-beta_m + 2N + 16), u = 2^-53 (see ``f_grid``); the direct ``f_series``
-carries the same order of phase rounding, u * gamma_m * alpha_j per term.
+``f_grid_chunks``, which factors each phase as a per-block phasor times a
+table row over blocks of ``GRID_BLOCK`` nodes aligned to the absolute
+index j, so a value depends only on j; its docstring bounds the error.
 """
 
 import math
@@ -40,10 +36,9 @@ import numpy as np
 
 from . import _bessel_table
 
-# Chunk sizes keep intermediate matrices around ~32 MB.
-_F_CHUNK = 1 << 19
+# Elements per chunk of _hankel_direct's r x rho product matrix (32 MiB).
 _HANKEL_CHUNK = 1 << 22
-# Nodes per block of f_grid's factored phases.
+# Nodes per block of f_grid_chunks' factored phases.
 GRID_BLOCK = 1 << 10
 
 # expi reduces x to k * 2pi/L + d with |d| <= pi/L.  2pi = P1 + P2 + P3 to
@@ -291,23 +286,26 @@ def expi(x):
     return out
 
 
-def _ascending_sum(theta, c):
-    """sum_m c_m * exp(i*theta[m]) for an (N, n) angle matrix.
+def _ascending_sum(angles, c, n):
+    """sum_m c_m * exp(i*theta[m]) at n points, with angles(lo, hi) the
+    (N, hi - lo) angle block theta[:, lo:hi] of the points lo .. hi-1.
 
-    The running sum adds the rows c_m * expi(theta[m]) in ascending m, an
-    elementwise add over the points for the real and the imaginary part,
-    so a point's value does not depend on the other points.  The points
-    are taken a cache-sized block at a time.
+    The blocks are cache-sized, so no N x n matrix is built.  The running
+    sum adds the rows c_m * expi(theta[m]) in ascending m, an elementwise
+    add over the points for the real and the imaginary part, so a point's
+    value does not depend on the other points or on the block it falls in.
     """
-    out = np.empty(theta.shape[1], dtype=np.complex128)
+    c = np.asarray(c, dtype=np.float64)
+    out = np.empty(n, dtype=np.complex128)
     step = max(1, _EXPI_BLOCK // c.size)
-    for lo in range(0, out.size, step):
-        terms = expi(theta[:, lo:lo + step])
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        terms = expi(angles(lo, hi))
         parts = terms.view(np.float64).reshape(c.size, -1)   # (re, im) pairs
         parts *= c[:, None]
         for m in range(1, c.size):
             terms[0] += terms[m]
-        out[lo:lo + step] = terms[0]
+        out[lo:hi] = terms[0]
     return out
 
 
@@ -315,55 +313,43 @@ def f_series(alpha, c, gamma, beta):
     """sum_m c_m * exp(i*(alpha*gamma_m - beta_m)) for each alpha.
 
     alpha: (n,) real; c, gamma, beta: (N,) real.  Returns (n,) complex.
-    Each term is c_m * ``expi`` of its phase.  The terms are added in
-    ascending m with no BLAS reduction, so each value does not depend on n
-    or on the ``_F_CHUNK`` split: a single alpha gives bit for bit the
-    matching element of an array call.
+    Each term is c_m * ``expi`` of its phase, built one block of alphas at
+    a time.  The terms are added in ascending m with no BLAS reduction, so
+    each value does not depend on n or on the block split: a single alpha
+    gives bit for bit the matching element of an array call.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
     gamma = np.asarray(gamma, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
-    out = np.empty(alpha.shape, dtype=np.complex128)
-    for lo in range(0, alpha.size, _F_CHUNK):
-        hi = min(lo + _F_CHUNK, alpha.size)
-        phase = np.multiply.outer(gamma, alpha[lo:hi]) - beta[:, None]
-        out[lo:hi] = _ascending_sum(phase, c)
-    return out
+    return _ascending_sum(
+        lambda lo, hi: np.multiply.outer(gamma, alpha[lo:hi]) - beta[:, None],
+        c, alpha.size)
 
 
-def f_grid(start, count, h, c, gamma, beta):
-    """f_series at the uniform nodes alpha_j = j*h, j = start .. start+count-1.
+def f_grid_chunks(start, stop, chunk, h, c, gamma, beta):
+    """f_series at the nodes j*h, j = start .. stop-1, in chunk-node pieces.
 
     With j = b*K + k, K = GRID_BLOCK, each term factors as
 
         c_m e^{i(gamma_m alpha_j - beta_m)} = V[b, m] * T[m, k],
         V[b, m] = e^{i(gamma_m (b*K)*h - beta_m)},  T[m, k] = c_m e^{i gamma_m k*h},
 
-    so a call takes one ``expi`` per block and per table entry instead of
-    one per node.  The outer products V[:, m] x T[m] are added in ascending
-    m, elementwise into one buffer: no BLAS reduction.  Blocks are aligned
-    to the absolute index j, so a value depends only on j, not on start,
-    count or the thread count.
+    so a sweep takes one ``expi`` per block and per table entry instead of
+    one per node; the table T is built once for the whole sweep.  The outer
+    products V[:, m] x T[m] are added in ascending m, elementwise into one
+    buffer: no BLAS reduction.  Blocks are aligned to the absolute index j,
+    so a value depends only on j, not on start, stop, chunk or the thread
+    count.
 
     Error bound against the exact sum over the exact real j*h: with
     u = 2^-53 and each part of ``expi`` within 4u,
 
-        |f_grid[j] - sum_m c_m e^{i(gamma_m j h - beta_m)}|
+        |f_j - sum_m c_m e^{i(gamma_m j h - beta_m)}|
             <= u * sum_m c_m (3 gamma_m alpha_j + beta_m + 2N + 16).
 
     The first two terms are the rounding of the phases (the direct
     ``f_series`` carries the same u * gamma_m * alpha_j), the rest bounds
     the phase exponentials, products and the N-term running sum.
-    """
-    return next(f_grid_chunks(start, start + count, count, h, c, gamma, beta))
-
-
-def f_grid_chunks(start, stop, chunk, h, c, gamma, beta):
-    """``f_grid`` over the nodes start .. stop-1, in pieces of chunk nodes.
-
-    The N x GRID_BLOCK table T is built once for the whole sweep; each
-    piece equals the ``f_grid`` call over the same nodes bit for bit.
     """
     c = np.asarray(c, dtype=np.float64)
     gamma = np.asarray(gamma, dtype=np.float64)
@@ -398,8 +384,7 @@ def phasor_sum(theta, c):
     phases are that row.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    return _ascending_sum(theta.T, c)
+    return _ascending_sum(lambda lo, hi: theta[lo:hi].T, c, theta.shape[0])
 
 
 def char_prod(rho, c):

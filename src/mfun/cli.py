@@ -169,21 +169,22 @@ def cmd_zeros_verify(config: argparse.Namespace, out: Path) -> int:
                ["index", "gamma", "verified", "residual"],
                zip(range(1, len(gammas) + 1), gammas, verified.tolist(),
                    residuals.tolist()))
-    bad = (np.flatnonzero(~verified) + 1).tolist()
+    failures = [f"verification FAILED at index {i + 1} (gamma {gammas[i]}): "
+                f"residual {residuals[i]:.3e} > tol {config.tol}"
+                for i in np.flatnonzero(~verified).tolist()]
     count_rows = []
-    count_bad = False
     for t in np.linspace(COUNTING_T_MIN, gammas[-1], 20):
         observed, expected = counting_check(table, float(t))
-        ok = abs(observed - expected) <= COUNTING_SLACK
-        count_bad |= not ok
-        count_rows.append((t, observed, expected, ok))
+        gap = abs(observed - expected)
+        count_rows.append((t, observed, expected, gap <= COUNTING_SLACK))
+        if gap > COUNTING_SLACK:
+            failures.append(f"counting check FAILED at T = {t:.6g}: observed "
+                            f"{observed}, expected {expected:.3f}, "
+                            f"|difference| {gap:.3f} > slack {COUNTING_SLACK}")
     _write_csv(out / "zeros_counting.csv",
                ["T", "observed", "expected", "within_slack"], count_rows)
-    if bad:
-        print(f"verification FAILED at indices {bad}")
-        return EXIT_FAIL
-    if count_bad:
-        print("counting check FAILED (possible gap in the table)")
+    if failures:
+        print("\n".join(failures))
         return EXIT_FAIL
     print(f"all {len(gammas)} ordinates verified (tol {config.tol})")
     return EXIT_OK
@@ -262,20 +263,28 @@ def cmd_compare(config: argparse.Namespace, out: Path) -> int:
               + [f"alpha_X{int(x)}" for x in ladder]
               + [f"disc_X{int(x)}" for x in ladder] + ["trend"])
     rows = []
-    failed = False
+    failures = []
     for row in report.rows:
         trend = ("ok" if row.trend_ok else "fail") if trend_usable \
             else "insufficient-X"
         rows.append([row.phi, row.density_value, row.haar_value,
                      *row.alpha_values, *row.discrepancies, trend])
-        if row.discrepancies[-1] > COMPARE_TOLERANCE:
-            failed = True
-        if abs(row.haar_value - row.density_value) > COMPARE_TOLERANCE:
-            failed = True
+        checks = {f"|alpha average - density| at X = {ladder[-1]:g}":
+                  row.discrepancies[-1],
+                  "|haar - density|": abs(row.haar_value - row.density_value)}
+        failures += [f"{row.phi}: {name} is {value:.3e} > tol "
+                     f"{COMPARE_TOLERANCE}" for name, value in checks.items()
+                     if value > COMPARE_TOLERANCE]
         if trend == "fail":
-            failed = True
+            discs = ", ".join(f"{d:.3e}" for d in row.discrepancies)
+            failures.append(f"{row.phi}: discrepancies [{discs}] over X = "
+                            f"{ladder} rise by more than 2x above the floor "
+                            f"{em.TREND_FLOOR}")
     _write_csv(out / "compare.csv", header, rows)
-    failed |= not _weyl_appendix(config, coeffs, out / "compare_weyl.csv", 10)
+    for line in failures:
+        print("compare FAILED for " + line)
+    weyl_ok = _weyl_appendix(config, coeffs, out / "compare_weyl.csv", 10)
+    failed = bool(failures) or not weyl_ok
     print(f"max discrepancy {report.max_discrepancy:.3e} "
           f"({'FAIL' if failed else 'pass'})")
     return EXIT_FAIL if failed else EXIT_OK

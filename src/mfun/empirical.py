@@ -2,7 +2,8 @@
 time averages over the shift parameter, and closed-form Weyl sums.
 
 The Haar and time-average means are both means of Phi over a stream of
-points, summed by one engine (``_stream_sums``) per block of points.
+points (``phasor_sum`` of drawn angles, ``f_grid_chunks`` on the alpha
+grid), summed by one engine (``_stream_sums``) per block of points.
 
 Monte-Carlo uses numpy's Philox generator (a named counter-based RNG with
 a 64-bit seed); angles are drawn as 2*pi times 53-bit-mantissa uniforms,
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import GRID_BLOCK, f_grid, f_grid_chunks, phasor_sum
+from ._kernels import GRID_BLOCK, f_grid_chunks, phasor_sum
 from .density import DensityProfile, integrate_against
 from .errors import MfunError, RangeError
 from .spectral import CoefficientTable
@@ -49,16 +50,16 @@ def _stream_sums(chunks, phis, marks):
     so a sum depends on the points alone, not on how the stream is
     chunked.  Phi is summed in the dtype of its values: float64 for a real
     Phi, complex128 for a complex one.  Returns (one array over marks per
-    Phi, max |w|).
+    Phi, the points w_k at the marks).
     """
     assert _CHUNK % GRID_BLOCK == 0, "a chunk must hold whole grid blocks"
     sums = [[] for _ in phis]
+    points = []
     running = [0.0] * len(phis)   # sum of each Phi over the earlier chunks
-    max_abs = 0.0
     done = 0
     for w in chunks:
-        max_abs = max(max_abs, float(np.max(np.abs(w))))
         here = [k - done for k in marks if done <= k < done + w.size]
+        points += w[here].tolist()
         starts = np.arange(0, w.size, GRID_BLOCK)
         for i, phi in enumerate(phis):
             vals = phi(w)
@@ -70,7 +71,7 @@ def _stream_sums(chunks, phis, marks):
             running[i] = before[-1]
         done += w.size
         w = vals = None   # free them before the next chunk is built
-    return [np.array(s) for s in sums], max_abs
+    return [np.array(s) for s in sums], np.array(points, dtype=np.complex128)
 
 
 def haar_oracle(coeffs: CoefficientTable, n: int, phis, samples: int,
@@ -85,11 +86,16 @@ def haar_oracle(coeffs: CoefficientTable, n: int, phis, samples: int,
         raise RangeError(f"need at least {MIN_HAAR_SAMPLES} samples")
     c = coeffs.c[:n]
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    chunks = (phasor_sum(2.0 * math.pi
-                         * rng.random((min(_CHUNK, samples - lo), n)), c)
-              for lo in range(0, samples, _CHUNK))
-    sums, max_abs = _stream_sums(chunks, phis, [samples - 1])
-    return [(s / samples).item() for s in sums], max_abs
+    peaks = []   # max |S_N| of each chunk
+
+    def draw(lo):
+        w = phasor_sum(2.0 * math.pi
+                       * rng.random((min(_CHUNK, samples - lo), n)), c)
+        peaks.append(float(np.max(np.abs(w))))
+        return w
+    sums, _ = _stream_sums(map(draw, range(0, samples, _CHUNK)), phis,
+                           [samples - 1])
+    return [(s / samples).item() for s in sums], max(peaks)
 
 
 def min_average_length(coeffs: CoefficientTable) -> float:
@@ -110,9 +116,10 @@ def alpha_average_many(coeffs: CoefficientTable, n: int, phis, x_list):
 
     One sweep over the largest X, recording every requested checkpoint;
     returns a list over phis of lists over x_list.  f_N comes from
-    ``f_grid`` in chunks of whole grid blocks, and the Phi sums from the
-    same block-wise engine as ``haar_oracle``, so the means depend neither
-    on ``_CHUNK`` nor on the thread count.
+    ``f_grid_chunks`` in chunks of whole grid blocks, its trapezoid ends
+    included, and the Phi sums from the same block-wise engine as
+    ``haar_oracle``, so the means depend neither on ``_CHUNK`` nor on the
+    thread count.
     """
     coeffs.check_order(n)
     x_list = sorted(float(x) for x in x_list)
@@ -123,14 +130,12 @@ def alpha_average_many(coeffs: CoefficientTable, n: int, phis, x_list):
     marks = [min(int(round(x / h)), total_pts - 1) for x in x_list]
     c, g, b = coeffs.c[:n], coeffs.gamma[:n], coeffs.beta[:n]
     chunks = f_grid_chunks(0, total_pts, _CHUNK, h, c, g, b)
-    sums, _ = _stream_sums(chunks, phis, marks)
-    # a node's f_grid value depends only on its index: the trapezoid ends
-    ends = np.concatenate([f_grid(k, 1, h, c, g, b) for k in [0, *marks]])
+    sums, ends = _stream_sums(chunks, phis, [0, *marks])
     k = np.array(marks, dtype=np.float64)
     out = []
     for phi, s in zip(phis, sums):
         end = phi(ends)
-        out.append(((s - 0.5 * (end[0] + end[1:])) / k).tolist())
+        out.append(((s[1:] - 0.5 * (end[0] + end[1:])) / k).tolist())
     return out
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mfun.cli
 import mfun.density
 import mfun.empirical
 import mfun.goldbach
@@ -98,6 +99,38 @@ def test_zeros_verify_typo_is_failure(tmp_path, capsys):
     assert run(["zeros-verify", "--zeros", str(bad),
                 "--out", str(tmp_path / "o")]) == 1
     assert "5" in capsys.readouterr().out
+
+
+def test_zeros_verify_failure_names_residual_and_tol(tmp_path, monkeypatch,
+                                                      capsys):
+    """A failed ordinate prints its index, its residual and the tolerance."""
+    index = np.arange(100)
+    monkeypatch.setattr(mfun.cli, "verify_table", lambda table, tol: (
+        index != 4, np.where(index == 4, 0.25, 0.0)))
+    assert run(["zeros-verify", "--out", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert re.fullmatch(r"verification FAILED at index 5 "
+                        r"\(gamma 32\.935\d+\): residual 2\.500e-01 "
+                        r"> tol 1e-06\n", out), out
+
+
+def test_counting_failure_names_count_and_slack(tmp_path, monkeypatch,
+                                                capsys):
+    """A failed counting check prints T, both counts and the slack."""
+    index = np.arange(100)
+    monkeypatch.setattr(mfun.cli, "verify_table",
+                        lambda table, tol: (index >= 0, 0.0 * index))
+    real = mfun.cli.counting_check
+
+    def shifted(table, t):
+        observed, expected = real(table, t)
+        return observed + 3 * (t == 25.0), expected
+    monkeypatch.setattr(mfun.cli, "counting_check", shifted)
+    assert run(["zeros-verify", "--out", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert re.fullmatch(r"counting check FAILED at T = 25: observed 5, "
+                        r"expected 2\.391, \|difference\| 2\.609 > slack 2\n",
+                        out), out
 
 
 def test_zeros_verify_missing_file_is_usage_error(tmp_path):
@@ -210,6 +243,41 @@ def test_compare_small(tmp_path, capsys, coeffs):
     phis = default_test_functions(support_radius(coeffs, 6))
     means, _ = haar_oracle(coeffs, 6, phis, 100000, seed=1)
     assert [row[2] for row in rows] == [_fmt(m) for m in means]
+
+
+def test_compare_failures_name_row_and_check(tmp_path, monkeypatch, capsys):
+    """Each failed compare check prints its row, its value and its bound,
+    and the CSVs are written as on a pass."""
+    monkeypatch.setattr(mfun.cli, "COMPARE_TOLERANCE", 0.0)
+    real = mfun.empirical.compare_report
+
+    def first_trend_fails(*args, **kwargs):
+        report = real(*args, **kwargs)
+        rows = (dataclasses.replace(report.rows[0], trend_ok=False),
+                *report.rows[1:])
+        return dataclasses.replace(report, rows=rows)
+    monkeypatch.setattr(mfun.empirical, "compare_report", first_trend_fails)
+    assert run(["compare", "--N", "6", "--samples", "100000",
+                "--X", "20000", "--out", str(tmp_path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    phi = r"compare FAILED for (rectangle|disc|gaussian|character)\(.*\): "
+    value = r"\d\.\d{3}e[-+]\d\d"
+    alpha = [ln for ln in out if re.fullmatch(
+        phi + rf"\|alpha average - density\| at X = 20000 is {value} "
+        r"> tol 0\.0", ln)]
+    haar = [ln for ln in out if re.fullmatch(
+        phi + rf"\|haar - density\| is {value} > tol 0\.0", ln)]
+    trend = [ln for ln in out if re.fullmatch(
+        phi + rf"discrepancies \[{value}, {value}, {value}\] over "
+        r"X = \[200\.0, 2000\.0, 20000\.0\] rise by more than 2x above "
+        r"the floor 0\.002", ln)]
+    assert (len(alpha), len(haar), len(trend)) == (8, 8, 1), out
+    assert trend[0].startswith("compare FAILED for rectangle(")
+    assert re.fullmatch(rf"max discrepancy {value} \(FAIL\)", out[-1])
+    with open(tmp_path / "compare.csv", newline="") as fh:
+        trends = [row[-1] for row in csv.reader(fh)][1:]
+    assert trends == ["fail"] + ["ok"] * 7
+    assert (tmp_path / "compare_weyl.csv").exists()
 
 
 @pytest.mark.parametrize("args", [

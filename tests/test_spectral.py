@@ -83,16 +83,21 @@ def test_phase_sums_independent_of_batch(coeffs, monkeypatch):
     """f_series and phasor_sum values do not depend on the points around them.
 
     Both kernels add their terms in ascending m, so a value is the same
-    double alone, inside a batch, and on either side of a chunk boundary.
+    double alone, inside a batch, and on either side of a block edge.
     """
     n = 25
     c, g, b = coeffs.c[:n], coeffs.gamma[:n], coeffs.beta[:n]
-    alphas = np.linspace(0.0, 1e3, 200)
+    alphas = np.linspace(0.0, 1e3, 700)
     whole = _kernels.f_series(alphas, c, g, b)
-    monkeypatch.setattr(_kernels, "_F_CHUNK", 64)
-    chunked = _kernels.f_series(alphas, c, g, b)
-    assert np.array_equal(chunked, whole)
-    for i in (0, 62, 63, 64, 65, 127, 128, 199):
+    edges = [_kernels._EXPI_BLOCK // n]
+    monkeypatch.setattr(_kernels, "_EXPI_BLOCK", 64 * n)
+    edges.append(_kernels._EXPI_BLOCK // n)
+    blocked = _kernels.f_series(alphas, c, g, b)
+    assert np.array_equal(blocked, whole)
+    picks = {0, alphas.size - 1}
+    for edge in edges:
+        picks |= {edge - 2, edge - 1, edge, edge + 1, 2 * edge - 1, 2 * edge}
+    for i in sorted(picks):
         assert _kernels.f_series(alphas[i:i + 1], c, g, b)[0] == whole[i]
 
     seed = 11
@@ -107,7 +112,8 @@ def test_phase_sums_independent_of_batch(coeffs, monkeypatch):
 
 @pytest.mark.parametrize("n", [10, 100])
 def test_f_grid_matches_mpmath_within_bound(coeffs, n):
-    """f_grid against an mpmath sum at block and chunk edges and alpha ~ 1e6.
+    """f_grid_chunks against an mpmath sum at block and chunk edges and
+    alpha ~ 1e6.
 
     The grid is the one the time averages use up to X = 1e6; the direct
     ``f_series`` at the rounded alpha is held to the same bound.
@@ -127,22 +133,29 @@ def test_f_grid_matches_mpmath_within_bound(coeffs, n):
                             for cm, gm, bm in zip(c, g, b))
             bound = u * float(np.sum(c * (3.0 * g * float(alpha) + b
                                           + 2 * n + 16)))
-            for got in (_kernels.f_grid(j, 1, h, c, g, b)[0],
+            for got in (next(_kernels.f_grid_chunks(j, j + 1, 1,
+                                                    h, c, g, b))[0],
                         _kernels.f_series(np.array([j * h]), c, g, b)[0]):
                 assert float(abs(mp.mpc(got) - exact)) <= bound, (j, got)
 
 
 def test_f_grid_values_depend_only_on_the_index(coeffs):
-    """A node's value is the same alone, in any window and across blocks."""
+    """A node's value is the same alone, in any window, in any chunking
+    and across blocks."""
     n = 10
     c, g, b = coeffs.c[:n], coeffs.gamma[:n], coeffs.beta[:n]
     h = 2.0 * math.pi / (10.0 * g[-1])
     k = _kernels.GRID_BLOCK
     start = (1 << 20) - 2 * k
-    whole = _kernels.f_grid(start, 4 * k + 7, h, c, g, b)
+    stop = start + 4 * k + 7
+    whole = next(_kernels.f_grid_chunks(start, stop, stop - start,
+                                        h, c, g, b))
     for lo, hi in ((0, 1), (k - 1, k + 1), (3, 2 * k + 5), (2 * k, 4 * k + 7)):
-        part = _kernels.f_grid(start + lo, hi - lo, h, c, g, b)
+        part = next(_kernels.f_grid_chunks(start + lo, start + hi, hi - lo,
+                                           h, c, g, b))
         assert np.array_equal(part, whole[lo:hi])
+    pieces = _kernels.f_grid_chunks(start, stop, k + 3, h, c, g, b)
+    assert np.array_equal(np.concatenate(list(pieces)), whole)
 
 
 def test_f_N_bounded_by_support_radius(coeffs):
