@@ -16,13 +16,14 @@ sum per point, so a result depends only on its own alpha or angle row,
 not on the points evaluated with it, the blocking or the thread count.
 ``expi``, ``j0_arr`` and ``j1_arr`` are elementwise too: a value depends
 only on its own argument, not on the block it falls in.
-``hankel_sum`` on a Schloemilch grid (r uniform from 0, nodes j_{0,k}/R
-with R = r[-1]) sums near pairs directly and the far field with FFTs in
-dyadic blocks of rows: a value depends on r_i and the grid's point
-count, and it stays byte-identical across reruns, chunk splits and
-thread counts.  Any other input is summed by ``_hankel_direct``, each
-output along its own row with numpy's pairwise summation, so a value
-depends only on its own r_i.
+``hankel_sum`` takes only the Schloemilch grid of the inversion (r
+uniform from 0 to R = r[-1], nodes j_{0,k}/R), which
+``density.invert_to_density`` checks before it builds the nodes.  It sums
+near pairs directly and the far field with FFTs in dyadic blocks of rows:
+a value depends on r_i and the grid's point count, and it stays
+byte-identical across reruns, chunk splits and thread counts.  Its oracle
+``_hankel_direct`` sums each output along its own row with numpy's
+pairwise summation, so a value there depends only on its own r_i.
 
 Time averages evaluate f_N on the uniform grid alpha_j = j*h with
 ``f_grid_chunks``, which factors each phase as a per-block phasor times a
@@ -51,7 +52,6 @@ _STEP_3 = float.fromhex("0x1.0b4611a626331p-32") / _EXPI_L
 _INV_STEP = float.fromhex("0x1.45f306dc9c883p+9")   # L / 2pi
 _ROUND = 1.5 * 2.0 ** 52   # t + _ROUND - _ROUND rounds t to an integer
 EXPI_LIMIT = 2.0 ** 26
-_U = 2.0 ** -53
 # pi/4 in the same three parts: (4k - 1) * part is exact for the first two
 _QUARTER_PI = tuple(s * (_EXPI_L // 8) for s in (_STEP_1, _STEP_2, _STEP_3))
 # Elements per block: the block's temporaries (about 0.5 MB) stay in cache.
@@ -429,19 +429,6 @@ def _mcmahon_offsets(x):
     return x - q * _QUARTER_PI[0] - q * _QUARTER_PI[1] - q * _QUARTER_PI[2]
 
 
-def _schlomilch(r, rho):
-    """True if r_i = i R/(n - 1), R = r[-1] > 0, to 4 ulps and every
-    rho_k R lies within ``_MCMAHON_E`` of (k - 1/4) pi."""
-    if (r.ndim != 1 or r.size < 2 or rho.ndim != 1 or rho.size == 0
-            or not r[-1] > 0.0):
-        return False
-    grid = np.arange(r.size) * (r[-1] / (r.size - 1))
-    # NaN compares false, so it fails both tests
-    return bool(np.all(np.abs(r - grid) <= 4.0 * _U * grid)
-                and np.all(np.abs(_mcmahon_offsets(rho * r[-1]))
-                           <= _MCMAHON_E))
-
-
 def _far_coefficients(x, g):
     """The far-field coefficients of ``hankel_sum``: a (M + P - 1, K) array
     whose row d + M - 1 holds, for d = -(M - 1) .. P - 1,
@@ -509,13 +496,13 @@ def hankel_sum(r, rho, g):
     """sum_k g_k * J0(rho_k * r_i) for each r_i.
 
     This is the Fourier-Bessel series of the radial Fourier inversion; g
-    carries its coefficients.  An input is summed as ``_hankel_direct``
-    does it, one J0 per pair and each row its own pairwise sum, unless it
-    has the Schloemilch structure of the inversion grid: r_i = i R/(n - 1),
-    R = r[-1], to 4 ulps, and every x_k = rho_k R within e_max =
-    ``_MCMAHON_E`` of (k - 1/4) pi, as for the nodes rho_k = j_{0,k}/R
-    (McMahon: 0 < j_{0,k} - (k - 1/4) pi <= 0.04863).  Then rho_k r_i is
-    x_k t_i with t_i = i/(n - 1), and the rows are summed in dyadic blocks
+    carries its coefficients.  The input must have the Schloemilch
+    structure of the inversion grid, which ``density.invert_to_density``
+    checks and builds: n >= 2 points r_i = i R/(n - 1), R = r[-1] > 0, to
+    4 ulps, and the nodes rho_k = j_{0,k}/R, so that every x_k = rho_k R
+    lies within e_max = ``_MCMAHON_E`` of (k - 1/4) pi (McMahon:
+    0 < j_{0,k} - (k - 1/4) pi <= 0.04863).  Then rho_k r_i is x_k t_i
+    with t_i = i/(n - 1), and the rows are summed in dyadic blocks
     i in [2^b, 2^{b+1}); row 0 is sum_k g_k.
 
     - Pairs with x_k t < x0 = ``_HANKEL_X0`` at the block's first row are
@@ -557,16 +544,14 @@ def hankel_sum(r, rho, g):
     0.6u sqrt(y) of J0(y), its phase reduced exactly by ``expi``.  At
     x0 = 20, M = 20, P = 8: E_M = 9.3e-17, E_P = 1.4e-16.
 
-    On a Schloemilch grid a value depends on r_i and the grid's point
-    count (its block and FFT length), besides rho and g.  numpy's FFT and
-    every sum here run in a fixed order, so the result is byte-identical
-    across reruns, ``_HANKEL_CHUNK`` splits and thread counts.
+    A value depends on r_i and the grid's point count (its block and FFT
+    length), besides rho and g.  numpy's FFT and every sum here run in a
+    fixed order, so the result is byte-identical across reruns,
+    ``_HANKEL_CHUNK`` splits and thread counts.
     """
     r = np.asarray(r, dtype=np.float64)
     rho = np.asarray(rho, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
-    if not _schlomilch(r, rho):
-        return _hankel_direct(r, rho, g)
     n, size = r.size, rho.size
     x = rho * r[-1]
     length = 2 * (n - 1)

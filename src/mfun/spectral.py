@@ -68,20 +68,24 @@ def analytic_tail_remainder(gamma_max: float, p: int) -> float:
             / (2 * math.pi * gamma_max ** q))
 
 
-def tail_bound(table: CoefficientTable, n: int) -> float:
-    """Upper bound for sum of c_m over m > n (table tail + analytic rest)."""
+def tail_bound(table: CoefficientTable, n: int, power: int = 1) -> float:
+    """Upper bound for sum of c_m^power over m > n: the table's terms past
+    n plus ``analytic_tail_remainder`` at p = 2 power, as c_m^power <
+    gamma_m^(-2 power).  power 1 bounds the limit's support radius,
+    power 2 the characteristic-function gap of its error budget."""
     table.check_order(n)
-    return float(np.sum(table.c[n:])) + analytic_tail_remainder(
-        float(table.gamma[-1]), 2)
+    return float(np.sum(table.c[n:] ** power)) + analytic_tail_remainder(
+        float(table.gamma[-1]), 2 * power)
 
 
 def eval_f_N(table: CoefficientTable, n: int, alpha):
-    """Finite sum f_N(alpha); alpha may be a scalar or an array.
+    """Finite sum f_N(alpha) for a scalar alpha or an array of any shape.
 
     A scalar alpha returns bit for bit the matching element of an array
     call: the kernel sums each point on its own, in ascending m.
     """
     table.check_order(n)
-    arr = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
-    out = f_series(arr, table.c[:n], table.gamma[:n], table.beta[:n])
-    return complex(out[0]) if np.isscalar(alpha) else out
+    arr = np.asarray(alpha, dtype=np.float64)
+    out = f_series(arr.reshape(-1), table.c[:n], table.gamma[:n],
+                   table.beta[:n])
+    return complex(out[0]) if np.isscalar(alpha) else out.reshape(arr.shape)

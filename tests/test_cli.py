@@ -210,12 +210,15 @@ def run_process(args, out, timeout, **env):
 
 def test_density_and_compare_independent_of_threads(tmp_path):
     """Order 25 sums its Hankel series directly; order 5 on 512 points
-    and the order-6 inversion of compare take the FFT path."""
+    and the order-6 inversion of compare take the FFT path.  zeros-verify
+    and weyl run too (goldbach-validate has its own test)."""
     density = ("density.csv", "density_meta.json")
     runs = [(["density", "--N", "25"], density),
             (["density", "--N", "5", "--r-points", "512"], density),
             (["compare", "--N", "6", "--samples", "100000", "--X", "20000"],
-             ("compare.csv",))]
+             ("compare.csv", "compare_weyl.csv")),
+            (["zeros-verify"], ("zeros_report.csv", "zeros_counting.csv")),
+            (["weyl", "--count", "50", "--seed", "1"], ("weyl.csv",))]
     outputs = []
     for threads in ("1", "2"):
         files = {}

@@ -5,6 +5,7 @@ quadrature of the defining angular integral (independent of the Bessel
 implementation); J0's first root 2.404825557695773 pins the scale.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +21,6 @@ from mfun.density import (
     _limit_error_budget,
     _radial_integral,
     _spline,
-    _tail_sq_sum,
     char_M_N,
     convolve_step,
     decay_envelope,
@@ -31,7 +31,7 @@ from mfun.density import (
     support_radius,
 )
 from mfun.errors import PrecisionError, QuadratureError, RangeError
-from mfun.spectral import build_coefficients
+from mfun.spectral import build_coefficients, tail_bound
 from mfun.zeros import ZeroTable
 
 J0_FIRST_ROOT = 2.404825557695773
@@ -135,7 +135,7 @@ def test_limit_error_budget_matches_mpmath_quad(coeffs, n, table):
     if table is not None:
         coeffs = table(coeffs)
     c = coeffs.c[:n]
-    a = 0.25 * _tail_sq_sum(coeffs, n)
+    a = 0.25 * tail_bound(coeffs, n, 2)
     def gap(rho):
         return a * float(rho) ** 2 - 2.0 * direct_envelope(c, float(rho))
     bracket, beyond = _bracket(c, lambda r: gap(r) < 0)
@@ -157,7 +157,7 @@ def test_char_tail_gap_brute(coeffs):
         big = char_M_N(coeffs, 100, rho)
         small = char_M_N(coeffs, n, rho)
         gap = np.abs(big - small)
-        bound = 0.25 * _tail_sq_sum(coeffs, n) * rho ** 2
+        bound = 0.25 * tail_bound(coeffs, n, 2) * rho ** 2
         assert np.all(gap <= bound + 1e-14)
 
 
@@ -186,21 +186,56 @@ def test_inversion_rejects_low_order(coeffs, monkeypatch):
 
 
 @pytest.mark.parametrize("n, grid_order", [(6, 6), (10, 10), (25, 25),
-                                           (5, 10), (25, 10)])
+                                           (5, 10)])
 def test_inversion_builds_its_nodes(coeffs, n, grid_order):
-    """The nodes are j_{0,k}/R, R = max(r_grid[-1], s), out to the cutoff.
+    """The nodes are j_{0,k}/R, R = r_grid[-1], out to the cutoff.
 
     Order 5 on the order-10 grid has R = 1.1 s_10 > s_5, as in the
-    convolution chain of criterion 4; the order-10 grid ends before s_25,
-    so order 25 on it has R = s_25."""
+    convolution chain of criterion 4."""
     r_grid = default_r_grid(coeffs, grid_order, 64)
     d = invert_to_density(coeffs, n, r_grid)
-    radius = max(r_grid[-1], support_radius(coeffs, n))
+    radius = r_grid[-1]
     rho = d.rho_grid
     assert np.allclose(rho * radius, _j0_zeros(rho.size),
                        rtol=1e-12, atol=0.0)
     assert decay_envelope(coeffs.c[:n], rho[-1])[0] <= ENVELOPE_CUTOFF
     assert np.array_equal(d.characteristic, char_M_N(coeffs, n, rho))
+
+
+def _off_grid(coeffs, kind):
+    """An r grid past s_10 that is not uniform from r = 0."""
+    top = 1.1 * support_radius(coeffs, 10)
+    if kind == "geomspace":
+        return np.concatenate(([0.0], np.geomspace(1e-3, top, 511)))
+    return np.linspace(0.01, top, 512)
+
+
+@pytest.mark.parametrize("kind, order, error", [
+    ("geomspace", 10, QuadratureError), ("above_zero", 10, QuadratureError),
+    ("single_point", 10, QuadratureError), ("inside_support", 25, RangeError)])
+def test_inversion_refuses_off_grid_r(coeffs, monkeypatch, kind, order,
+                                      error):
+    """A grid off the uniform grid from 0, or one that ends inside the
+    support (the order-10 grid at order 25), is refused before any node
+    is built."""
+    r = default_r_grid(coeffs, 10, 512)
+    if kind == "single_point":
+        r = r[-1:]
+    elif kind != "inside_support":
+        r = _off_grid(coeffs, kind)
+    def fail(*args, **kwargs):
+        raise AssertionError("nodes built before the grid check")
+    monkeypatch.setattr(mfun.density, "default_rho_grid", fail)
+    with pytest.raises(error):
+        invert_to_density(coeffs, order, r)
+
+
+def test_mcmahon_offsets_within_bound():
+    """The nodes that ``invert_to_density`` builds meet the McMahon offset
+    bound that ``hankel_sum``'s far field assumes: 0 < e_k <= e_max."""
+    e = _kernels._mcmahon_offsets(_j0_zeros(10 ** 5))
+    assert e.min() > 0.0
+    assert e.max() <= _kernels._MCMAHON_E
 
 
 def test_fourier_round_trip(coeffs):
@@ -280,25 +315,6 @@ def test_hankel_sum_within_stated_bound(coeffs, monkeypatch, order, points,
         assert np.array_equal(got, direct)
 
 
-def test_hankel_sum_without_grid_structure_is_direct(coeffs):
-    """A non-uniform grid, a single point, and nodes j_{0,k}/R with
-    R > r[-1] are summed bit for bit as the direct sum sums them."""
-    r = default_r_grid(coeffs, 10, 600)
-    d = invert_to_density(coeffs, 10, r)
-    rho = d.rho_grid
-    g = rho * d.characteristic
-    bent = r[-1] * np.linspace(0.0, 1.0, r.size) ** 2
-    for x in (bent, r[300:301], r[-1:]):
-        assert np.array_equal(_kernels.hankel_sum(x, rho, g),
-                              _kernels._hankel_direct(x, rho, g))
-    # order 25 on the order-10 grid: R = s_25 > r[-1]
-    d = invert_to_density(coeffs, 25, r)
-    assert d.support_radius > r[-1]
-    g = d.rho_grid * d.characteristic
-    assert np.array_equal(_kernels.hankel_sum(r, d.rho_grid, g),
-                          _kernels._hankel_direct(r, d.rho_grid, g))
-
-
 def test_invert_limit_density_budget(coeffs):
     d = invert_limit_density(coeffs, 2.0)
     assert d.order >= 5
@@ -363,11 +379,10 @@ def test_radial_integral_error_term():
 
 @pytest.mark.parametrize("start", ["geomspace", "above_zero"])
 def test_integrate_against_rejects_other_grids(coeffs, start):
+    """A profile built by hand on another grid is refused by the rule."""
     n = 10
-    top = 1.1 * support_radius(coeffs, n)
-    r = (np.concatenate(([0.0], np.geomspace(1e-3, top, 511)))
-         if start == "geomspace" else np.linspace(0.01, top, 512))
-    d = invert_to_density(coeffs, n, r)
+    d = invert_to_density(coeffs, n, default_r_grid(coeffs, n, 512))
+    d = dataclasses.replace(d, r_grid=_off_grid(coeffs, start))
     with pytest.raises(QuadratureError):
         integrate_against(d, TestFunction.one())
 

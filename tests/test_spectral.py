@@ -77,6 +77,10 @@ def test_f_N_vectorized_consistent(coeffs):
     vec = eval_f_N(coeffs, 25, alphas)
     for a, v in zip(alphas, vec):
         assert eval_f_N(coeffs, 25, float(a)) == pytest.approx(v, abs=0.0)
+    # an n-D alpha gives its own shape, each value as in the 1-D call
+    grid = eval_f_N(coeffs, 25, alphas[:6].reshape(2, 3))
+    assert grid.shape == (2, 3)
+    assert np.array_equal(grid, vec[:6].reshape(2, 3))
 
 
 def test_phase_sums_independent_of_batch(coeffs, monkeypatch):
@@ -173,8 +177,9 @@ def test_tail_bound_decreasing_and_positive(coeffs):
 def test_tail_bound_dominates_table_tail(coeffs):
     # the bound at order n must cover the summed table tail beyond n
     for n in (10, 60):
-        table_tail = float(np.sum(coeffs.c[n:]))
-        assert tail_bound(coeffs, n) >= table_tail
+        for power in (1, 2):
+            table_tail = float(np.sum(coeffs.c[n:] ** power))
+            assert tail_bound(coeffs, n, power) >= table_tail
 
 
 def test_analytic_tail_remainder_monotone():
