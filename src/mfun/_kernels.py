@@ -18,9 +18,9 @@ not on the points evaluated with it, the blocking or the thread count.
 only on its own argument, not on the block it falls in.
 ``hankel_sum`` takes only the Schloemilch grid of the inversion (r
 uniform from 0 to R = r[-1], nodes j_{0,k}/R), which
-``density.invert_to_density`` checks before it builds the nodes.  It sums
-near pairs directly and the far field with FFTs in dyadic blocks of rows:
-a value depends on r_i and the grid's point count, and it stays
+``density.invert_to_density`` builds from its point count and radius.
+It sums near pairs directly and the far field with FFTs in dyadic blocks
+of rows: a value depends on r_i and the grid's point count, and it stays
 byte-identical across reruns, chunk splits and thread counts.  Its oracle
 ``_hankel_direct`` sums each output along its own row with numpy's
 pairwise summation, so a value there depends only on its own r_i.
@@ -498,12 +498,12 @@ def hankel_sum(r, rho, g):
     This is the Fourier-Bessel series of the radial Fourier inversion; g
     carries its coefficients.  The input must have the Schloemilch
     structure of the inversion grid, which ``density.invert_to_density``
-    checks and builds: n >= 2 points r_i = i R/(n - 1), R = r[-1] > 0, to
-    4 ulps, and the nodes rho_k = j_{0,k}/R, so that every x_k = rho_k R
-    lies within e_max = ``_MCMAHON_E`` of (k - 1/4) pi (McMahon:
-    0 < j_{0,k} - (k - 1/4) pi <= 0.04863).  Then rho_k r_i is x_k t_i
-    with t_i = i/(n - 1), and the rows are summed in dyadic blocks
-    i in [2^b, 2^{b+1}); row 0 is sum_k g_k.
+    builds: n >= 2 points r_i = i R/(n - 1) (``np.linspace(0, R, n)``),
+    R = r[-1] > 0, and the nodes rho_k = j_{0,k}/R, so that every
+    x_k = rho_k R lies within e_max = ``_MCMAHON_E`` of (k - 1/4) pi
+    (McMahon: 0 < j_{0,k} - (k - 1/4) pi <= 0.04863).  Then rho_k r_i is
+    x_k t_i with t_i = i/(n - 1), and the rows are summed in dyadic
+    blocks i in [2^b, 2^{b+1}); row 0 is sum_k g_k.
 
     - Pairs with x_k t < x0 = ``_HANKEL_X0`` at the block's first row are
       summed directly, with the same products r_i rho_k and pairwise row

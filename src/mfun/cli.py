@@ -67,7 +67,7 @@ _OPTIONS = {
     "count": Option(int, 50, f"in [1, {MAX_WEYL_COUNT}]",
                     lambda v: 1 <= v <= MAX_WEYL_COUNT),
     "seed": Option(int, 1, "in [0, 2^64)", lambda v: 0 <= v < 2 ** 64),
-    "r_points": Option(int, 4096, f"in [2, {MAX_R_POINTS}]",
+    "r_points": Option(int, dn.R_GRID_POINTS, f"in [2, {MAX_R_POINTS}]",
                        lambda v: 2 <= v <= MAX_R_POINTS),
     "tol": Option(float, 1e-6, "positive and finite",
                   lambda v: 0 < v < math.inf),
@@ -195,8 +195,7 @@ def cmd_density(config: argparse.Namespace, out: Path) -> int:
     if config.eps > 0:
         d = dn.invert_limit_density(coeffs, config.eps, config.r_points)
     else:
-        r_grid = dn.default_r_grid(coeffs, config.N, config.r_points)
-        d = dn.invert_to_density(coeffs, config.N, r_grid)
+        d = dn.invert_to_density(coeffs, config.N, config.r_points)
     _write_csv(out / "characteristic.csv", ["rho", "value"],
                np.column_stack([d.rho_grid, d.characteristic]))
     _write_csv(out / "density.csv", ["r", "value"],
@@ -255,8 +254,7 @@ def cmd_compare(config: argparse.Namespace, out: Path) -> int:
     phis = default_test_functions(dn.support_radius(coeffs, n))
     haar_means, _ = em.haar_oracle(coeffs, n, phis, config.samples,
                                    config.seed)
-    d = dn.invert_to_density(coeffs, n,
-                             dn.default_r_grid(coeffs, n, config.r_points))
+    d = dn.invert_to_density(coeffs, n, config.r_points)
     report = em.compare_report(coeffs, n, haar_means, d, phis,
                                x_ladder=ladder)
     header = (["phi", "density", "haar"]

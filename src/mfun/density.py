@@ -12,13 +12,16 @@ M_N vanishes beyond s = sum_{n<=N} c_n, so on any [0, R] with R >= s it is
 a Fourier-Bessel series whose coefficients are the characteristic function
 at the nodes j_{0,k}/R (the sampling theorem of the discrete Hankel
 transform); that series is the inversion used here.  ``invert_to_density``
-is its one entry point.  It takes only an r grid uniform from 0 to
-R = r_grid[-1] >= s, on which ``hankel_sum`` sums the series fast, and
-refuses any other before it does any work.  It builds the nodes k = 1..K
-itself, up to the first node past the point where the |J0| amplitude
-envelope of the characteristic function falls below ENVELOPE_CUTOFF;
-cutting the series there is its only error.  Radial integrals use one
-rule, the trapezoid plus an Euler-Maclaurin end term at r = 0.
+is its one entry point.  It takes a point count and a radius R >= s
+(1.1 s by default), refusing anything else before it does any work, and
+builds from them the one grid the series is summed on,
+r_i = i R/(points - 1); a ``DensityProfile`` stores that radius and its
+values, and derives its r grid from them.  It builds the nodes
+k = 1..K itself, up to the first node past the point where the |J0|
+amplitude envelope of the characteristic function falls below
+ENVELOPE_CUTOFF; cutting the series there is its only error.  Radial
+integrals use one rule, the trapezoid plus an Euler-Maclaurin end term
+at r = 0.
 
 Planar measure is normalized as |dw| = du dv / (2*pi), so total mass is
 integral_0^inf r * M_N(r) dr.
@@ -27,7 +30,7 @@ integral_0^inf r * M_N(r) dr.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -39,7 +42,7 @@ from .testfuncs import TestFunction
 
 __all__ = [
     "DensityProfile", "char_M_N", "support_radius",
-    "default_r_grid", "default_rho_grid", "check_inversion_order",
+    "default_rho_grid", "check_inversion_order",
     "invert_to_density", "limit_order", "invert_limit_density",
     "convolve_step", "integrate_against",
 ]
@@ -53,12 +56,14 @@ R_GRID_POINTS = 4096
 class DensityProfile:
     """Radial density samples r -> M_N(r), with bookkeeping.
 
-    An inversion also holds its Fourier-Bessel nodes ``rho_grid`` and the
-    characteristic function there.  A limit density (``error_budget``
-    set) is M_order, within that certified scaled sup-error of the
-    N -> inf limit, and its support radius is the limit's.
+    The samples lie on r_grid = linspace(0, radius, values.size), which is
+    derived from those two and cannot be set.  An inversion also holds its
+    Fourier-Bessel nodes ``rho_grid`` and the characteristic function
+    there.  A limit density (``error_budget`` set) is M_order, within that
+    certified scaled sup-error of the N -> inf limit, and its support
+    radius is the limit's.
     """
-    r_grid: np.ndarray
+    radius: float
     values: np.ndarray
     order: int
     support_radius: float
@@ -66,6 +71,11 @@ class DensityProfile:
     rho_grid: np.ndarray | None = None
     characteristic: np.ndarray | None = None
     error_budget: float | None = None
+    r_grid: np.ndarray = field(init=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "r_grid",
+                           np.linspace(0.0, self.radius, self.values.size))
 
     @property
     def peak(self) -> float:
@@ -126,11 +136,6 @@ def _envelope_cutoff_rho(c: np.ndarray, threshold: float) -> float:
     return math.exp(2.0 * (log_k[j] - math.log(threshold)) / j)
 
 
-def default_r_grid(coeffs: CoefficientTable, n: int,
-                   points: int = R_GRID_POINTS) -> np.ndarray:
-    return np.linspace(0.0, 1.1 * support_radius(coeffs, n), points)
-
-
 @lru_cache(maxsize=16)
 def _j0_zeros(k: int) -> np.ndarray:
     """The first k positive zeros j_{0,1..k} of J0, read-only and cached.
@@ -155,7 +160,7 @@ def _j0_zeros(k: int) -> np.ndarray:
 def default_rho_grid(coeffs: CoefficientTable, n: int,
                      radius: float) -> np.ndarray:
     """Fourier-Bessel nodes j_{0,k}/R, k = 1..K, of the order-n inversion
-    on [0, R], R = radius (``invert_to_density`` passes R = r_grid[-1] >= s).
+    on [0, R], R = radius (``invert_to_density`` passes its radius R >= s).
 
     K = ceil(rho_cut R / pi) + 1, so the last node (j_{0,K} > (K - 1/4) pi)
     lies beyond the cutoff rho_cut where the amplitude envelope of the
@@ -175,16 +180,18 @@ def check_inversion_order(n: int) -> None:
 
 
 def invert_to_density(coeffs: CoefficientTable, n: int,
-                      r_grid) -> DensityProfile:
-    """The order-n density M_n on r_grid, by Fourier-Bessel inversion.
+                      points: int = R_GRID_POINTS,
+                      radius: float | None = None) -> DensityProfile:
+    """The order-n density M_n at r_i = i R/(points - 1), R = radius, by
+    Fourier-Bessel inversion.
 
     Requires order >= 5 (below that the truncated density need not be
-    bounded; use the Monte-Carlo route instead) and the grid that
-    ``hankel_sum`` sums on: at least 2 points r_i = i R/(n - 1), uniform
-    from 0 to 4 ulps (QuadratureError otherwise), with R = r_grid[-1] at
-    or past the support radius s (RangeError otherwise).  Both checks come
-    before any node is built.  With the nodes rho_k = j_{0,k}/R of
-    ``default_rho_grid``, exactly for a density supported in [0, s],
+    bounded; use the Monte-Carlo route instead), points >= 2
+    (QuadratureError otherwise) and a finite R at or past the support
+    radius s (RangeError otherwise); R defaults to 1.1 s.  The checks come
+    in that order, before any node is built.  With the nodes
+    rho_k = j_{0,k}/R of ``default_rho_grid``, exactly for a density
+    supported in [0, s],
 
         M(r) = sum_k 2 phi(rho_k) J0(rho_k r) / (R J1(j_{0,k}))**2,
         integral_0^R r M(r) dr = sum_k 2 phi(rho_k) / (j_{0,k} J1(j_{0,k})).
@@ -197,29 +204,24 @@ def invert_to_density(coeffs: CoefficientTable, n: int,
     profile keeps the nodes and phi.
     """
     check_inversion_order(n)
-    r_grid = np.asarray(r_grid, dtype=np.float64)
-    if r_grid.ndim != 1 or r_grid.size < 2:
-        raise QuadratureError("inversion needs an r grid of >= 2 points")
-    radius = float(r_grid[-1])
-    uniform = np.arange(r_grid.size) * (radius / (r_grid.size - 1))
-    # 4 ulps: 4u, u = 2^-53; NaN compares false, so it fails too
-    if not np.all(np.abs(r_grid - uniform) <= 2.0 ** -51 * uniform):
-        raise QuadratureError("inversion needs an r grid uniform from r = 0")
-    # freed here: kept alive through the Hankel sum, it stops the heap
-    # from shrinking and adds up to 1.7 MiB to compare's peak RSS
-    del uniform
+    if points < 2:
+        raise QuadratureError(f"inversion needs >= 2 r points, got {points}")
     s = support_radius(coeffs, n)
-    if not radius >= s:
-        raise RangeError(f"r grid ends at {radius:.6g} < support {s:.6g}")
+    radius = 1.1 * s if radius is None else float(radius)
+    # the chained comparison also refuses NaN
+    if not s <= radius < math.inf:
+        raise RangeError(f"inversion radius {radius:.6g} is not finite "
+                         f"and >= support {s:.6g}")
     rho = default_rho_grid(coeffs, n, radius)
     phi = char_M_N(coeffs, n, rho)
     jk = _j0_zeros(rho.size)
     j1k = j1_arr(jk)
     coef = 2.0 * phi
-    values = hankel_sum(r_grid, rho, coef / (radius * j1k) ** 2)
+    values = hankel_sum(np.linspace(0.0, radius, points), rho,
+                        coef / (radius * j1k) ** 2)
     mass = float(np.sum(coef / (jk * j1k)))
     return DensityProfile(
-        r_grid=r_grid, values=values, order=n, support_radius=s,
+        radius=radius, values=values, order=n, support_radius=s,
         mass=mass, rho_grid=rho, characteristic=phi)
 
 
@@ -276,11 +278,11 @@ def invert_limit_density(coeffs: CoefficientTable, eps: float,
                          points: int = R_GRID_POINTS) -> DensityProfile:
     """Density of the full limit, to a certified scaled sup-error <= eps.
 
-    Inverts at the order n that ``limit_order`` picks for eps, on the
-    default r grid of that order with the given number of points.
+    Inverts at the order n that ``limit_order`` picks for eps, with the
+    given number of points on the default radius of that order.
     """
     n, budget = limit_order(coeffs, eps)
-    density = invert_to_density(coeffs, n, default_r_grid(coeffs, n, points))
+    density = invert_to_density(coeffs, n, points)
     return replace(density, error_budget=budget,
                    support_radius=support_radius(coeffs, n, limit=True))
 
@@ -294,8 +296,8 @@ def convolve_step(density: DensityProfile, c: float) -> DensityProfile:
         raise ValueError("radius must be nonnegative")
     if density.error_budget is not None or density.order < MIN_INVERSION_ORDER:
         raise RangeError("convolve_step needs a finite order >= 5 input")
-    r = density.r_grid
-    h = r[1] - r[0]
+    r, radius = density.r_grid, density.radius
+    h = radius / (r.size - 1)
     if c != 0.0 and c < 4 * h:
         raise QuadratureError(
             f"grid step {h:.3e} too coarse to resolve circle radius {c:.3e}")
@@ -309,11 +311,11 @@ def convolve_step(density: DensityProfile, c: float) -> DensityProfile:
     arg = np.sqrt(np.maximum(
         r[:, None] ** 2 + c * c - 2.0 * c * r[:, None] * np.cos(theta)[None, :],
         0.0))
-    vals = np.where(arg <= r[-1], _spline(r, density.values, arg), 0.0)
+    vals = np.where(arg <= radius, _spline(density.values, radius, arg), 0.0)
     new_values = vals @ wts
-    mass = float(_radial_integral(r, new_values))
+    mass = float(_radial_integral(new_values, radius))
     return DensityProfile(
-        r_grid=r, values=new_values, order=density.order + 1,
+        radius=radius, values=new_values, order=density.order + 1,
         support_radius=density.support_radius + c, mass=mass)
 
 
@@ -322,9 +324,10 @@ _SPLINE_POLE = math.sqrt(3.0) - 2.0
 _SPLINE_TAPS = 30
 
 
-def _spline(r: np.ndarray, values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The cubic spline interpolating values on the uniform grid r from 0,
-    at each x in [0, r[-1]] (larger x are clamped to r[-1]).
+def _spline(values: np.ndarray, radius: float, x: np.ndarray) -> np.ndarray:
+    """The cubic spline interpolating values on linspace(0, R, n), R =
+    radius, n = values.size, at each x in [0, R] (larger x are clamped
+    to R).
 
     The spline is sum_j c_j B3(x/h - j), B3 the cubic B-spline, with the
     values mirrored about both ends: about r = 0 that is the radial
@@ -335,14 +338,14 @@ def _spline(r: np.ndarray, values: np.ndarray, x: np.ndarray) -> np.ndarray:
     applied here as one convolution truncated at |k| <= 30, where
     |z|^30 < 1e-17.
     """
-    n = r.size
-    h = r[-1] / (n - 1)
+    n = values.size
+    h = radius / (n - 1)
     ext = np.pad(values, _SPLINE_TAPS + 1, mode="reflect")
     taps = math.sqrt(3.0) * _SPLINE_POLE ** np.abs(
         np.arange(-_SPLINE_TAPS, _SPLINE_TAPS + 1))
     # c_{-1} .. c_n
     coef = np.convolve(ext, taps, mode="valid")
-    t = np.minimum(x, r[-1]) / h
+    t = np.minimum(x, radius) / h
     i = np.minimum(np.floor(t), n - 2)
     u = t - i
     i = i.astype(np.intp)
@@ -356,17 +359,17 @@ def _spline(r: np.ndarray, values: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _radial_integral(r: np.ndarray, g: np.ndarray):
-    """integral_0^R r g(r) dr on r = linspace(0, R, n): the trapezoid rule
-    plus the Euler-Maclaurin end term h^2 g(0)/12, which cancels the error
-    of the kink of r g at r = 0 exactly.  For a smooth even g vanishing
-    near R the rule exceeds the integral by h^4 g''(0)/240 + O(h^6); at a
-    jump of g the error is O(h).  QuadratureError unless r is uniform from 0.
+def _radial_integral(g: np.ndarray, radius: float):
+    """integral_0^R r g(r) dr for g sampled on r = linspace(0, R, n),
+    R = radius, n = g.size: the trapezoid rule plus the Euler-Maclaurin
+    end term h^2 g(0)/12, which cancels the error of the kink of r g at
+    r = 0 exactly.  For a smooth even g vanishing near R the rule exceeds
+    the integral by h^4 g''(0)/240 + O(h^6); at a jump of g the error is
+    O(h).
     """
-    h = r[-1] / (r.size - 1)
-    if r[0] != 0.0 or np.max(np.abs(np.diff(r) - h)) > 1e-9 * h:
-        raise QuadratureError("radial rule needs a uniform grid from r = 0")
-    return h * (np.sum(r * g) - 0.5 * r[-1] * g[-1]) + h * h * g[0] / 12.0
+    r = np.linspace(0.0, radius, g.size)
+    h = radius / (g.size - 1)
+    return h * (np.sum(r * g) - 0.5 * radius * g[-1]) + h * h * g[0] / 12.0
 
 
 def integrate_against(density: DensityProfile, phi: TestFunction):
@@ -374,7 +377,6 @@ def integrate_against(density: DensityProfile, phi: TestFunction):
 
     Radial reduction: integral of r * M(r) * angular-average of Phi.
     """
-    r = density.r_grid
-    avg = phi.angular_average(r)
-    out = _radial_integral(r, density.values * avg)
+    avg = phi.angular_average(density.r_grid)
+    out = _radial_integral(density.values * avg, density.radius)
     return complex(out) if np.iscomplexobj(avg) else float(out)

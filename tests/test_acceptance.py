@@ -29,7 +29,6 @@ from mfun._kernels import j0_arr
 from mfun.cli import NORMALIZED_RESIDUAL_BOUND, default_test_functions
 from mfun.density import (
     convolve_step,
-    default_r_grid,
     integrate_against,
     invert_to_density,
     support_radius,
@@ -61,7 +60,7 @@ def densities(coeffs):
     out = {}
     for n in (5, 10, 25):
         t0 = time.monotonic()
-        d = invert_to_density(coeffs, n, default_r_grid(coeffs, n))
+        d = invert_to_density(coeffs, n)
         out[n] = (d, time.monotonic() - t0)
     return out
 
@@ -137,7 +136,7 @@ def test_criterion_03_bound_suite(coeffs):
 
 def test_criterion_04_route_equivalence(coeffs, densities):
     t0 = time.monotonic()
-    d = invert_to_density(coeffs, 5, default_r_grid(coeffs, 10))
+    d = invert_to_density(coeffs, 5, radius=1.1 * support_radius(coeffs, 10))
     for m in range(5, 10):
         d = convolve_step(d, float(coeffs.c[m]))
     direct = densities[10][0]

@@ -24,7 +24,6 @@ from mfun.density import (
     char_M_N,
     convolve_step,
     decay_envelope,
-    default_r_grid,
     integrate_against,
     invert_limit_density,
     invert_to_density,
@@ -169,7 +168,7 @@ def test_support_radius_values(coeffs):
 
 def test_inversion_mass_and_positivity(coeffs):
     n = 6
-    d = invert_to_density(coeffs, n, default_r_grid(coeffs, n, 1024))
+    d = invert_to_density(coeffs, n, 1024)
     assert abs(d.mass - 1.0) <= 1e-6
     assert d.values.min() >= -1e-6 * d.peak
     assert d.leakage <= 1e-4
@@ -182,19 +181,19 @@ def test_inversion_rejects_low_order(coeffs, monkeypatch):
         raise AssertionError("nodes built before the order check")
     monkeypatch.setattr(mfun.density, "default_rho_grid", fail)
     with pytest.raises(RangeError):
-        invert_to_density(coeffs, 3, default_r_grid(coeffs, 3, 256))
+        invert_to_density(coeffs, 3, 256)
 
 
 @pytest.mark.parametrize("n, grid_order", [(6, 6), (10, 10), (25, 25),
                                            (5, 10)])
 def test_inversion_builds_its_nodes(coeffs, n, grid_order):
-    """The nodes are j_{0,k}/R, R = r_grid[-1], out to the cutoff.
+    """The nodes are j_{0,k}/R, R = radius, out to the cutoff.
 
     Order 5 on the order-10 grid has R = 1.1 s_10 > s_5, as in the
     convolution chain of criterion 4."""
-    r_grid = default_r_grid(coeffs, grid_order, 64)
-    d = invert_to_density(coeffs, n, r_grid)
-    radius = r_grid[-1]
+    radius = 1.1 * support_radius(coeffs, grid_order)
+    d = invert_to_density(coeffs, n, 64, radius)
+    assert d.radius == radius
     rho = d.rho_grid
     assert np.allclose(rho * radius, _j0_zeros(rho.size),
                        rtol=1e-12, atol=0.0)
@@ -202,32 +201,40 @@ def test_inversion_builds_its_nodes(coeffs, n, grid_order):
     assert np.array_equal(d.characteristic, char_M_N(coeffs, n, rho))
 
 
-def _off_grid(coeffs, kind):
-    """An r grid past s_10 that is not uniform from r = 0."""
-    top = 1.1 * support_radius(coeffs, 10)
-    if kind == "geomspace":
-        return np.concatenate(([0.0], np.geomspace(1e-3, top, 511)))
-    return np.linspace(0.01, top, 512)
-
-
 @pytest.mark.parametrize("kind, order, error", [
-    ("geomspace", 10, QuadratureError), ("above_zero", 10, QuadratureError),
-    ("single_point", 10, QuadratureError), ("inside_support", 25, RangeError)])
+    ("single_point", 10, QuadratureError), ("inside_support", 25, RangeError),
+    ("infinite_radius", 10, RangeError), ("nan_radius", 10, RangeError)])
 def test_inversion_refuses_off_grid_r(coeffs, monkeypatch, kind, order,
                                       error):
-    """A grid off the uniform grid from 0, or one that ends inside the
-    support (the order-10 grid at order 25), is refused before any node
-    is built."""
-    r = default_r_grid(coeffs, 10, 512)
-    if kind == "single_point":
-        r = r[-1:]
-    elif kind != "inside_support":
-        r = _off_grid(coeffs, kind)
+    """A single r point, or a radius that is not finite or ends inside
+    the support (the order-10 radius at order 25), is refused before any
+    node is built."""
+    s10 = 1.1 * support_radius(coeffs, 10)
+    points, radius = {"single_point": (1, s10), "inside_support": (512, s10),
+                      "infinite_radius": (512, math.inf),
+                      "nan_radius": (512, math.nan)}[kind]
     def fail(*args, **kwargs):
         raise AssertionError("nodes built before the grid check")
     monkeypatch.setattr(mfun.density, "default_rho_grid", fail)
     with pytest.raises(error):
-        invert_to_density(coeffs, order, r)
+        invert_to_density(coeffs, order, points, radius)
+
+
+def test_profile_grid_is_linspace(coeffs):
+    """Every profile's r grid is linspace(0, R, n) bit for bit, R its
+    radius, and cannot be set: a hand-made grid is refused at once."""
+    s10 = 1.1 * support_radius(coeffs, 10)
+    direct = invert_to_density(coeffs, 10, 512)
+    limit = invert_limit_density(coeffs, 2.0, 300)
+    chained = convolve_step(invert_to_density(coeffs, 5, 512, s10),
+                            float(coeffs.c[5]))
+    assert direct.radius == chained.radius == s10
+    assert limit.radius == 1.1 * support_radius(coeffs, limit.order)
+    for d in (direct, limit, chained):
+        grid = np.linspace(0.0, d.radius, d.values.size)
+        assert d.r_grid.tobytes() == grid.tobytes()
+    with pytest.raises(ValueError):
+        dataclasses.replace(direct, r_grid=np.linspace(0.01, s10, 512))
 
 
 def test_mcmahon_offsets_within_bound():
@@ -241,7 +248,7 @@ def test_mcmahon_offsets_within_bound():
 def test_fourier_round_trip(coeffs):
     """Forward transform of the inverted density reproduces M_tilde."""
     n = 10
-    d = invert_to_density(coeffs, n, default_r_grid(coeffs, n, 2048))
+    d = invert_to_density(coeffs, n, 2048)
     h = d.r_grid[1] - d.r_grid[0]
     probe = np.linspace(0.0, 0.5 * d.rho_grid[-1], 40)
     w = np.full(d.r_grid.size, h)
@@ -257,9 +264,8 @@ def test_hankel_sum_independent_of_batch(coeffs, monkeypatch):
     and across chunks.  The grid path, which takes the FFT on this grid,
     gives the same bytes on a rerun and across chunk splits."""
     n = 10
-    r = default_r_grid(coeffs, n, 300)
-    d = invert_to_density(coeffs, n, r)
-    rho = d.rho_grid
+    d = invert_to_density(coeffs, n, 300)
+    r, rho = d.r_grid, d.rho_grid
     g = rho * d.characteristic
     whole = _kernels._hankel_direct(r, rho, g)
     grid = _kernels.hankel_sum(r, rho, g)
@@ -297,9 +303,8 @@ def test_hankel_sum_within_stated_bound(coeffs, monkeypatch, order, points,
                                         fft):
     """The grid path against the direct sum, on the inversion's own
     coefficients, within the docstring's bound; order 25 stays direct."""
-    r = default_r_grid(coeffs, order, points)
-    d = invert_to_density(coeffs, order, r)
-    rho = d.rho_grid
+    d = invert_to_density(coeffs, order, points)
+    r, rho = d.r_grid, d.rho_grid
     g = 2.0 * d.characteristic / (r[-1] * _kernels.j1_arr(rho * r[-1])) ** 2
     calls = []
     far_rows = _kernels._far_rows
@@ -332,10 +337,10 @@ def test_invert_limit_density_floor(coeffs):
 def test_convolve_step_matches_direct(coeffs):
     """Adding one circle by angular convolution equals direct inversion."""
     n = 6
-    r_grid = default_r_grid(coeffs, n + 1, 1024)
-    d7c = convolve_step(invert_to_density(coeffs, n, r_grid),
+    radius = 1.1 * support_radius(coeffs, n + 1)
+    d7c = convolve_step(invert_to_density(coeffs, n, 1024, radius),
                         float(coeffs.c[n]))
-    d7 = invert_to_density(coeffs, n + 1, r_grid)
+    d7 = invert_to_density(coeffs, n + 1, 1024)
     assert np.max(np.abs(d7c.values - d7.values)) <= 1e-4 * d7.peak
     assert abs(d7c.mass - 1.0) <= 1e-5
 
@@ -346,17 +351,17 @@ def test_spline_interpolates_within_cubic_bound():
     within the cubic spline bound 5/384 h^4 max|f^(4)|, max|f^(4)| = 12."""
     r = np.linspace(0.0, 6.0, 301)
     f = np.exp(-r * r)
-    assert np.max(np.abs(_spline(r, f, r) - f)) <= 1e-15
+    assert np.max(np.abs(_spline(f, 6.0, r) - f)) <= 1e-15
     x = np.random.Generator(np.random.Philox(key=np.uint64(3))).uniform(
         0.0, 6.0, 5000)
     h = r[1] - r[0]
-    assert np.max(np.abs(_spline(r, f, x) - np.exp(-x * x))) <= (
+    assert np.max(np.abs(_spline(f, 6.0, x) - np.exp(-x * x))) <= (
         5.0 / 384.0 * h ** 4 * 12.0)
 
 
 def test_integrate_against_one_is_mass(coeffs):
     n = 6
-    d = invert_to_density(coeffs, n, default_r_grid(coeffs, n, 1024))
+    d = invert_to_density(coeffs, n, 1024)
     # the mass field is the exact Fourier-Bessel sum, while this is the
     # radial rule on the r grid, whose h^4 error needs a smooth M; M_6 is
     # not smooth (its transform decays only like rho^-3)
@@ -364,7 +369,7 @@ def test_integrate_against_one_is_mass(coeffs):
         1.0, abs=5e-5)
     # M_10 is smooth enough for the rule to meet the exact mass
     n = 10
-    d = invert_to_density(coeffs, n, default_r_grid(coeffs, n, 4096))
+    d = invert_to_density(coeffs, n, 4096)
     assert integrate_against(d, TestFunction.one()) == pytest.approx(
         d.mass, abs=1e-12)
 
@@ -373,24 +378,14 @@ def test_radial_integral_error_term():
     """On exp(-r^2) the rule is off by its leading term h^4 g''(0)/240."""
     r = np.linspace(0.0, 8.0, 257)
     predicted = r[1] ** 4 * -2.0 / 240.0   # g''(0) = -2
-    err = _radial_integral(r, np.exp(-r * r)) - 0.5 * (1.0 - math.exp(-64.0))
+    err = _radial_integral(np.exp(-r * r), 8.0) - 0.5 * (1.0 - math.exp(-64.0))
     assert err == pytest.approx(predicted, rel=1e-3)
-
-
-@pytest.mark.parametrize("start", ["geomspace", "above_zero"])
-def test_integrate_against_rejects_other_grids(coeffs, start):
-    """A profile built by hand on another grid is refused by the rule."""
-    n = 10
-    d = invert_to_density(coeffs, n, default_r_grid(coeffs, n, 512))
-    d = dataclasses.replace(d, r_grid=_off_grid(coeffs, start))
-    with pytest.raises(QuadratureError):
-        integrate_against(d, TestFunction.one())
 
 
 def test_integrate_against_annulus_partition(coeffs):
     """Annuli partitioning the support account for the whole mass."""
     n = 6
-    d = invert_to_density(coeffs, n, default_r_grid(coeffs, n, 1024))
+    d = invert_to_density(coeffs, n, 1024)
     edges = np.linspace(0.0, float(d.r_grid[-1]), 9)
     total = sum(integrate_against(
         d, TestFunction.annulus(float(a), float(b)))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mfun import TestFunction
-from mfun.density import default_r_grid, invert_to_density
+from mfun.density import invert_to_density
 from mfun._kernels import phasor_sum
 from mfun.empirical import (
     ResonanceError,
@@ -244,7 +244,7 @@ def test_weyl_resonance_guard(coeffs):
 
 def test_compare_report_small(coeffs):
     n = 6
-    d = invert_to_density(coeffs, n, default_r_grid(coeffs, n, 1024))
+    d = invert_to_density(coeffs, n, 1024)
     phis = [TestFunction.disc(0.0, 0.006), TestFunction.character(100.0)]
     means, _ = haar_oracle(coeffs, n, phis, 100000, seed=5)
     report = compare_report(coeffs, n, means, d, phis,
@@ -257,7 +257,7 @@ def test_compare_report_small(coeffs):
 
 def test_compare_report_order_mismatch(coeffs):
     n = 6
-    d = invert_to_density(coeffs, n, default_r_grid(coeffs, n, 512))
+    d = invert_to_density(coeffs, n, 512)
     phis = [TestFunction.one()]
     means, _ = haar_oracle(coeffs, 5, phis, 20000, seed=5)   # different order
     with pytest.raises(RangeError):
