@@ -41,6 +41,9 @@ from . import _bessel_table
 _HANKEL_CHUNK = 1 << 22
 # Nodes per block of f_grid_chunks' factored phases.
 GRID_BLOCK = 1 << 10
+# Blocks per group of f_grid_chunks' term sums: one group's terms take
+# 256 KiB, which stays in cache while the N terms are added.
+_GRID_GROUP = 16
 
 # expi reduces x to k * 2pi/L + d with |d| <= pi/L.  2pi = P1 + P2 + P3 to
 # within 2^-85, where P1 and P2 carry 17 significant bits (Cody and Waite),
@@ -63,6 +66,8 @@ _EXPI_BLOCK = 1 << 13
 _HANKEL_X0 = 20.0
 _HANKEL_M = 20
 _HANKEL_P = 8
+# Bytes of far-field spectrum rows that hankel_sum holds at a time.
+_SPECTRUM_BYTES = 8 << 20
 # a_m = (-1)^m prod_{l<=m} (2l - 1)^2 / (m! 8^m), m = 0 .. M-1, are J0's
 # Hankel coefficients a_m(0); J1's are prod_{l<=m} (4 - (2l - 1)^2) / (m! 8^m)
 _HANKEL_A = np.cumprod(
@@ -336,10 +341,15 @@ def f_grid_chunks(start, stop, chunk, h, c, gamma, beta):
 
     so a sweep takes one ``expi`` per block and per table entry instead of
     one per node; the table T is built once for the whole sweep.  The outer
-    products V[:, m] x T[m] are added in ascending m, elementwise into one
-    buffer: no BLAS reduction.  Blocks are aligned to the absolute index j,
+    products V[:, m] x T[m] are added in ascending m, elementwise into the
+    output: no BLAS reduction.  Blocks are aligned to the absolute index j,
     so a value depends only on j, not on start, stop, chunk or the thread
     count.
+
+    Memory: besides the N x K table, a chunk holds its output (chunk
+    complex values, rounded up to whole blocks), its N block phasors and
+    one ``_GRID_GROUP``-block term buffer (256 KiB), reused for the whole
+    sweep: the terms are added a group of blocks at a time.
 
     Error bound against the exact sum over the exact real j*h: with
     u = 2^-53 and each part of ``expi`` within 4u,
@@ -357,6 +367,7 @@ def f_grid_chunks(start, stop, chunk, h, c, gamma, beta):
     k = GRID_BLOCK
     table = expi(np.multiply.outer(gamma, np.arange(k) * h))
     table *= c[:, None]
+    work = np.empty((_GRID_GROUP, k), dtype=np.complex128)
     for lo in range(start, stop, chunk):
         count = min(chunk, stop - lo)
         first = lo // k
@@ -366,11 +377,14 @@ def f_grid_chunks(start, stop, chunk, h, c, gamma, beta):
         block -= beta[:, None]
         block = expi(block)
         out = np.empty((blocks, k), dtype=np.complex128)
-        term = np.empty_like(out)
-        np.multiply(block[0][:, None], table[0], out=out)
-        for m in range(1, c.size):
-            np.multiply(block[m][:, None], table[m], out=term)
-            out += term
+        for g in range(0, blocks, _GRID_GROUP):
+            rows = out[g:g + _GRID_GROUP]
+            v = block[:, g:g + rows.shape[0], None]
+            term = work[:rows.shape[0]]
+            np.multiply(v[0], table[0], out=rows)
+            for m in range(1, c.size):
+                np.multiply(v[m], table[m], out=term)
+                rows += term
         yield out.reshape(-1)[lo - first * k:lo - first * k + count]
 
 
@@ -472,20 +486,34 @@ def _far_rows(folded, lo, hi, n):
 
     One real FFT per power d gives sum_k coef[d, k] e^{-2 pi i k i/L};
     the powers (i t)^d are added by Horner's rule, d >= 0 in i t and
-    d < 0 in 1/(i t).
+    d < 0 in 1/(i t).  The FFTs are taken over groups of rows whose
+    spectra fit ``_SPECTRUM_BYTES``, one group held at a time; a row's
+    spectrum is the same bit for bit in any group, and on grids of up
+    to 19,418 points one group holds all M + P - 1 rows.
     """
-    spec = np.fft.rfft(folded, axis=1)[:, lo:hi]
+    rows = folded.shape[0]
+    group = max(1, _SPECTRUM_BYTES // (16 * (folded.shape[1] // 2 + 1)))
+    first = spectrum = None
+
+    def spec(j):
+        nonlocal first, spectrum
+        if first != j - j % group:
+            first = j - j % group
+            spectrum = None   # free the last group before the next
+            spectrum = np.fft.rfft(folded[first:first + group],
+                                   axis=1)[:, lo:hi]
+        return spectrum[j - first]
     t = np.arange(lo, hi) / (n - 1)
     z, w = 1j * t, -1j / t
     top = _HANKEL_M - 1   # the row of d = 0
-    out = spec[-1].copy()
-    for j in range(spec.shape[0] - 2, top - 1, -1):
+    out = spec(rows - 1).copy()
+    for j in range(rows - 2, top - 1, -1):
         out *= z
-        out += spec[j]
-    tail = spec[0].copy()
+        out += spec(j)
+    tail = spec(0).copy()
     for j in range(1, top):
         tail *= w
-        tail += spec[j]
+        tail += spec(j)
     tail *= w
     out += tail
     out *= expi(0.25 * np.pi * (1.0 + t))

@@ -52,7 +52,7 @@ ENVELOPE_CUTOFF = 1e-10
 R_GRID_POINTS = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityProfile:
     """Radial density samples r -> M_N(r), with bookkeeping.
 
@@ -61,7 +61,8 @@ class DensityProfile:
     Fourier-Bessel nodes ``rho_grid`` and the characteristic function
     there.  A limit density (``error_budget`` set) is M_order, within that
     certified scaled sup-error of the N -> inf limit, and its support
-    radius is the limit's.
+    radius is the limit's.  Profiles compare by identity: their array
+    fields have no single truth value.
     """
     radius: float
     values: np.ndarray
@@ -71,7 +72,7 @@ class DensityProfile:
     rho_grid: np.ndarray | None = None
     characteristic: np.ndarray | None = None
     error_budget: float | None = None
-    r_grid: np.ndarray = field(init=False, compare=False)
+    r_grid: np.ndarray = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "r_grid",

@@ -31,10 +31,15 @@ __all__ = [
 MIN_HAAR_SAMPLES = 10 ** 4
 RESONANCE_FLOOR = 1e-9
 TREND_FLOOR = 2e-3
-# Points per chunk, whole grid blocks.  At N = 10 a chunk's N x _CHUNK angle
-# matrix is 5 MB, which the last-level cache holds; at 2^20 points (80 MB)
-# every pass over a chunk went to main memory.
+# Points per chunk, whole grid blocks: the stream engine holds one chunk of
+# points (1 MiB complex at 2^16) and the values of one Phi on it at a time.
+# Smaller chunks save memory but pay the per-chunk Python overhead more
+# often; at 2^20 points every pass over a chunk went to main memory.
 _CHUNK = 1 << 16
+# Angles per Haar draw block (512 KiB of float64 whatever N is): a chunk's
+# angles are drawn into one reused block buffer, never as a whole N x _CHUNK
+# matrix.
+_DRAW_BLOCK = 1 << 16
 
 
 class ResonanceError(MfunError):
@@ -69,8 +74,9 @@ def _stream_sums(chunks, phis, marks):
             sums[i] += [before[k // GRID_BLOCK]
                         + vals[k - k % GRID_BLOCK:k + 1].sum() for k in here]
             running[i] = before[-1]
+            vals = None   # free them before the next Phi is evaluated
         done += w.size
-        w = vals = None   # free them before the next chunk is built
+        w = None   # free it before the next chunk is built
     return [np.array(s) for s in sums], np.array(points, dtype=np.complex128)
 
 
@@ -80,17 +86,28 @@ def haar_oracle(coeffs: CoefficientTable, n: int, phis, samples: int,
 
     Every Phi is evaluated at every sample, so the means carry sampling
     noise only.  Returns (means list, max |S_N| seen).
+
+    Memory: one (B, N) angle buffer, B * N about ``_DRAW_BLOCK`` angles,
+    is reused for every draw.  Philox fills it row by row in stream order,
+    so the angles, and the means, do not depend on B.  Beyond it the call
+    holds one ``_CHUNK``-point chunk of S_N and the values of one Phi on it.
     """
     coeffs.check_order(n)
     if samples < MIN_HAAR_SAMPLES:
         raise RangeError(f"need at least {MIN_HAAR_SAMPLES} samples")
     c = coeffs.c[:n]
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rows = max(1, _DRAW_BLOCK // n)
+    buf = np.empty((rows, n))
     peaks = []   # max |S_N| of each chunk
 
     def draw(lo):
-        w = phasor_sum(2.0 * math.pi
-                       * rng.random((min(_CHUNK, samples - lo), n)), c)
+        w = np.empty(min(_CHUNK, samples - lo), dtype=np.complex128)
+        for a in range(0, w.size, rows):
+            angles = buf[:min(rows, w.size - a)]
+            rng.random(out=angles)
+            angles *= 2.0 * math.pi
+            w[a:a + angles.shape[0]] = phasor_sum(angles, c)
         peaks.append(float(np.max(np.abs(w))))
         return w
     sums, _ = _stream_sums(map(draw, range(0, samples, _CHUNK)), phis,

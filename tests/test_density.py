@@ -262,7 +262,8 @@ def test_fourier_round_trip(coeffs):
 def test_hankel_sum_independent_of_batch(coeffs, monkeypatch):
     """The direct sum sums each row on its own: the same alone, in a batch
     and across chunks.  The grid path, which takes the FFT on this grid,
-    gives the same bytes on a rerun and across chunk splits."""
+    gives the same bytes on a rerun, across chunk splits and with its
+    spectrum taken in groups of rows."""
     n = 10
     d = invert_to_density(coeffs, n, 300)
     r, rho = d.r_grid, d.rho_grid
@@ -272,6 +273,9 @@ def test_hankel_sum_independent_of_batch(coeffs, monkeypatch):
     assert np.array_equal(_kernels.hankel_sum(r, rho, g), grid)
     monkeypatch.setattr(_kernels, "_HANKEL_CHUNK", 7 * rho.size)
     assert np.array_equal(_kernels._hankel_direct(r, rho, g), whole)
+    assert np.array_equal(_kernels.hankel_sum(r, rho, g), grid)
+    # 5 rows of 300 complex values per group: 6 groups, the last partial
+    monkeypatch.setattr(_kernels, "_SPECTRUM_BYTES", 5 * 16 * 300 + 1)
     assert np.array_equal(_kernels.hankel_sum(r, rho, g), grid)
     for i in (0, 6, 7, 8, 299):
         assert _kernels._hankel_direct(r[i:i + 1], rho, g)[0] == whole[i]
@@ -392,3 +396,45 @@ def test_integrate_against_annulus_partition(coeffs):
         for a, b in zip(edges[:-1], edges[1:]))
     whole = integrate_against(d, TestFunction.one())
     assert total == pytest.approx(whole, abs=1e-6)
+
+
+def test_integrate_against_holds_row_blocks(coeffs):
+    """Each default test function integrates against a 4096-point N = 10
+    profile within 2 MiB of traced memory (one r x nodes point matrix is
+    4 MiB), and a smooth kind's value is bit for bit the one-shot mean
+    over its whole point matrix."""
+    import tracemalloc
+
+    from mfun._kernels import expi
+    from mfun.cli import default_test_functions
+    from mfun.testfuncs import _QUAD_NODES_MIN
+
+    d = invert_to_density(coeffs, 10, 4096)
+    r = d.r_grid
+    for phi in default_test_functions(support_radius(coeffs, 10)):
+        tracemalloc.start()
+        try:
+            got = integrate_against(d, phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 << 20, (phi.label, peak)
+        if phi.kind not in ("gaussian", "character"):
+            continue
+        # the node count of angular_average's periodic trapezoid
+        scale = (abs(phi.params["z"]) * r[-1] if phi.kind == "character"
+                 else r[-1] / phi.params["sigma"])
+        nodes = max(_QUAD_NODES_MIN, 4 * int(scale) + 16)
+        theta = np.linspace(0.0, 2.0 * math.pi, nodes, endpoint=False)
+        oracle = phi(np.outer(r, expi(theta))).mean(axis=1)
+        want = _radial_integral(d.values * oracle, d.radius)
+        assert got == (complex(want) if phi.kind == "character"
+                       else float(want)), phi.label
+
+
+def test_profiles_compare_by_identity(coeffs):
+    """Profiles compare by identity, so == never asks an array field for
+    its truth value."""
+    d = invert_to_density(coeffs, 6, 512)
+    assert d == d
+    assert (d == dataclasses.replace(d, values=d.values.copy())) is False

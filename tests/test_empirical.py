@@ -137,6 +137,42 @@ def test_haar_oracle_independent_of_chunk(coeffs, monkeypatch):
     assert haar_oracle(coeffs, n, phis, 300000, seed=3) == whole
 
 
+def test_haar_oracle_independent_of_draw_block(coeffs, monkeypatch):
+    """Angles drawn into a smaller block buffer, here 100 rows that do not
+    divide a chunk, give the same Haar means bit for bit: Philox fills the
+    buffer rows in stream order."""
+    import mfun.empirical as em
+    n = 10
+    s = float(np.sum(coeffs.c[:n]))
+    phis = [TestFunction.disc(0.0, 0.5 * s),
+            TestFunction.gaussian(0.1 * s + 0.2j * s, s / 3.0),
+            TestFunction.character(4.0 / s)]
+    whole = haar_oracle(coeffs, n, phis, 150000, seed=3)
+    monkeypatch.setattr(em, "_DRAW_BLOCK", 100 * n)
+    assert haar_oracle(coeffs, n, phis, 150000, seed=3) == whole
+
+
+def test_haar_oracle_holds_block_draws(coeffs):
+    """The Haar route at N = 10 peaks within 6 chunk-sized complex arrays
+    of traced memory over compare's eight test functions: its angles are
+    drawn into one block buffer, not as an N x _CHUNK matrix per chunk."""
+    import tracemalloc
+
+    import mfun.empirical as em
+    from mfun.cli import default_test_functions
+    from mfun.density import support_radius
+    n = 10
+    phis = default_test_functions(support_radius(coeffs, n))
+    samples = 4 * em._CHUNK + 1000
+    tracemalloc.start()
+    try:
+        haar_oracle(coeffs, n, phis, samples, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * em._CHUNK * 16, peak
+
+
 def test_streams_hold_about_one_chunk(coeffs):
     """Peak traced memory of both routes stays within 2 chunk working sets.
 

@@ -143,9 +143,9 @@ def test_f_grid_matches_mpmath_within_bound(coeffs, n):
                 assert float(abs(mp.mpc(got) - exact)) <= bound, (j, got)
 
 
-def test_f_grid_values_depend_only_on_the_index(coeffs):
-    """A node's value is the same alone, in any window, in any chunking
-    and across blocks."""
+def test_f_grid_values_depend_only_on_the_index(coeffs, monkeypatch):
+    """A node's value is the same alone, in any window, in any chunking,
+    across blocks and in any grouping of blocks."""
     n = 10
     c, g, b = coeffs.c[:n], coeffs.gamma[:n], coeffs.beta[:n]
     h = 2.0 * math.pi / (10.0 * g[-1])
@@ -160,6 +160,10 @@ def test_f_grid_values_depend_only_on_the_index(coeffs):
         assert np.array_equal(part, whole[lo:hi])
     pieces = _kernels.f_grid_chunks(start, stop, k + 3, h, c, g, b)
     assert np.array_equal(np.concatenate(list(pieces)), whole)
+    monkeypatch.setattr(_kernels, "_GRID_GROUP", 2)
+    again = next(_kernels.f_grid_chunks(start, stop, stop - start,
+                                        h, c, g, b))
+    assert np.array_equal(again, whole)
 
 
 def test_f_N_bounded_by_support_radius(coeffs):
