@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import GRID_BLOCK, f_grid_chunks, phasor_sum
+from ._kernels import _EXPI_BLOCK, GRID_BLOCK, f_grid_chunks, phasor_sum
 from .density import DensityProfile, integrate_against
 from .errors import MfunError, RangeError
 from .spectral import CoefficientTable
@@ -38,7 +38,8 @@ TREND_FLOOR = 2e-3
 _CHUNK = 1 << 16
 # Angles per Haar draw block (512 KiB of float64 whatever N is): a chunk's
 # angles are drawn into one reused block buffer, never as a whole N x _CHUNK
-# matrix.
+# matrix.  The block is rounded down to whole phasor_sum steps of
+# _EXPI_BLOCK // N rows, so that no block ends in a short expi call.
 _DRAW_BLOCK = 1 << 16
 
 
@@ -98,6 +99,9 @@ def haar_oracle(coeffs: CoefficientTable, n: int, phis, samples: int,
     c = coeffs.c[:n]
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     rows = max(1, _DRAW_BLOCK // n)
+    step = max(1, _EXPI_BLOCK // n)   # the rows of one phasor_sum step
+    if rows > step:
+        rows -= rows % step
     buf = np.empty((rows, n))
     peaks = []   # max |S_N| of each chunk
 

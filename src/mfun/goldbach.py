@@ -31,6 +31,9 @@ TWIN_PRIME_CONSTANT = float.fromhex("0x1.5200bae37dd05p-1")
 # Large primes per fancy-indexed multiply of singular_series_all: its
 # index and factor transients stay near 1.5 MiB.
 _LARGE_SLICE = 1 << 16
+# Entries per block of the compensated A_2 sums: four block buffers of
+# 512 KiB, whatever x_max is.
+_SUM_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -87,33 +90,49 @@ def sieve_lambda(x_max: int) -> ArithmeticTable:
     return ArithmeticTable(limit=x_max, lam=lam)
 
 
+def _r2_block(k):
+    """Half-grid points per block of ``r2_convolve``: the power of two at or
+    above 64 sqrt(k), so that the blocks (k / B of them) and the block
+    transforms (length 2B) both grow like sqrt(k)."""
+    return 1 << (math.ceil(64.0 * math.sqrt(k)) - 1).bit_length()
+
+
 def r2_convolve(pp, lam_pp, n_max):
     """Self-convolution r2[n] = sum_{l+m=n} w(l) w(m) of weights on a support.
 
     pp: ascending support indices (the prime powers, for Lambda), lam_pp:
     the matching weights w.  Returns r2[0..n_max].
 
-    The sum is split by parity.  Odd + odd gives the even n: one real FFT
-    of the odd weights on the half grid (2i + 1 -> i, offset by the least
-    odd index), squared and transformed back.  Odd n, and even n from two
-    even indices, are short exact sums added directly, one shifted copy per
-    even index (for Lambda the ~log2(x) powers of two).  So every odd entry
-    is a sum of at most one product per even index, a structural zero
-    there (3, 149, 331, 373, ...) stays exactly 0.0, and entries below
-    twice the least index are never written.
+    The sum is split by parity.  Odd + odd gives the even n: a real FFT
+    convolution of the odd weights on the half grid (2i + 1 -> i, offset by
+    the least odd index).  Odd n, and even n from two even indices, are
+    short exact sums added directly, one shifted copy per even index (for
+    Lambda the ~log2(x) powers of two).  So every odd entry is a sum of at
+    most one product per even index, a structural zero there (3, 149, 331,
+    373, ...) stays exactly 0.0, and entries below twice the least index
+    are never written.
 
-    Error bound (eps = 2**-52, L <= 2 n_max the FFT length, S the sum of
+    The half grid (k points) is cut into blocks W_i of B = ``_r2_block(k)``
+    points, each transformed once at length L = 2B.  Output block s is the
+    inverse transform of sum_{i+j=s} W_i W_j (each pair i < j taken once
+    and doubled), added over two blocks of r2's even entries (overlap-add,
+    Stockham 1966).  So memory holds the k / B spectra, about k complex
+    values, and no whole-grid transform.  When one block holds the grid,
+    L is the power of two 1 << (2k - 2).bit_length() >= 2k - 1.
+
+    Error bound (eps = 2**-52, L the transform length, S the sum of
     w(n)**2 over n <= n_max), against the exact sums:
 
         max_n |r2[n] - sum_{l+m=n} w(l) w(m)| <= 2 eps log2(L) S.
 
     The transforms round each output to O(eps log2 L) of the largest one
     (the usual root-mean-square estimate, not a worst case), and by
-    Cauchy-Schwarz no r2[n] exceeds S.  For Lambda, checked against exact
-    (fsum) sums up to x = 1e7, the error stays near eps * max r2, below
-    0.03 eps log2(L) S.  The direct double loop in floating point is
-    itself off by up to 0.6 eps log2(L) S at x = 2e5; the tests hold this
-    function to the bound against that loop.
+    Cauchy-Schwarz no r2[n] exceeds S.  For Lambda, checked against
+    extended-precision sums at sampled n for x = 2e5, 2e6 and 1e7, the
+    error stays below 2 eps * max r2 and 0.05 eps log2(L) S.  The direct
+    double loop in floating point is itself off by up to
+    0.6 eps log2(2 n_max) S at x = 2e5; the tests hold this function to
+    the bound against that loop.
     """
     pp = np.asarray(pp, dtype=np.int64)
     lam_pp = np.asarray(lam_pp, dtype=np.float64)
@@ -124,13 +143,36 @@ def r2_convolve(pp, lam_pp, n_max):
     if po.size and 2 * po[0] <= n_max:
         lo = int(po[0])
         k = (n_max - 2 * lo) // 2 + 1           # r2[2 lo + 2j] for j < k
-        keep = po <= n_max - lo
-        half = np.zeros(k)
-        half[(po[keep] - lo) // 2] = wo[keep]
-        size = 1 << (2 * k - 2).bit_length()    # >= 2k - 1: no wrap-around
-        spec = np.fft.rfft(half, size)
-        spec *= spec
-        r2[2 * lo::2] = np.fft.irfft(spec, size)[:k]
+        even = r2[2 * lo::2][:k]
+        block = _r2_block(k)
+        if block >= k:
+            block, size = k, 1 << (2 * k - 2).bit_length()
+        else:
+            size = 2 * block                    # >= 2 block - 1: no wrap-around
+        count = -(-k // block)
+        # po[edges[i]:edges[i + 1]] fall on half-grid block i
+        edges = np.searchsorted(
+            po, lo + 2 * np.minimum(block * np.arange(count + 1), k))
+        spectra = np.empty((count, size // 2 + 1), dtype=np.complex128)
+        half = np.empty(block)
+        for i in range(count):
+            a, b = edges[i], edges[i + 1]
+            half.fill(0.0)
+            half[(po[a:b] - lo) // 2 - block * i] = wo[a:b]
+            spectra[i] = np.fft.rfft(half, size)
+        spec = np.empty(size // 2 + 1, dtype=np.complex128)
+        term = np.empty_like(spec)
+        for s in range(count):
+            spec.fill(0.0)
+            for i in range((s + 1) // 2):       # the pairs i < s - i
+                np.multiply(spectra[i], spectra[s - i], out=term)
+                spec += term
+            spec *= 2.0
+            if s % 2 == 0:
+                np.multiply(spectra[s // 2], spectra[s // 2], out=term)
+                spec += term
+            out = even[block * s:block * s + size]
+            out += np.fft.irfft(spec, size)[:out.size]
     for e, w in zip(pe.tolist(), we.tolist()):
         j = np.searchsorted(po, n_max - e, side="right")
         r2[e + po[:j]] += (2.0 * w) * wo[:j]    # e + o and o + e
@@ -206,8 +248,9 @@ def singular_series_all(x_max: int) -> np.ndarray:
     return s2
 
 
-def _compensated_cumsum(values: np.ndarray) -> np.ndarray:
-    """Compensated running sum; A_2 is a small difference of large sums.
+def _compensated_cumsum(r2: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """Compensated running sum of v_n = r2[n] - n s2[n]; A_2 is a small
+    difference of large sums.
 
     Sum2 of Ogita, Rump and Oishi (SIAM J. Sci. Comput. 26, 2005) applied
     to every prefix: s = cumsum(v), the exact rounding error of each step
@@ -217,18 +260,36 @@ def _compensated_cumsum(values: np.ndarray) -> np.ndarray:
 
         |out[k] - S_k| <= u |S_k| + gamma_k**2 * sum_{i<=k} |v_i|.
 
-    values is overwritten: it holds v_i - t, so that one array of
-    transients suffices.
+    The steps and both running sums are formed ``_SUM_BLOCK`` entries at a
+    time, each block's cumsums started from the last s_i and cumsum(e) of
+    the block before.  A cumsum is one sequential chain of adds, so the
+    result is bit for bit the same for any block size.
     """
-    out = np.cumsum(values)
-    t = out[1:] - out[:-1]
-    v = values[1:]
-    v -= t
-    np.subtract(out[1:], t, out=t)
-    np.subtract(out[:-1], t, out=t)
-    t += v
-    np.cumsum(t, out=t)
-    out[1:] += t
+    out = np.empty(r2.size)
+    m = min(_SUM_BLOCK, r2.size)
+    v = np.empty(m)
+    t = np.empty(m)
+    s = np.empty(m + 1)    # s_{lo-1}, then s_lo .. s_{hi-1}
+    e = np.empty(m + 1)    # sum of e_i over i < lo, then the running sum
+    s_prev = e_prev = 0.0
+    for lo in range(0, r2.size, _SUM_BLOCK):
+        hi = min(lo + _SUM_BLOCK, r2.size)
+        n = hi - lo
+        vb, tb, sb, eb = v[:n], t[:n], s[:n + 1], e[:n + 1]
+        np.multiply(np.arange(lo, hi, dtype=np.float64), s2[lo:hi], out=vb)
+        np.subtract(r2[lo:hi], vb, out=vb)
+        sb[0] = s_prev
+        sb[1:] = vb
+        np.cumsum(sb, out=sb)
+        np.subtract(sb[1:], sb[:-1], out=tb)
+        vb -= tb
+        np.subtract(sb[1:], tb, out=tb)
+        np.subtract(sb[:-1], tb, out=tb)
+        eb[0] = e_prev
+        np.add(tb, vb, out=eb[1:])
+        np.cumsum(eb, out=eb)
+        np.add(sb[1:], eb[1:], out=out[lo:hi])
+        s_prev, e_prev = sb[-1], eb[-1]
     return out
 
 
@@ -236,11 +297,7 @@ def a2_curve(table: ArithmeticTable) -> GoldbachSums:
     """Cumulative A_2(x) = sum_{n<=x} (r_2(n) - n S_2(n)) at integer x."""
     r2 = r2_all(table)
     s2 = singular_series_all(table.limit)
-    steps = np.arange(table.limit + 1, dtype=np.float64)
-    steps *= s2
-    np.subtract(r2, steps, out=steps)
-    a2 = _compensated_cumsum(steps)
-    return GoldbachSums(r2=r2, s2=s2, a2=a2)
+    return GoldbachSums(r2=r2, s2=s2, a2=_compensated_cumsum(r2, s2))
 
 
 def brute_force_sums(table: ArithmeticTable, s2: np.ndarray) -> GoldbachSums:

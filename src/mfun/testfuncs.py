@@ -156,13 +156,21 @@ class TestFunction:
         The smooth kinds take the mean over the quadrature nodes one block
         of radii at a time, at most ``_AVERAGE_BLOCK`` points per block;
         each radius's mean is its own row's, so the blocks do not change it.
+        A rectangle's arc fractions are taken in row blocks too, each
+        radius's ten cut angles within one block.
         """
         r = np.atleast_1d(np.asarray(r, dtype=np.float64))
         p = self.params
         if self.kind == "one":
             return np.ones(r.shape)
         if self.kind == "rectangle":
-            return _rect_arc_fraction(r, p["x0"], p["x1"], p["y0"], p["y1"])
+            out = np.empty(r.shape)
+            flat, res = r.reshape(-1), out.reshape(-1)
+            rows = _AVERAGE_BLOCK // 10   # ten cut angles per radius
+            for lo in range(0, flat.size, rows):
+                res[lo:lo + rows] = _rect_arc_fraction(
+                    flat[lo:lo + rows], p["x0"], p["x1"], p["y0"], p["y1"])
+            return out
         if self.kind == "disc":
             return _disc_arc_fraction(r, p["center"], p["radius"])
         if self.kind == "annulus":

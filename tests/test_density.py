@@ -401,13 +401,13 @@ def test_integrate_against_annulus_partition(coeffs):
 def test_integrate_against_holds_row_blocks(coeffs):
     """Each default test function integrates against a 4096-point N = 10
     profile within 2 MiB of traced memory (one r x nodes point matrix is
-    4 MiB), and a smooth kind's value is bit for bit the one-shot mean
-    over its whole point matrix."""
+    4 MiB), a rectangle within 1.25 MiB, and a smooth kind's or a
+    rectangle's value is bit for bit the one-shot one over all radii."""
     import tracemalloc
 
     from mfun._kernels import expi
     from mfun.cli import default_test_functions
-    from mfun.testfuncs import _QUAD_NODES_MIN
+    from mfun.testfuncs import _QUAD_NODES_MIN, _rect_arc_fraction
 
     d = invert_to_density(coeffs, 10, 4096)
     r = d.r_grid
@@ -419,6 +419,13 @@ def test_integrate_against_holds_row_blocks(coeffs):
         finally:
             tracemalloc.stop()
         assert peak <= 2 << 20, (phi.label, peak)
+        if phi.kind == "rectangle":
+            # arc fractions by row blocks: the cut stacks of all 4096
+            # radii at once take 1.7 MiB
+            assert peak <= 1.25 * (1 << 20), (phi.label, peak)
+            p = phi.params
+            oracle = _rect_arc_fraction(r, p["x0"], p["x1"], p["y0"], p["y1"])
+            assert got == float(_radial_integral(d.values * oracle, d.radius))
         if phi.kind not in ("gaussian", "character"):
             continue
         # the node count of angular_average's periodic trapezoid

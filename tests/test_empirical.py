@@ -173,6 +173,28 @@ def test_haar_oracle_holds_block_draws(coeffs):
     assert peak <= 6 * em._CHUNK * 16, peak
 
 
+def test_haar_draw_blocks_hold_whole_phasor_steps(coeffs, monkeypatch):
+    """At N = 10 each Haar draw block is a whole number of phasor_sum steps
+    (_EXPI_BLOCK // N rows), so expi gets a short block only at the end of
+    a chunk, never at the end of every draw block."""
+    import mfun._kernels as kernels
+    import mfun.empirical as em
+    n = 10
+    full = n * max(1, kernels._EXPI_BLOCK // n)
+    sizes = []
+    expi = kernels.expi
+
+    def recording(x):
+        sizes.append(np.size(x))
+        return expi(x)
+    monkeypatch.setattr(kernels, "expi", recording)
+    samples = 2 * em._CHUNK + 1000
+    haar_oracle(coeffs, n, [TestFunction.one()], samples, seed=5)
+    assert sum(sizes) == n * samples
+    chunks = -(-samples // em._CHUNK)
+    assert sum(size < full for size in sizes) <= chunks, sizes
+
+
 def test_streams_hold_about_one_chunk(coeffs):
     """Peak traced memory of both routes stays within 2 chunk working sets.
 

@@ -144,6 +144,49 @@ def test_r2_fft_structural_zeros_exact(r2_pair):
     assert np.array_equal(fast == 0.0, zeros)
 
 
+def test_r2_blocks_within_stated_bound(monkeypatch):
+    """Ten 256-point blocks of the half grid at x = 5000 (overlap-add over
+    every pair of blocks) stay within the bound at L = 2B = 512 against
+    the direct loop, and keep its structural zeros."""
+    import mfun.goldbach as gb
+    x = 5000
+    lam = sieve_lambda(x).lam
+    pp = np.nonzero(lam)[0].astype(np.int64)
+    monkeypatch.setattr(gb, "_r2_block", lambda k: 256)
+    assert -(-((x - 6) // 2 + 1) // 256) == 10
+    fast = r2_convolve(pp, lam[pp], x)
+    direct = r2_direct(pp, lam[pp], x)
+    bound = (2.0 * np.finfo(float).eps * math.log2(512)
+             * float(np.sum(lam[pp] ** 2)))
+    assert np.max(np.abs(fast - direct)) <= bound
+    assert np.array_equal(fast == 0.0, direct == 0.0)
+
+
+def test_r2_one_block_is_one_transform():
+    """Up to x = 2000 the half grid is one block: r2 is bit for bit the
+    single real FFT of the odd weights at length 1 << (2k - 2).bit_length()
+    plus the exact even-index sums."""
+    for x in (10, 999, 2000):
+        lam = sieve_lambda(x).lam
+        pp = np.nonzero(lam)[0].astype(np.int64)
+        po, pe = pp[pp % 2 == 1], pp[pp % 2 == 0]
+        k = (x - 2 * 3) // 2 + 1
+        half = np.zeros(k)
+        keep = po <= x - 3
+        half[(po[keep] - 3) // 2] = lam[po[keep]]
+        size = 1 << (2 * k - 2).bit_length()
+        spec = np.fft.rfft(half, size)
+        spec *= spec
+        want = np.zeros(x + 1)
+        want[6::2] = np.fft.irfft(spec, size)[:k]
+        for e in pe.tolist():
+            j = np.searchsorted(po, x - e, side="right")
+            want[e + po[:j]] += (2.0 * lam[e]) * lam[po[:j]]
+            j = np.searchsorted(pe, x - e, side="right")
+            want[e + pe[:j]] += lam[e] * lam[pe[:j]]
+        assert np.array_equal(r2_convolve(pp, lam[pp], x), want), x
+
+
 def test_goldbach_csv_independent_of_threads(tmp_path):
     src = str(Path(mfun.__file__).resolve().parents[1])
     outputs = []
@@ -255,6 +298,44 @@ def test_a2_compensated_sum_within_bound():
         gamma = k * u / (1.0 - k * u)
         bound = u * abs(exact) + gamma ** 2 * math.fsum(map(abs, head))
         assert abs(sums.a2[k] - exact) <= bound, k
+
+
+def sum2_one_shot(values):
+    """Oracle: Sum2 (Ogita, Rump and Oishi) of every prefix over the whole
+    array at once, e_0 = 0."""
+    s = np.cumsum(values)
+    t = s[1:] - s[:-1]
+    e = (s[:-1] - (s[1:] - t)) + (values[1:] - t)
+    out = s.copy()
+    out[1:] += np.cumsum(e)
+    return out
+
+
+def test_a2_blocks_match_one_shot_sum2(monkeypatch):
+    """A_2 summed in blocks of 777 entries, carrying both running sums
+    across blocks, is bit for bit the one-shot Sum2 of the same steps."""
+    import mfun.goldbach as gb
+    x = 20000
+    monkeypatch.setattr(gb, "_SUM_BLOCK", 777)
+    sums = a2_curve(sieve_lambda(x))
+    steps = sums.r2 - np.arange(x + 1, dtype=np.float64) * sums.s2
+    assert np.array_equal(sums.a2, sum2_one_shot(steps))
+
+
+def test_a2_curve_holds_block_sums():
+    """a2_curve at x_max = 5e5 peaks within 4 arrays of x_max + 1 doubles
+    of traced memory: r2, s2, A_2 and the block-sized transients, with no
+    whole-length steps or error terms and no whole-grid transform."""
+    import tracemalloc
+    x = 500_000
+    table = sieve_lambda(x)
+    tracemalloc.start()
+    try:
+        a2_curve(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * (x + 1) * 8, peak / ((x + 1) * 8)
 
 
 def test_a2_matches_brute_force(table):
