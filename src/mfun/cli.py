@@ -35,8 +35,8 @@ COUNTING_SLACK = 2
 COUNTING_T_MIN = 25.0
 
 # Ceilings on the two options whose memory grows with their value: a
-# density at 2^18 r points peaks near 260 MiB, and 10^5 Weyl vectors take
-# about 5 s.
+# density at 2^18 r points peaks near 260 MiB, and 10^5 Weyl vectors, checked
+# in one batch, near 80 MiB.
 MAX_R_POINTS = 2 ** 18
 MAX_WEYL_COUNT = 10 ** 5
 
@@ -294,16 +294,18 @@ def _weyl_appendix(config: argparse.Namespace, coeffs, path: Path,
     n = config.N
     coeffs.check_order(n)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(config.seed)))
-    rows = []
-    while len(rows) < count:
-        vec = rng.integers(-3, 4, size=n)
-        if not np.any(vec):
-            continue
-        val = em.weyl_test(coeffs, vec.astype(float), config.X)
-        omega = float(np.dot(vec, coeffs.gamma[:n]))
-        bound = 2.0 / (config.X * abs(omega))
-        rows.append(["(" + " ".join(str(int(v)) for v in vec) + ")",
-                     config.X, abs(val), bound, abs(val) <= bound * (1 + 1e-12)])
+    # one draw; zero vectors are dropped and replaced from the same stream
+    vecs = rng.integers(-3, 4, size=(count, n))
+    vecs = vecs[vecs.any(axis=1)]
+    while len(vecs) < count:
+        more = rng.integers(-3, 4, size=(count - len(vecs), n))
+        vecs = np.concatenate([vecs, more[more.any(axis=1)]])
+    moduli = np.abs(em.weyl_test(coeffs, vecs, config.X))
+    bounds = 2.0 / (config.X * np.abs(em.weyl_frequency(coeffs, vecs)))
+    ok = moduli <= bounds * (1 + 1e-12)
+    names = ["(" + " ".join(map(str, vec)) + ")" for vec in vecs.tolist()]
+    rows = [[name, config.X, modulus, bound, good] for name, modulus, bound,
+            good in zip(names, moduli.tolist(), bounds.tolist(), ok.tolist())]
     _write_csv(path, ["n_vector", "X", "modulus", "bound", "ok"], rows)
     bad = [row for row in rows if not row[-1]]
     for vec, _, modulus, bound, _ in bad:
@@ -323,11 +325,12 @@ def cmd_goldbach(config: argparse.Namespace, out: Path) -> int:
     coeffs = _coefficients(config)
     coeffs.check_order(config.N)
     table = gb.sieve_lambda(config.x_max)
-    sums = gb.a2_curve(table)
     lo = max(2, min(100, config.x_max // 2))
     grid = sorted(set(np.geomspace(lo, config.x_max, 257).astype(int)
                       .tolist()))
-    rows = gb.compare_main_term(sums, coeffs, config.N, grid)
+    # only A_2 at the grid is kept, never an x_max-long array
+    rows = gb.compare_main_term(gb.a2_curve(table, grid), coeffs, config.N,
+                                grid)
     _write_csv(out / "goldbach.csv",
                ["x", "a2", "main_term", "residual", "normalized_residual"],
                [(r["x"], r["a2"], r["main_term"], r["residual"],
@@ -340,6 +343,7 @@ def cmd_goldbach(config: argparse.Namespace, out: Path) -> int:
               xlabel="x", ylabel="value")
     failed = False
     if config.x_max <= 2000:
+        sums = gb.a2_curve(table)
         brute = gb.brute_force_sums(table, sums.s2).a2
         mismatch = float(np.max(np.abs(brute - sums.a2)))
         bound = 1e-9 * (float(np.max(np.abs(brute))) or 1.0)

@@ -12,20 +12,19 @@ so a fixed seed reproduces results bit for bit.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _EXPI_BLOCK, GRID_BLOCK, f_grid_chunks, phasor_sum
+from ._kernels import _EXPI_BLOCK, GRID_BLOCK, expi, f_grid_chunks, phasor_sum
 from .density import DensityProfile, integrate_against
 from .errors import MfunError, RangeError
 from .spectral import CoefficientTable
 
 __all__ = [
-    "haar_oracle", "alpha_average_many", "weyl_test", "compare_report",
-    "CompareReport",
+    "haar_oracle", "alpha_average_many", "weyl_test", "weyl_frequency",
+    "compare_report", "CompareReport",
 ]
 
 MIN_HAAR_SAMPLES = 10 ** 4
@@ -160,26 +159,60 @@ def alpha_average_many(coeffs: CoefficientTable, n: int, phis, x_list):
     return out
 
 
-def weyl_test(coeffs: CoefficientTable, n_vector, x: float) -> complex:
+def weyl_frequency(coeffs: CoefficientTable, n_vectors) -> np.ndarray:
+    """n.gamma for an integer vector, or for each row of a 2-D array of them.
+
+    The products n_m gamma_m are added in ascending m, as ``_ascending_sum``
+    adds its rows, with no BLAS reduction: a row's value depends on that
+    row alone, not on the batch it comes in.
+    """
+    return _ascending_dot(np.asarray(n_vectors, dtype=np.float64),
+                          coeffs.gamma)
+
+
+def _ascending_dot(vectors, values):
+    """vectors . values[:N] over the last axis (N of it), summed in
+    ascending m."""
+    out = vectors[..., 0] * values[0]
+    for m in range(1, vectors.shape[-1]):
+        out = out + vectors[..., m] * values[m]
+    return out
+
+
+def weyl_test(coeffs: CoefficientTable, n_vector, x: float):
     """Closed-form (1/X) integral_0^X e^{i alpha n.gamma} d alpha * e^{-i n.beta}.
 
-    The modulus is bounded by 2/(X |n.gamma|); a combination below the
-    resonance floor would contradict rational independence of the
-    ordinates and is reported instead of divided through.
+    n_vector is one integer vector (a complex is returned) or a 2-D array
+    of them, one per row (a complex array).  n.gamma and n.beta are summed
+    in ascending m and e^{it} is ``expi``, so a row's value does not depend
+    on the batch.  The modulus is bounded by 2/(X |n.gamma|); a combination
+    below the resonance floor would contradict rational independence of
+    the ordinates and is reported instead of divided through.
     """
     n_vector = np.asarray(n_vector, dtype=np.float64)
-    if n_vector.ndim != 1 or n_vector.size > len(coeffs):
+    if n_vector.ndim not in (1, 2) or n_vector.shape[-1] > len(coeffs):
         raise RangeError("integer vector length exceeds the table")
-    if not np.any(n_vector):
+    vectors = n_vector.reshape(-1, n_vector.shape[-1])
+    if not vectors.any(axis=1).all():
         raise ValueError("integer vector must be nonzero")
-    omega = float(np.dot(n_vector, coeffs.gamma[:n_vector.size]))
-    if abs(omega) < RESONANCE_FLOOR:
+    omega = weyl_frequency(coeffs, vectors)
+    low = np.flatnonzero(np.abs(omega) < RESONANCE_FLOOR)
+    if low.size:
         raise ResonanceError(
-            f"|n.gamma| = {abs(omega):.3e} below {RESONANCE_FLOOR}; "
+            f"|n.gamma| = {abs(omega[low[0]]):.3e} below {RESONANCE_FLOOR}; "
             "near-rational relation between ordinates")
-    phase = float(np.dot(n_vector, coeffs.beta[:n_vector.size]))
-    return (cmath.rect(1.0, -phase) * (cmath.rect(1.0, x * omega) - 1.0)
-            / (1j * x * omega))
+    # e^{-i n.beta} (e^{i X omega} - 1) / (i X omega), the product's parts
+    # written out and divided by X omega as Python's complex arithmetic does
+    turn = expi(-_ascending_dot(vectors, coeffs.beta))
+    step = expi(x * omega)
+    step.real -= 1.0
+    re = turn.real * step.real - turn.imag * step.imag
+    im = turn.real * step.imag + turn.imag * step.real
+    d = x * omega
+    out = np.empty(d.size, dtype=np.complex128)
+    out.real = im / d
+    out.imag = -(re / d)
+    return out if n_vector.ndim == 2 else complex(out[0])
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,16 @@
 representation counts r_2(n), the singular series S_2(n), the summatory
 residue A_2(x), and its comparison against the zero-sum main term, with
 an O(x^2) brute-force reference for r_2 and A_2.
+
+r_2, S_2 and A_2 come from one block engine (``_a2_slices``): for each
+block of n in ascending order it forms r_2, then S_2, then the compensated
+A_2 sums, and carries only the convolution's overlap-add tail and the two
+running sums to the next block.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -28,19 +34,37 @@ X_MAX_GUARD = 10 ** 7
 # 1e-5 to 1e-4 of max |A_2| (x_max = 2e4 to 5e5), far outside the 1e-9
 # agreement the benchmark's reference outputs are held to.
 TWIN_PRIME_CONSTANT = float.fromhex("0x1.5200bae37dd05p-1")
-# Large primes per fancy-indexed multiply of singular_series_all: its
-# index and factor transients stay near 1.5 MiB.
-_LARGE_SLICE = 1 << 16
-# Entries per block of the compensated A_2 sums: four block buffers of
-# 512 KiB, whatever x_max is.
-_SUM_BLOCK = 1 << 16
+# Large primes per slice of singular_series_all: its index and factor
+# transients stay near 0.6 MiB.
+_LARGE_SLICE = 1 << 14
+# Frequencies per chunk of r2_convolve's sum of spectrum products (64 KiB):
+# the products go through one chunk-sized buffer, not a spectrum-sized one.
+_SPEC_CHUNK = 1 << 12
+# Entries per slice of the compensated A_2 sums: six slice buffers of
+# 64 KiB, whatever x_max is.
+_SUM_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
 class ArithmeticTable:
-    """Von Mangoldt values Lambda(n) for 0 <= n <= limit (Lambda(0)=Lambda(1)=0)."""
+    """Von Mangoldt's Lambda(n) for 0 <= n <= limit, held on its support.
+
+    pp: the prime powers p^k <= limit, ascending (int64); lam_pp: Lambda
+    there, math.log(p) (float64).  The two take 16 bytes per prime power
+    (10 MiB at limit = 1e7), where a dense table takes 8 (limit + 1).
+    """
     limit: int
-    lam: np.ndarray
+    pp: np.ndarray
+    lam_pp: np.ndarray
+
+    @property
+    def lam(self) -> np.ndarray:
+        """The dense table Lambda(0..limit) (Lambda(0) = Lambda(1) = 0),
+        built anew at each access: an array of limit + 1 doubles, for the
+        brute force and the tests."""
+        lam = np.zeros(self.limit + 1)
+        lam[self.pp] = self.lam_pp
+        return lam
 
 
 @dataclass(frozen=True)
@@ -69,25 +93,28 @@ def primes_up_to(n: int) -> np.ndarray:
 
 
 def sieve_lambda(x_max: int) -> ArithmeticTable:
-    """Exact Lambda table: log p at prime powers p^k, zero elsewhere."""
+    """Exact Lambda table: log p at the prime powers p^k <= x_max."""
     if not 2 <= x_max <= X_MAX_GUARD:
         raise RangeError(f"x_max={x_max} outside the desk-scale guard "
                          f"[2, {X_MAX_GUARD}]")
-    lam = np.zeros(x_max + 1)
     primes = primes_up_to(x_max)
     # math.log, not np.log: the two differ by an ulp at some primes.  The
     # array is iterated directly: a list of all primes would be a transient
     # of about 40 bytes per prime.
     logs = np.fromiter(map(math.log, primes), dtype=np.float64,
                        count=primes.size)
-    lam[primes] = logs
     k = np.searchsorted(primes, math.isqrt(x_max), side="right")
+    powers = []   # (p^j, log p) for j >= 2: 337 pairs at x_max = 1e7
     for p, logp in zip(primes[:k].tolist(), logs[:k].tolist()):
         q = p * p
         while q <= x_max:
-            lam[q] = logp
+            powers.append((q, logp))
             q *= p
-    return ArithmeticTable(limit=x_max, lam=lam)
+    powers.sort()
+    at = np.searchsorted(primes, [q for q, _ in powers])
+    return ArithmeticTable(
+        limit=x_max, pp=np.insert(primes, at, [q for q, _ in powers]),
+        lam_pp=np.insert(logs, at, [w for _, w in powers]))
 
 
 def _r2_block(k):
@@ -98,10 +125,13 @@ def _r2_block(k):
 
 
 def r2_convolve(pp, lam_pp, n_max):
-    """Self-convolution r2[n] = sum_{l+m=n} w(l) w(m) of weights on a support.
+    """Self-convolution r2[n] = sum_{l+m=n} w(l) w(m) of weights on a support,
+    handed out block by block.
 
     pp: ascending support indices (the prime powers, for Lambda), lam_pp:
-    the matching weights w.  Returns r2[0..n_max].
+    the matching weights w.  Returns an iterator of pairs (a, r2[a:b]) whose
+    ranges [a, b) follow each other from 0 to n_max + 1; each block is
+    final when it is handed out, and a fresh array.
 
     The sum is split by parity.  Odd + odd gives the even n: a real FFT
     convolution of the odd weights on the half grid (2i + 1 -> i, offset by
@@ -110,15 +140,25 @@ def r2_convolve(pp, lam_pp, n_max):
     Lambda the ~log2(x) powers of two).  So every odd entry is a sum of at
     most one product per even index, a structural zero there (3, 149, 331,
     373, ...) stays exactly 0.0, and entries below twice the least index
-    are never written.
+    get no FFT term.
 
     The half grid (k points) is cut into blocks W_i of B = ``_r2_block(k)``
-    points, each transformed once at length L = 2B.  Output block s is the
+    points, each transformed once at length L = 2B before this function
+    returns.  Those spectra, about k complex values (as much memory as
+    n_max doubles), are what the iterator keeps, until the last block's
+    products are formed, beside four buffers of at most 2B doubles (the
+    spectrum sum, the inverse transform, the carried tail and the block
+    handed out).  The odd indices are sliced out of pp block by block, so
+    no odd-only copy of the support is made.  Output block s is the
     inverse transform of sum_{i+j=s} W_i W_j (each pair i < j taken once
-    and doubled), added over two blocks of r2's even entries (overlap-add,
-    Stockham 1966).  So memory holds the k / B spectra, about k complex
-    values, and no whole-grid transform.  When one block holds the grid,
-    L is the power of two 1 << (2k - 2).bit_length() >= 2k - 1.
+    and doubled), and its first B values are added to the last B of block
+    s - 1 (overlap-add, Stockham 1966).  After step s the half grid below
+    B(s + 1) is final, and so is r2 below n = 2 lo + 2B(s + 1): that range
+    is handed out with the even-index sums for it added, in ascending even
+    index as over the whole range.  So each entry is the same sum in the
+    same order as in one whole-range array.  When one block holds the grid,
+    L is the power of two 1 << (2k - 2).bit_length() >= 2k - 1, and the one
+    block is all of r2.
 
     Error bound (eps = 2**-52, L the transform length, S the sum of
     w(n)**2 over n <= n_max), against the exact sums:
@@ -136,49 +176,83 @@ def r2_convolve(pp, lam_pp, n_max):
     """
     pp = np.asarray(pp, dtype=np.int64)
     lam_pp = np.asarray(lam_pp, dtype=np.float64)
-    r2 = np.zeros(n_max + 1)
-    odd = pp % 2 == 1
-    po, wo = pp[odd], lam_pp[odd]
-    pe, we = pp[~odd], lam_pp[~odd]
-    if po.size and 2 * po[0] <= n_max:
-        lo = int(po[0])
-        k = (n_max - 2 * lo) // 2 + 1           # r2[2 lo + 2j] for j < k
-        even = r2[2 * lo::2][:k]
-        block = _r2_block(k)
-        if block >= k:
-            block, size = k, 1 << (2 * k - 2).bit_length()
-        else:
-            size = 2 * block                    # >= 2 block - 1: no wrap-around
-        count = -(-k // block)
-        # po[edges[i]:edges[i + 1]] fall on half-grid block i
-        edges = np.searchsorted(
-            po, lo + 2 * np.minimum(block * np.arange(count + 1), k))
-        spectra = np.empty((count, size // 2 + 1), dtype=np.complex128)
-        half = np.empty(block)
-        for i in range(count):
-            a, b = edges[i], edges[i + 1]
-            half.fill(0.0)
-            half[(po[a:b] - lo) // 2 - block * i] = wo[a:b]
-            spectra[i] = np.fft.rfft(half, size)
+    even = pp % 2 == 0
+    pe, we = pp[even], lam_pp[even]
+    # the least odd index; without one, n_max + 1 (no odd + odd sums)
+    lo = int(pp[even.argmin()]) if not even.all() else n_max + 1
+    del even
+    even_sums = list(zip(pe.tolist(), we.tolist()))
+
+    def odd_in(a, b):
+        """The odd support indices in [a, b) and their weights."""
+        i, j = np.searchsorted(pp, (a, b))
+        keep = pp[i:j] % 2 == 1
+        return pp[i:j][keep], lam_pp[i:j][keep]
+
+    def finish(a, b, start=0, odd_sums=None):
+        """r2[a:b], given the odd + odd sums at its even n from start on."""
+        out = np.zeros(b - a)
+        if odd_sums is not None:
+            out[start - a::2] = odd_sums
+        for e, w in even_sums:
+            po, wo = odd_in(a - e, b - e)
+            out[po + (e - a)] += (2.0 * w) * wo   # e + o and o + e
+            i, j = np.searchsorted(pe, (a - e, b - e))
+            out[pe[i:j] + (e - a)] += w * we[i:j]
+        return out
+
+    if 2 * lo > n_max:
+        return iter([(0, finish(0, n_max + 1))])
+    k = (n_max - 2 * lo) // 2 + 1               # r2[2 lo + 2j] for j < k
+    block = _r2_block(k)
+    if block >= k:
+        block, size = k, 1 << (2 * k - 2).bit_length()
+    else:
+        size = 2 * block                        # >= 2 block - 1: no wrap-around
+    count = -(-k // block)
+    spectra = np.empty((count, size // 2 + 1), dtype=np.complex128)
+    half = np.empty(block)
+    for i in range(count):
+        po, wo = odd_in(lo + 2 * block * i, lo + 2 * min(block * (i + 1), k))
+        half.fill(0.0)
+        half[(po - lo) // 2 - block * i] = wo
+        np.fft.rfft(half, size, out=spectra[i])
+    del half, po, wo
+
+    def blocks():
+        nonlocal spectra
         spec = np.empty(size // 2 + 1, dtype=np.complex128)
-        term = np.empty_like(spec)
+        term = np.empty(min(_SPEC_CHUNK, spec.size), dtype=np.complex128)
+        cur = np.empty(size)      # inverse transform of output block s
+        tail = np.zeros(block)    # what block s - 1 adds to its head
+        a = 0
         for s in range(count):
-            spec.fill(0.0)
-            for i in range((s + 1) // 2):       # the pairs i < s - i
-                np.multiply(spectra[i], spectra[s - i], out=term)
-                spec += term
-            spec *= 2.0
-            if s % 2 == 0:
-                np.multiply(spectra[s // 2], spectra[s // 2], out=term)
-                spec += term
-            out = even[block * s:block * s + size]
-            out += np.fft.irfft(spec, size)[:out.size]
-    for e, w in zip(pe.tolist(), we.tolist()):
-        j = np.searchsorted(po, n_max - e, side="right")
-        r2[e + po[:j]] += (2.0 * w) * wo[:j]    # e + o and o + e
-        j = np.searchsorted(pe, n_max - e, side="right")
-        r2[e + pe[:j]] += w * we[:j]
-    return r2
+            # sum_{i+j=s} W_i W_j, a chunk of frequencies at a time
+            for c in range(0, spec.size, _SPEC_CHUNK):
+                part = spec[c:c + _SPEC_CHUNK]
+                t = term[:part.size]
+                part.fill(0.0)
+                for i in range((s + 1) // 2):   # the pairs i < s - i
+                    np.multiply(spectra[i, c:c + part.size],
+                                spectra[s - i, c:c + part.size], out=t)
+                    part += t
+                part *= 2.0
+                if s % 2 == 0:
+                    mid = spectra[s // 2, c:c + part.size]
+                    np.multiply(mid, mid, out=t)
+                    part += t
+            if s + 1 == count:
+                spectra = None    # the last step has read them all
+            np.fft.irfft(spec, size, out=cur)
+            cur[:block] += tail
+            if s + 1 < count:
+                np.add(cur[block:], 0.0, out=tail)   # 0.0 + x, as into zeros
+            b = min(2 * lo + 2 * block * (s + 1), n_max + 1)
+            yield a, finish(a, b, 2 * lo + 2 * block * s,
+                            cur[:min(block, k - block * s)])
+            a = b
+
+    return blocks()
 
 
 def r2_all(table: ArithmeticTable) -> np.ndarray:
@@ -188,8 +262,10 @@ def r2_all(table: ArithmeticTable) -> np.ndarray:
     (``r2_convolve``, which states its error bound against the direct
     double loop); odd entries and structural zeros are exact sums.
     """
-    pp = np.nonzero(table.lam)[0].astype(np.int64)
-    return r2_convolve(pp, table.lam[pp], table.limit)
+    r2 = np.empty(table.limit + 1)
+    for a, block in r2_convolve(table.pp, table.lam_pp, table.limit):
+        r2[a:a + block.size] = block
+    return r2
 
 
 def singular_series(n: int) -> float:
@@ -214,90 +290,139 @@ def singular_series(n: int) -> float:
     return value
 
 
-def singular_series_all(x_max: int) -> np.ndarray:
-    """S_2(n) for all n <= x_max via a multiplicative sieve.
+def singular_series_all(x_max: int, lo: int = 0, primes=None) -> np.ndarray:
+    """S_2(n) for lo <= n <= x_max via a multiplicative sieve.
 
-    Each even n starts at 2 C_2 and is multiplied by (p - 1)/(p - 2) for
-    every odd prime p | n, in ascending p.  The primes are split at
-    sqrt(x_max/2): n = 2k with k <= x_max/2 has at most one odd prime
-    factor above it, as two would make k larger than x_max/2.  The small
+    primes: the ascending odd primes up to at least x_max // 2 (more are
+    ignored), sieved here when not given.
+
+    Each even n >= 2 starts at 2 C_2 and is multiplied by (p - 1)/(p - 2)
+    for every odd prime p | n, in ascending p.  The primes are split at
+    sqrt(x_max/2): n = 2m with m <= x_max/2 has at most one odd prime
+    factor above it, as two would make m larger than x_max/2.  The small
     primes (95 at x_max = 5e5) each take one strided multiply, in
-    ascending order.  The large ones go after them, one pass per cofactor
-    j: a fancy-indexed multiply at the indices 2jp of every large p <=
-    (x_max/2)/j, in slices of ``_LARGE_SLICE`` primes.  An index 2jp
-    belongs to one large p only, so no index repeats within a multiply,
-    and its one large factor comes last.  Each S_2(n) is therefore the
-    same product in the same order as in a loop over all primes:
-    bit-identical to it.
+    ascending order.  The large ones go after them, ``_LARGE_SLICE`` at a
+    time: each slice steps through its primes' multiples m = jp in the
+    range together, one fancy-indexed multiply per step, dropping each
+    prime past its last multiple.  An index belongs to one large p only,
+    so no index repeats within a multiply, and its one large factor comes
+    last.  Each S_2(n) is therefore the same product in the same order as
+    in a loop over all primes on the whole range: bit-identical to it, for
+    any [lo, x_max].
     """
-    s2 = np.zeros(x_max + 1)
-    s2[2::2] = 2.0 * TWIN_PRIME_CONSTANT
+    s2 = np.zeros(x_max - lo + 1)
+    s2[max(2, lo + lo % 2) - lo::2] = 2.0 * TWIN_PRIME_CONSTANT
     half = x_max // 2
-    odd = primes_up_to(half)[1:]   # larger p: 2p > x_max
+    if primes is None:
+        odd = primes_up_to(half)[1:]     # larger p: 2p > x_max
+    else:
+        odd = primes[:np.searchsorted(primes, half, side="right")]
     k = np.searchsorted(odd, math.isqrt(half), side="right")
     for p in odd[:k].tolist():
-        s2[2 * p::2 * p] *= (p - 1.0) / (p - 2.0)
+        first = max(2 * p, -(-lo // (2 * p)) * 2 * p)
+        s2[first - lo::2 * p] *= (p - 1.0) / (p - 2.0)
+    m_lo = max(1, -(-lo // 2))          # the range's m = n / 2
     large = odd[k:]
-    factors = (large - 1.0) / (large - 2.0)
-    j_max = half // int(large[0]) if large.size else 0
-    for j in range(1, j_max + 1):
-        count = np.searchsorted(large, half // j, side="right")
-        for lo in range(0, count, _LARGE_SLICE):
-            hi = min(lo + _LARGE_SLICE, count)
-            s2[large[lo:hi] * (2 * j)] *= factors[lo:hi]
+    for i in range(0, large.size, _LARGE_SLICE):
+        p = large[i:i + _LARGE_SLICE]
+        f = (p - 1.0) / (p - 2.0)
+        m = -(-m_lo // p) * p           # the least multiple >= m_lo
+        while True:
+            keep = m <= half
+            if not keep.all():
+                p, f, m = p[keep], f[keep], m[keep]
+            if not p.size:
+                break
+            s2[2 * m - lo] *= f
+            m += p
     return s2
 
 
-def _compensated_cumsum(r2: np.ndarray, s2: np.ndarray) -> np.ndarray:
-    """Compensated running sum of v_n = r2[n] - n s2[n]; A_2 is a small
-    difference of large sums.
+def _a2_slices(table: ArithmeticTable):
+    """The block engine: (lo, r2, a2) for consecutive slices lo .. hi - 1 of
+    0 .. limit, ascending, each at most ``_SUM_BLOCK`` entries.
 
-    Sum2 of Ogita, Rump and Oishi (SIAM J. Sci. Comput. 26, 2005) applied
-    to every prefix: s = cumsum(v), the exact rounding error of each step
-    by TwoSum, e_i = (s_{i-1} - (s_i - t)) + (v_i - t) with
-    t = s_i - s_{i-1} and e_0 = 0, and the result s + cumsum(e).  With
-    u = 2**-53 and gamma_k = k u / (1 - k u), each prefix S_k obeys
+    r_2 comes from ``r2_convolve`` one finished block at a time, S_2 from
+    ``singular_series_all`` on the same n-range, and A_2(n) is the
+    compensated running sum of v_n = r_2(n) - n S_2(n): Sum2 of Ogita, Rump
+    and Oishi (SIAM J. Sci. Comput. 26, 2005) applied to every prefix.
+    That is s = cumsum(v), the exact rounding error of each step by TwoSum,
+    e_i = (s_{i-1} - (s_i - t)) + (v_i - t) with t = s_i - s_{i-1} and
+    e_0 = 0, and A_2 = s + cumsum(e).  With u = 2**-53 and
+    gamma_k = k u / (1 - k u), each prefix S_k obeys
 
-        |out[k] - S_k| <= u |S_k| + gamma_k**2 * sum_{i<=k} |v_i|.
+        |A_2(k) - S_k| <= u |S_k| + gamma_k**2 * sum_{i<=k} |v_i|.
 
-    The steps and both running sums are formed ``_SUM_BLOCK`` entries at a
-    time, each block's cumsums started from the last s_i and cumsum(e) of
-    the block before.  A cumsum is one sequential chain of adds, so the
-    result is bit for bit the same for any block size.
+    Each slice's cumsums start from the last s_i and cumsum(e) of the
+    slice before; those two numbers and the convolution's overlap-add tail
+    are all that passes from one block to the next.  A cumsum is one
+    sequential chain of adds, so A_2 is bit for bit the same for any block
+    or slice size.  The r2 and a2 slices are reused buffers, valid until
+    the next slice is drawn, so a caller holds no block of the engine.
     """
-    out = np.empty(r2.size)
-    m = min(_SUM_BLOCK, r2.size)
-    v = np.empty(m)
-    t = np.empty(m)
-    s = np.empty(m + 1)    # s_{lo-1}, then s_lo .. s_{hi-1}
-    e = np.empty(m + 1)    # sum of e_i over i < lo, then the running sum
-    s_prev = e_prev = 0.0
-    for lo in range(0, r2.size, _SUM_BLOCK):
-        hi = min(lo + _SUM_BLOCK, r2.size)
-        n = hi - lo
-        vb, tb, sb, eb = v[:n], t[:n], s[:n + 1], e[:n + 1]
-        np.multiply(np.arange(lo, hi, dtype=np.float64), s2[lo:hi], out=vb)
-        np.subtract(r2[lo:hi], vb, out=vb)
-        sb[0] = s_prev
-        sb[1:] = vb
-        np.cumsum(sb, out=sb)
-        np.subtract(sb[1:], sb[:-1], out=tb)
-        vb -= tb
-        np.subtract(sb[1:], tb, out=tb)
-        np.subtract(sb[:-1], tb, out=tb)
-        eb[0] = e_prev
-        np.add(tb, vb, out=eb[1:])
-        np.cumsum(eb, out=eb)
-        np.add(sb[1:], eb[1:], out=out[lo:hi])
-        s_prev, e_prev = sb[-1], eb[-1]
-    return out
+    odd = primes_up_to(table.limit // 2)[1:]
+    m = min(_SUM_BLOCK, table.limit + 1)
+    r, v, t, a2 = np.empty(m), np.empty(m), np.empty(m), np.empty(m)
+    s = np.zeros(m + 1)    # s_{lo-1}, then s_lo .. s_{hi-1}
+    e = np.zeros(m + 1)    # sum of e_i over i < lo, then the running sum
+    for a, r2 in r2_convolve(table.pp, table.lam_pp, table.limit):
+        s2 = singular_series_all(a + r2.size - 1, a, odd)
+        for lo in range(0, r2.size, _SUM_BLOCK):
+            hi = min(lo + _SUM_BLOCK, r2.size)
+            n = hi - lo
+            rb, vb, tb, ab = r[:n], v[:n], t[:n], a2[:n]
+            sb, eb = s[:n + 1], e[:n + 1]
+            rb[:] = r2[lo:hi]
+            np.multiply(np.arange(a + lo, a + hi, dtype=np.float64),
+                        s2[lo:hi], out=vb)
+            np.subtract(rb, vb, out=vb)
+            sb[1:] = vb
+            np.cumsum(sb, out=sb)
+            np.subtract(sb[1:], sb[:-1], out=tb)
+            vb -= tb
+            np.subtract(sb[1:], tb, out=tb)
+            np.subtract(sb[:-1], tb, out=tb)
+            np.add(tb, vb, out=eb[1:])
+            np.cumsum(eb, out=eb)
+            np.add(sb[1:], eb[1:], out=ab)
+            s[0], e[0] = sb[-1], eb[-1]
+            yield a + lo, rb, ab
+        del r2, s2    # no block is held while the next one is made
 
 
-def a2_curve(table: ArithmeticTable) -> GoldbachSums:
-    """Cumulative A_2(x) = sum_{n<=x} (r_2(n) - n S_2(n)) at integer x."""
-    r2 = r2_all(table)
-    s2 = singular_series_all(table.limit)
-    return GoldbachSums(r2=r2, s2=s2, a2=_compensated_cumsum(r2, s2))
+def a2_curve(table: ArithmeticTable, grid=None):
+    """Cumulative A_2(x) = sum_{n<=x} (r_2(n) - n S_2(n)) at integer x.
+
+    Without grid: ``GoldbachSums`` over 0 .. limit.  r_2 and A_2 are
+    gathered from the block engine (``_a2_slices``, which states the
+    compensated sum's bound), and S_2 is sieved over the whole range once
+    the engine is done, bit for bit the engine's blocks of it.  The engine
+    lets go of its spectra before its last block, so they (about one array
+    of limit doubles) never meet more than two whole arrays.
+
+    With grid (integers in [0, limit]): {x: A_2(x)} for each x of grid,
+    read off the engine's slices as they pass.  Nothing of length limit is
+    made: the memory is the spectra and buffers of one block.
+    """
+    if grid is not None:
+        xs = sorted({int(x) for x in grid})
+        if xs and not 0 <= xs[0] <= xs[-1] <= table.limit:
+            raise RangeError(f"grid must lie within [0, {table.limit}]")
+        picked, i = {}, 0
+        for lo, _, a2 in _a2_slices(table):
+            j = bisect.bisect_left(xs, lo + a2.size, i)
+            picked.update((x, float(a2[x - lo])) for x in xs[i:j])
+            i = j
+        return picked
+    r2_parts, a2_parts = [], []
+    for _, r2, a2 in _a2_slices(table):
+        r2_parts.append(r2.copy())
+        a2_parts.append(a2.copy())
+    r2 = np.concatenate(r2_parts)
+    del r2_parts
+    a2 = np.concatenate(a2_parts)
+    del a2_parts
+    return GoldbachSums(r2=r2, s2=singular_series_all(table.limit), a2=a2)
 
 
 def brute_force_sums(table: ArithmeticTable, s2: np.ndarray) -> GoldbachSums:
@@ -315,20 +440,28 @@ def brute_force_sums(table: ArithmeticTable, s2: np.ndarray) -> GoldbachSums:
     return GoldbachSums(r2=r2, s2=s2, a2=np.cumsum(r2 - n * s2))
 
 
-def compare_main_term(sums: GoldbachSums, coeffs: CoefficientTable, n: int,
+def compare_main_term(a2, coeffs: CoefficientTable, n: int,
                       x_grid) -> list[dict]:
-    """Rows (x, A_2, main term, residual, residual/(x log^3 x)) per grid x."""
+    """Rows (x, A_2, main term, residual, residual/(x log^3 x)) per grid x.
+
+    a2[x] is A_2(x): the whole curve (``GoldbachSums.a2``) or the mapping
+    that ``a2_curve(table, x_grid)`` returns.
+    """
     x_grid = sorted(int(x) for x in x_grid)
-    if not x_grid or x_grid[0] < 2 or x_grid[-1] >= len(sums.a2):
+    try:
+        values = [float(a2[x]) for x in x_grid]
+    except (IndexError, KeyError):
+        values = None
+    if not x_grid or x_grid[0] < 2 or values is None:
         raise RangeError("x_grid must lie within [2, x_max]")
     f = eval_f_N(coeffs, n, [math.log(x) for x in x_grid]).real.tolist()
     rows = []
-    for x, f_real in zip(x_grid, f):
+    for x, a2_x, f_real in zip(x_grid, values, f):
         main = -4.0 * x ** 1.5 * f_real
-        residual = float(sums.a2[x]) - main
+        residual = a2_x - main
         rows.append({
             "x": x,
-            "a2": float(sums.a2[x]),
+            "a2": a2_x,
             "main_term": main,
             "residual": residual,
             "normalized_residual": residual / (x * math.log(x) ** 3),

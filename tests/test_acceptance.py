@@ -240,7 +240,7 @@ def test_criterion_09_goldbach_side(coeffs):
     big = sieve_lambda(2 * 10 ** 5)
     big_sums = a2_curve(big)
     grid = np.unique(np.geomspace(1000, 2 * 10 ** 5, 200).astype(int))
-    rows = compare_main_term(big_sums, coeffs, 100, grid)
+    rows = compare_main_term(big_sums.a2, coeffs, 100, grid)
     worst_resid = max(abs(r["normalized_residual"]) for r in rows)
     dt = time.monotonic() - t0
     ok = (r2_gap <= 1e-9 and a2_gap <= 1e-9 * scale and s2_gap <= 1.0

@@ -288,7 +288,9 @@ def test_compare_failures_name_row_and_check(tmp_path, monkeypatch, capsys):
     ["weyl", "--count", "3"],
 ])
 def test_failed_weyl_bound_is_failure(tmp_path, monkeypatch, capsys, args):
-    monkeypatch.setattr(mfun.empirical, "weyl_test", lambda *a: 1.0 + 0j)
+    # the CLI checks its vectors in one batch: modulus 1 for every row
+    monkeypatch.setattr(mfun.empirical, "weyl_test",
+                        lambda coeffs, vecs, x: np.ones(len(vecs), complex))
     assert run([*args, "--out", str(tmp_path)]) == 1
     out = capsys.readouterr().out
     assert re.search(r"Weyl bound FAILED for n = \([-\d ]+\): "
@@ -453,6 +455,25 @@ def test_weyl_command(tmp_path, capsys):
     lines = (out / "weyl.csv").read_text().splitlines()
     assert lines[0] == "n_vector,X,modulus,bound,ok"
     assert len(lines) == 11
+
+
+@pytest.mark.parametrize("n, count", [(1, 60), (7, 200), (10, 50)])
+def test_weyl_vectors_are_the_loop_draws(tmp_path, n, count):
+    """The batched draw lists the vectors that drawing one vector at a time
+    and skipping zero vectors gives, in order; at N = 1 a seventh of the
+    draws are zero, so the top-up from the same stream is exercised."""
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(3)))
+    want = []
+    while len(want) < count:
+        vec = rng.integers(-3, 4, size=n)
+        if np.any(vec):
+            want.append("(" + " ".join(str(int(v)) for v in vec) + ")")
+    assert run(["weyl", "--N", str(n), "--count", str(count), "--seed", "3",
+                "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "weyl.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["n_vector"] for r in rows] == want
+    assert all(r["ok"] == "true" for r in rows)
 
 
 def test_weyl_deterministic(tmp_path):

@@ -13,6 +13,7 @@ from mfun.empirical import (
     alpha_average_many,
     compare_report,
     haar_oracle,
+    weyl_frequency,
     weyl_test,
 )
 from mfun.errors import RangeError
@@ -298,6 +299,33 @@ def test_weyl_resonance_guard(coeffs):
         ZeroTable(np.array([g, 2.0 * g + 1e-14]), "synthetic"))
     with pytest.raises(ResonanceError):
         weyl_test(synthetic, np.array([2.0, -1.0]), 1e4)
+
+
+def test_weyl_batch_rows_are_single_calls(coeffs):
+    """A 2-D call gives each row bit for bit what a 1-D call on that row
+    gives, in any batch: n.gamma and n.beta are summed in ascending m, with
+    no BLAS reduction, and e^{it} is elementwise."""
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(9)))
+    vecs = rng.integers(-3, 4, size=(300, 10))
+    vecs = vecs[vecs.any(axis=1)].astype(float)
+    whole = weyl_test(coeffs, vecs, 1e4)
+    assert whole.shape == (len(vecs),)
+    singles = [weyl_test(coeffs, v, 1e4) for v in vecs]
+    assert whole.tolist() == singles
+    for lo, hi in ((0, 1), (7, 8), (3, 40), (250, len(vecs))):
+        assert weyl_test(coeffs, vecs[lo:hi], 1e4).tolist() == singles[lo:hi]
+    omega = weyl_frequency(coeffs, vecs)
+    assert omega.tolist() == [weyl_frequency(coeffs, v) for v in vecs]
+    assert np.allclose(omega, vecs @ coeffs.gamma[:10], rtol=0, atol=1e-12)
+
+
+def test_weyl_batch_rejects_any_zero_row(coeffs):
+    vecs = np.ones((4, 5))
+    vecs[2] = 0.0
+    with pytest.raises(ValueError):
+        weyl_test(coeffs, vecs, 1e4)
+    with pytest.raises(RangeError):
+        weyl_test(coeffs, np.ones((3, len(coeffs) + 1)), 1e4)
 
 
 def test_compare_report_small(coeffs):

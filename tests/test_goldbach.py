@@ -103,6 +103,18 @@ def test_r2_halved_symmetry(table):
         assert r2[m] == pytest.approx(half, abs=1e-9)
 
 
+def gathered(blocks, n_max):
+    """r2[0..n_max] from r2_convolve's blocks, which must follow each other
+    from 0 to n_max + 1."""
+    parts, a = [], 0
+    for lo, block in blocks:
+        assert lo == a and block.size > 0
+        parts.append(block)
+        a += block.size
+    assert a == n_max + 1
+    return np.concatenate(parts)
+
+
 def r2_direct(pp, lam_pp, n_max):
     """Oracle: r2[n] = sum_{l+m=n} Lambda(l) Lambda(m) by the direct double
     loop over all ordered pairs of prime powers (O(pi(x)^2) updates)."""
@@ -125,7 +137,7 @@ def r2_pair(request):
     x = request.param
     lam = sieve_lambda(x).lam
     pp = np.nonzero(lam)[0].astype(np.int64)
-    fast = r2_convolve(pp, lam[pp], x)
+    fast = gathered(r2_convolve(pp, lam[pp], x), x)
     # the bound of r2_convolve, 2 eps log2(L) sum Lambda^2, at L <= 2x
     bound = (2.0 * np.finfo(float).eps * math.log2(2 * x)
              * float(np.sum(lam[pp] ** 2)))
@@ -154,7 +166,7 @@ def test_r2_blocks_within_stated_bound(monkeypatch):
     pp = np.nonzero(lam)[0].astype(np.int64)
     monkeypatch.setattr(gb, "_r2_block", lambda k: 256)
     assert -(-((x - 6) // 2 + 1) // 256) == 10
-    fast = r2_convolve(pp, lam[pp], x)
+    fast = gathered(r2_convolve(pp, lam[pp], x), x)
     direct = r2_direct(pp, lam[pp], x)
     bound = (2.0 * np.finfo(float).eps * math.log2(512)
              * float(np.sum(lam[pp] ** 2)))
@@ -184,7 +196,8 @@ def test_r2_one_block_is_one_transform():
             want[e + po[:j]] += (2.0 * lam[e]) * lam[po[:j]]
             j = np.searchsorted(pe, x - e, side="right")
             want[e + pe[:j]] += lam[e] * lam[pe[:j]]
-        assert np.array_equal(r2_convolve(pp, lam[pp], x), want), x
+        (a, block), = r2_convolve(pp, lam[pp], x)
+        assert a == 0 and np.array_equal(block, want), x
 
 
 def test_goldbach_csv_independent_of_threads(tmp_path):
@@ -338,6 +351,132 @@ def test_a2_curve_holds_block_sums():
     assert peak <= 4 * (x + 1) * 8, peak / ((x + 1) * 8)
 
 
+def test_a2_grid_holds_no_whole_array():
+    """The grid path (what goldbach-validate runs) keeps A_2 at the grid
+    only.  At x_max = 4e6 its traced peak stays below 1.5 arrays of
+    x_max + 1 doubles: r2_convolve's spectra (1.05 arrays) and buffers of
+    one block, where one more whole array would make 2.05.  (At 5e5 the
+    buffers of one 2^15-point block alone are 0.57 arrays, so the same
+    peak there is 1.96 arrays, below the 4 of the whole-curve path.)"""
+    import tracemalloc
+    x = 4_000_000
+    table = sieve_lambda(x)
+    grid = np.geomspace(100, x, 257).astype(int).tolist()
+    tracemalloc.start()
+    try:
+        a2_curve(table, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (x + 1) * 8, peak / ((x + 1) * 8)
+
+
+def slice_edges(table):
+    """Every n at which the block engine starts a slice, with its
+    neighbours: the edges of r2_convolve's blocks among them."""
+    import mfun.goldbach as gb
+    starts = [lo for lo, _, _ in gb._a2_slices(table)]
+    return sorted({n for lo in starts for n in (lo - 1, lo, lo + 1)
+                   if 0 <= n <= table.limit})
+
+
+@pytest.mark.parametrize("x", [2000, 20_000, 500_000])
+def test_grid_values_are_the_curve(tmp_path, x):
+    """goldbach-validate's A_2 column, and the grid path at every block and
+    slice edge, equal the whole curve's A_2 bit for bit."""
+    import csv
+    from mfun.cli import main
+    table = sieve_lambda(x)
+    whole = a2_curve(table).a2
+    edges = slice_edges(table)
+    assert len(edges) > 6 or x == 2000   # up to 2000 one slice holds all
+    picked = a2_curve(table, edges)
+    assert [picked[n] for n in edges] == whole[edges].tolist()
+    assert main(["goldbach-validate", "--x-max", str(x), "--N", "30",
+                 "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "goldbach.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    xs = [int(r["x"]) for r in rows]
+    assert xs[-1] == x
+    assert [float(r["a2"]) for r in rows] == whole[xs].tolist()
+
+
+def test_a2_grid_range_guard(table):
+    with pytest.raises(RangeError):
+        a2_curve(table, [100, table.limit + 1])
+    with pytest.raises(RangeError):
+        a2_curve(table, [-1, 100])
+
+
+@pytest.mark.parametrize("x", range(2, 65))
+def test_small_x_max_matches_brute_force(x):
+    """Every x_max up to 64, where the odd + odd transform is short or
+    absent: r_2 and A_2 match the O(x^2) brute force, S_2 the scalar
+    formula, and the grid path the whole curve at every n."""
+    table = sieve_lambda(x)
+    sums = a2_curve(table)
+    brute = brute_force_sums(table, sums.s2)
+    assert np.max(np.abs(sums.r2 - brute.r2)) <= 1e-12
+    assert np.max(np.abs(sums.a2 - brute.a2)) <= 1e-9 * max(
+        1.0, float(np.max(np.abs(brute.a2))))
+    assert sums.s2.tolist() == [0.0] + [singular_series(n)
+                                        for n in range(1, x + 1)]
+    picked = a2_curve(table, range(x + 1))
+    assert [picked[n] for n in range(x + 1)] == sums.a2.tolist()
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("x_max", [20_000, 2_000_000])
+def test_singular_series_ranges_match_whole(x_max):
+    """S_2 sieved on [lo, hi) is the matching slice of the whole-range
+    sieve, bit for bit: ranges at 0, 1 and 2, short ones where every large
+    prime has at most one multiple, empty ones, and with a prime table
+    that runs past x_max / 2."""
+    whole = singular_series_all(x_max)
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(5)))
+    starts = rng.integers(0, x_max + 1, size=12).tolist()
+    widths = rng.integers(0, x_max // 8, size=12).tolist()
+    ranges = [(0, x_max + 1), (1, 2), (2, 3), (0, 7), (3, 4), (5, 5),
+              (x_max - 9, x_max + 1), (x_max // 2, x_max // 2 + 2),
+              (x_max // 3, x_max // 3 + 4096)]
+    ranges += [(a, min(a + w, x_max + 1)) for a, w in zip(starts, widths)]
+    primes = primes_up_to(x_max)[1:]
+    for lo, hi in ranges:
+        part = singular_series_all(hi - 1, lo)
+        assert np.array_equal(bits(part), bits(whole[lo:hi])), (lo, hi)
+        part = singular_series_all(hi - 1, lo, primes)
+        assert np.array_equal(bits(part), bits(whole[lo:hi])), (lo, hi)
+
+
+def lambda_table_loop(x):
+    """Oracle: the dense Lambda table as it was built before the table was
+    held on its support: log p at every prime, then the higher powers of
+    the primes up to sqrt(x)."""
+    lam = np.zeros(x + 1)
+    primes = primes_up_to(x)
+    lam[primes] = [math.log(p) for p in primes.tolist()]
+    for p in primes[primes <= math.isqrt(x)].tolist():
+        q = p * p
+        while q <= x:
+            lam[q] = math.log(p)
+            q *= p
+    return lam
+
+
+@pytest.mark.parametrize("x", [*range(2, 40), 1000, 65_536, 1_000_000])
+def test_lambda_table_matches_dense_table(x):
+    """The table on its support gives the dense table bit for bit, and its
+    support is the ascending nonzero entries of that table."""
+    table = sieve_lambda(x)
+    want = lambda_table_loop(x)
+    assert np.array_equal(bits(table.lam), bits(want))
+    assert np.array_equal(table.pp, np.flatnonzero(want))
+    assert np.array_equal(bits(table.lam_pp), bits(want[table.pp]))
+
+
 def test_a2_matches_brute_force(table):
     sums = a2_curve(table)
     a2b = brute_force_sums(table, sums.s2).a2
@@ -347,7 +486,7 @@ def test_a2_matches_brute_force(table):
 
 def test_compare_main_term_rows(table, coeffs):
     sums = a2_curve(table)
-    rows = compare_main_term(sums, coeffs, 20, [100, 1000, 2999])
+    rows = compare_main_term(sums.a2, coeffs, 20, [100, 1000, 2999])
     assert [r["x"] for r in rows] == [100, 1000, 2999]
     for r in rows:
         assert r["residual"] == pytest.approx(r["a2"] - r["main_term"])
@@ -358,7 +497,7 @@ def test_compare_main_term_rows(table, coeffs):
 def test_compare_main_term_range_guard(table, coeffs):
     sums = a2_curve(table)
     with pytest.raises(RangeError):
-        compare_main_term(sums, coeffs, 20, [100, 10 ** 6])
+        compare_main_term(sums.a2, coeffs, 20, [100, 10 ** 6])
 
 
 def test_sieve_guard():
