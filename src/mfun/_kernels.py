@@ -37,8 +37,8 @@ import numpy as np
 
 from . import _bessel_table
 
-# Elements per chunk of _hankel_direct's r x rho product matrix (32 MiB).
-_HANKEL_CHUNK = 1 << 22
+# Elements per chunk of _hankel_direct's r x rho product matrix (512 KiB).
+_HANKEL_CHUNK = 1 << 16
 # Nodes per block of f_grid_chunks' factored phases.
 GRID_BLOCK = 1 << 10
 # Blocks per group of f_grid_chunks' term sums: one group's terms take
@@ -68,6 +68,9 @@ _HANKEL_M = 20
 _HANKEL_P = 8
 # Bytes of far-field spectrum rows that hankel_sum holds at a time.
 _SPECTRUM_BYTES = 8 << 20
+# Nodes per block of hankel_sum's far-field coefficients: a block's
+# coefficients and temporaries take about 0.5 MiB.
+_FAR_BLOCK = 1 << 10
 # a_m = (-1)^m prod_{l<=m} (2l - 1)^2 / (m! 8^m), m = 0 .. M-1, are J0's
 # Hankel coefficients a_m(0); J1's are prod_{l<=m} (4 - (2l - 1)^2) / (m! 8^m)
 _HANKEL_A = np.cumprod(
@@ -432,22 +435,27 @@ def _hankel_direct(r, rho, g):
     return out
 
 
-def _mcmahon_offsets(x):
-    """e_k = x_k - (k - 1/4) pi for k = 1 .. K.
+def _mcmahon_offsets(x, first=0):
+    """e_k = x_k - (k - 1/4) pi for the nodes k = first+1 .. first+x.size,
+    x holding x_k for those k.
 
     (k - 1/4) pi = (4k - 1) pi/4 is subtracted in the three parts of
     ``expi``'s 2pi / 8; the first two products are exact, so e_k carries
     only the rounding of its own size.
     """
-    q = 4.0 * np.arange(1, x.size + 1) - 1.0
+    q = 4.0 * np.arange(first + 1, first + x.size + 1) - 1.0
     return x - q * _QUARTER_PI[0] - q * _QUARTER_PI[1] - q * _QUARTER_PI[2]
 
 
-def _far_coefficients(x, g):
-    """The far-field coefficients of ``hankel_sum``: a (M + P - 1, K) array
-    whose row d + M - 1 holds, for d = -(M - 1) .. P - 1,
+def _far_coefficients(x, g, first):
+    """The far-field coefficients of ``hankel_sum`` for the nodes
+    k = first+1 .. first+x.size, given their x_k and g_k: a
+    (M + P - 1, x.size) array whose row d + M - 1 holds, for
+    d = -(M - 1) .. P - 1,
 
         g_k x_k^{-1/2} sum_{p - m = d} (-e_k)^p / p! * a_m x_k^{-m}.
+
+    A column depends only on its own x_k, g_k and k.
     """
     m, p = _HANKEL_M, _HANKEL_P
     # row M - 1 - j holds g_k x_k^{-1/2} a_j x_k^{-j}
@@ -458,7 +466,7 @@ def _far_coefficients(x, g):
         np.multiply(powers[j + 1], inv, out=powers[j])
     powers *= _HANKEL_A[::-1, None]
     coef = np.zeros((m + p - 1, x.size))
-    minus_e = -_mcmahon_offsets(x)
+    minus_e = -_mcmahon_offsets(x, first)
     taylor = np.ones(x.size)
     for j in range(p):
         if j:
@@ -467,16 +475,16 @@ def _far_coefficients(x, g):
     return coef
 
 
-def _fold(folded, coef, start, stop):
-    """Add the coefficient columns start .. stop-1, the nodes
-    k = start+1 .. stop, into the columns k mod L of folded."""
+def _fold(folded, coef, first):
+    """Add the coefficient columns of the nodes k = first+1 ..
+    first+coef.shape[1] into the columns k mod L of folded, in ascending k."""
     length = folded.shape[1]
-    k = start + 1
-    while k <= stop:
-        pos = k % length
-        step = min(length - pos, stop + 1 - k)
-        folded[:, pos:pos + step] += coef[:, k - 1:k - 1 + step]
-        k += step
+    j = 0
+    while j < coef.shape[1]:
+        pos = (first + 1 + j) % length
+        step = min(length - pos, coef.shape[1] - j)
+        folded[:, pos:pos + step] += coef[:, j:j + step]
+        j += step
 
 
 def _far_rows(folded, lo, hi, n):
@@ -544,7 +552,9 @@ def hankel_sum(r, rho, g):
       e^{i pi t_i / 4} e^{-2 pi i k i/L}, L = 2(n - 1), each power t^d,
       d = p - m, is one real FFT of length L over the coefficients
       g_k x_k^{-1/2} (-e_k)^p/p! a_m x_k^{-m}, folded by k mod L: M + P - 1
-      FFTs per block, with the coefficients built once per call.
+      FFTs per block.  Each node's coefficients are built and folded once
+      per call, when its pairs first turn far, ``_FAR_BLOCK`` nodes at a
+      time in ascending k.
 
     A block takes the FFTs only when its far pairs, each worth
     ``_J0_COST`` butterflies, outnumber the (M + P - 1) L log2 L
@@ -575,7 +585,14 @@ def hankel_sum(r, rho, g):
     A value depends on r_i and the grid's point count (its block and FFT
     length), besides rho and g.  numpy's FFT and every sum here run in a
     fixed order, so the result is byte-identical across reruns,
-    ``_HANKEL_CHUNK`` splits and thread counts.
+    ``_HANKEL_CHUNK``, ``_SPECTRUM_BYTES`` and ``_FAR_BLOCK`` splits and
+    thread counts.
+
+    Memory: the folded coefficients, (M + P - 1) x L doubles, spectra of
+    at most ``_SPECTRUM_BYTES`` and a few vectors of a block's rows.  The
+    coefficients are built ``_FAR_BLOCK`` nodes at a time and the direct
+    products ``_HANKEL_CHUNK`` elements at a time, so no matrix as wide as
+    the K nodes is built.
     """
     r = np.asarray(r, dtype=np.float64)
     rho = np.asarray(rho, dtype=np.float64)
@@ -586,7 +603,8 @@ def hankel_sum(r, rho, g):
     fft_work = (_HANKEL_M + _HANKEL_P - 1) * length * math.log2(length)
     out = np.empty(n)
     out[0] = np.sum(g)
-    coef = folded = None
+    folded = None
+    done = size
     lo = 1
     while lo < n:
         hi = min(2 * lo, n)
@@ -596,11 +614,11 @@ def hankel_sum(r, rho, g):
         if (hi - lo) * (size - near) * _J0_COST <= fft_work:
             out[lo:hi] = _hankel_direct(r[lo:hi], rho, g)
         else:
-            if coef is None:
-                coef = _far_coefficients(x, g)
-                folded = np.zeros((coef.shape[0], length))
-                done = size
-            _fold(folded, coef, near, done)
+            if folded is None:
+                folded = np.zeros((_HANKEL_M + _HANKEL_P - 1, length))
+            for a in range(near, done, _FAR_BLOCK):
+                b = min(a + _FAR_BLOCK, done)
+                _fold(folded, _far_coefficients(x[a:b], g[a:b], a), a)
             done = near
             out[lo:hi] = _far_rows(folded, lo, hi, n)
             if near:

@@ -35,10 +35,13 @@ COUNTING_SLACK = 2
 COUNTING_T_MIN = 25.0
 
 # Ceilings on the two options whose memory grows with their value: a
-# density at 2^18 r points peaks near 260 MiB, and 10^5 Weyl vectors, checked
-# in one batch, near 80 MiB.
+# density at 2^18 r points peaks near 165 MiB (its Hankel sum's folded
+# far-field coefficients, 27 x 524,286 doubles, are 108 MiB of it), and 10^5
+# Weyl vectors, checked in one batch, near 60 MiB.
 MAX_R_POINTS = 2 ** 18
 MAX_WEYL_COUNT = 10 ** 5
+# Weyl vectors whose CSV rows are built as Python objects at a time.
+_WEYL_BLOCK = 4096
 
 # Calibrated once on the bundled pipeline (x_max=2e5, N=100, observed
 # maximum 0.0099 over x >= 1000) and frozen with a 5x margin.
@@ -303,11 +306,21 @@ def _weyl_appendix(config: argparse.Namespace, coeffs, path: Path,
     moduli = np.abs(em.weyl_test(coeffs, vecs, config.X))
     bounds = 2.0 / (config.X * np.abs(em.weyl_frequency(coeffs, vecs)))
     ok = moduli <= bounds * (1 + 1e-12)
-    names = ["(" + " ".join(map(str, vec)) + ")" for vec in vecs.tolist()]
-    rows = [[name, config.X, modulus, bound, good] for name, modulus, bound,
-            good in zip(names, moduli.tolist(), bounds.tolist(), ok.tolist())]
-    _write_csv(path, ["n_vector", "X", "modulus", "bound", "ok"], rows)
-    bad = [row for row in rows if not row[-1]]
+    bad = []
+
+    def rows():
+        for lo in range(0, count, _WEYL_BLOCK):
+            hi = lo + _WEYL_BLOCK
+            for vec, modulus, bound, good in zip(
+                    vecs[lo:hi].tolist(), moduli[lo:hi].tolist(),
+                    bounds[lo:hi].tolist(), ok[lo:hi].tolist()):
+                row = ["(" + " ".join(map(str, vec)) + ")", config.X,
+                       modulus, bound, good]
+                if not good:
+                    bad.append(row)
+                yield row
+
+    _write_csv(path, ["n_vector", "X", "modulus", "bound", "ok"], rows())
     for vec, _, modulus, bound, _ in bad:
         print(f"Weyl bound FAILED for n = {vec}: modulus {modulus:.6e} "
               f"> bound {bound:.6e}")

@@ -476,6 +476,38 @@ def test_weyl_vectors_are_the_loop_draws(tmp_path, n, count):
     assert all(r["ok"] == "true" for r in rows)
 
 
+@pytest.mark.parametrize("fail", [False, True])
+def test_weyl_rows_written_in_blocks(tmp_path, monkeypatch, capsys, coeffs,
+                                     fail):
+    """With blocks of 4 vectors, 14 vectors span three whole blocks and a
+    partial one; weyl.csv holds the rows that checking and formatting the
+    whole batch at once writes, and every failing row, in whichever block,
+    is reported."""
+    count, x = 14, 1e4
+    if fail:
+        monkeypatch.setattr(mfun.empirical, "weyl_test",
+                            lambda coeffs, vecs, x: np.ones(len(vecs), complex))
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(3)))
+    vecs = rng.integers(-3, 4, size=(count, 10))
+    assert vecs.any(axis=1).all()   # no top-up draw at this seed
+    moduli = np.abs(mfun.empirical.weyl_test(coeffs, vecs, x))
+    bounds = 2.0 / (x * np.abs(mfun.empirical.weyl_frequency(coeffs, vecs)))
+    ok = moduli <= bounds * (1 + 1e-12)
+    want = ["n_vector,X,modulus,bound,ok"] + [
+        ",".join(_fmt(v) for v in ("(" + " ".join(map(str, vec)) + ")", x,
+                                   modulus, bound, good))
+        for vec, modulus, bound, good in zip(vecs.tolist(), moduli, bounds,
+                                             ok)]
+    assert ok.all() != fail
+    monkeypatch.setattr(mfun.cli, "_WEYL_BLOCK", 4)
+    assert run(["weyl", "--count", str(count), "--seed", "3", "--X", "1e4",
+                "--out", str(tmp_path)]) == int(fail)
+    assert (tmp_path / "weyl.csv").read_text().splitlines() == want
+    failed = re.findall(r"Weyl bound FAILED for n = (\([-\d ]+\))",
+                        capsys.readouterr().out)
+    assert failed == [line.split(",")[0] for line in want[1:]] * fail
+
+
 def test_weyl_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     run(["weyl", "--count", "5", "--X", "10000", "--out", str(a)])

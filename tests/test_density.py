@@ -281,6 +281,32 @@ def test_hankel_sum_independent_of_batch(coeffs, monkeypatch):
         assert _kernels._hankel_direct(r[i:i + 1], rho, g)[0] == whole[i]
 
 
+def test_hankel_sum_independent_of_far_block(coeffs, monkeypatch):
+    """The far-field coefficients folded one node block at a time give the
+    same bytes for any block size: one node, 7 nodes, L + 1 nodes (so
+    every whole block wraps past a multiple of the FFT length L) and one
+    block of all K nodes; and on the order-5 grid of 512 points (K =
+    13,570 nodes) the sum holds within 2 MiB of traced memory, where all
+    27 x K coefficients at once took 7.4 MiB."""
+    import tracemalloc
+
+    d = invert_to_density(coeffs, 5, 512)
+    r, rho = d.r_grid, d.rho_grid
+    g = rho * d.characteristic
+    tracemalloc.start()
+    try:
+        blocked = _kernels.hankel_sum(r, rho, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 << 20, peak
+    length = 2 * (r.size - 1)
+    assert rho.size > 2 * length
+    for block in (1, 7, length + 1, rho.size):
+        monkeypatch.setattr(_kernels, "_FAR_BLOCK", block)
+        assert _kernels.hankel_sum(r, rho, g).tobytes() == blocked.tobytes()
+
+
 def _hankel_stated_bound(r, rho, g):
     """The bound of the ``hankel_sum`` docstring against ``_hankel_direct``,
     with a_m recomputed from its product formula."""
