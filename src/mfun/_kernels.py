@@ -1,8 +1,9 @@
 """The hot kernels, in numpy.
 
 Everything here is vectorized numpy: one table-driven phase exponential,
-``expi``, for every e^{i theta} (f_series, phasor_sum, f_grid_chunks, the
-test functions and the Bessel far field), the Bessel functions J0 and J1
+``expi``, for every e^{i theta} (f_series, f_grid_chunks, the test
+functions and the Bessel far field), whose table also serves
+``phasor_sum``'s integer phases, the Bessel functions J0 and J1
 (``j0_arr``, ``j1_arr``: stored polynomials below x0 = 20, Hankel's
 expansion above), and numpy's FFT for the far field of the
 Fourier-Bessel sum on its uniform grid (``hankel_sum``).  Loops run over
@@ -10,9 +11,9 @@ chunks or cache-sized blocks to keep peak memory bounded.
 
 No kernel reduces through BLAS, whose summation order can change with the
 matrix shape and the thread count.  The phase sums ``f_series`` and
-``phasor_sum`` share ``_ascending_sum``, which takes the angles a cache
+``phasor_sum`` share ``_ascending_sum``, which takes the phasors a cache
 block of points at a time and adds the terms in ascending m, one running
-sum per point, so a result depends only on its own alpha or angle row,
+sum per point, so a result depends only on its own alpha or phase row,
 not on the points evaluated with it, the blocking or the thread count.
 ``expi``, ``j0_arr`` and ``j1_arr`` are elementwise too: a value depends
 only on its own argument, not on the block it falls in.
@@ -29,6 +30,9 @@ Time averages evaluate f_N on the uniform grid alpha_j = j*h with
 ``f_grid_chunks``, which factors each phase as a per-block phasor times a
 table row over blocks of ``GRID_BLOCK`` nodes aligned to the absolute
 index j, so a value depends only on j; its docstring bounds the error.
+
+Random draws come from ``splitmix64``, a counter-based stream: word j
+depends only on the seed and j, so any block split gives the same words.
 """
 
 import math
@@ -227,6 +231,53 @@ def _expi_table():
 _EXPI_TABLE = _expi_table()
 
 
+def _fine_table():
+    """e^{2 pi i b/L^2} for b = 0 .. L-1, the real parts within u and the
+    imaginary parts within u/100 (u = 2^-53).
+
+    With ``_EXPI_TABLE`` it factors the phasor of an integer phase
+    k = L a + b in units of 2pi/L^2 = 2pi/2^24 (see ``phasor_sum``).  The
+    angles are below 2pi/L < 1.6e-3, so the relative error of a rounded
+    angle moves a cosine by less than u/10^5 and a sine by less than u/500.
+    """
+    x = (2.0 * math.pi / _EXPI_L ** 2) * np.arange(_EXPI_L)
+    table = np.empty(_EXPI_L, dtype=np.complex128)
+    table.real = np.cos(x)
+    table.imag = np.sin(x)
+    return table
+
+
+_EXPI_FINE = _fine_table()
+
+# SplitMix64 (Steele, Lea and Flood 2014; Vigna's splitmix64.c): the state
+# steps by _SPLITMIX_GAMMA and each word is the state through this mix.
+_SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_SPLITMIX_MIX = ((30, np.uint64(0xBF58476D1CE4E5B9)),
+                 (27, np.uint64(0x94D049BB133111EB)))
+
+
+def splitmix64(seed, lo, hi):
+    """Words lo .. hi-1 of the SplitMix64 stream keyed by seed (uint64).
+
+    Word j is the reference output mix of the state
+    seed + (j + 1) * 0x9E3779B97F4A7C15 mod 2^64: the value that Vigna's
+    splitmix64.c returns at its (j + 1)-th call from the state seed.  A
+    word depends only on (seed, j), so words [lo, hi) are that slice of
+    words [0, hi) and a stream drawn block by block is the same stream.
+    """
+    z = np.arange(lo + 1, hi + 1, dtype=np.uint64)
+    z *= _SPLITMIX_GAMMA   # uint64 arrays wrap mod 2^64 without a warning
+    z += np.uint64(seed)
+    t = np.empty_like(z)
+    for shift, mult in _SPLITMIX_MIX:
+        np.right_shift(z, shift, out=t)
+        z ^= t
+        z *= mult
+    np.right_shift(z, 31, out=t)
+    z ^= t
+    return z
+
+
 def expi(x):
     """e^{ix} = cos x + i sin x elementwise: a complex array shaped like x.
 
@@ -294,13 +345,13 @@ def expi(x):
     return out
 
 
-def _ascending_sum(angles, c, n):
-    """sum_m c_m * exp(i*theta[m]) at n points, with angles(lo, hi) the
-    (N, hi - lo) angle block theta[:, lo:hi] of the points lo .. hi-1.
+def _ascending_sum(phasors, c, n):
+    """sum_m c_m * phasors(lo, hi)[m] at n points, with phasors(lo, hi) a
+    new (N, hi - lo) complex array: the unit phasors of the points lo .. hi-1.
 
     The blocks are cache-sized, so no N x n matrix is built.  The running
-    sum adds the rows c_m * expi(theta[m]) in ascending m, an elementwise
-    add over the points for the real and the imaginary part, so a point's
+    sum adds the rows c_m * phasors[m] in ascending m, an elementwise add
+    over the points for the real and the imaginary part, so a point's
     value does not depend on the other points or on the block it falls in.
     """
     c = np.asarray(c, dtype=np.float64)
@@ -308,7 +359,7 @@ def _ascending_sum(angles, c, n):
     step = max(1, _EXPI_BLOCK // c.size)
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        terms = expi(angles(lo, hi))
+        terms = phasors(lo, hi)
         parts = terms.view(np.float64).reshape(c.size, -1)   # (re, im) pairs
         parts *= c[:, None]
         for m in range(1, c.size):
@@ -330,7 +381,8 @@ def f_series(alpha, c, gamma, beta):
     gamma = np.asarray(gamma, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
     return _ascending_sum(
-        lambda lo, hi: np.multiply.outer(gamma, alpha[lo:hi]) - beta[:, None],
+        lambda lo, hi: expi(np.multiply.outer(gamma, alpha[lo:hi])
+                            - beta[:, None]),
         c, alpha.size)
 
 
@@ -392,16 +444,37 @@ def f_grid_chunks(start, stop, chunk, h, c, gamma, beta):
 
 
 def phasor_sum(theta, c):
-    """sum_m c_m * exp(i*theta[:, m]) for a (n, N) angle matrix.
+    """sum_m c_m * e^{2 pi i theta[:, m]/2^24} for an (n, N) matrix of
+    integer phases theta, in units of 2pi/2^24.
 
-    Each term is c_m * ``expi(theta[:, m])``, the phase exponential of
-    ``f_series`` too.  The terms are added in ascending m with no BLAS
-    reduction, so a row gives bit for bit the same value alone as inside
-    any batch, and the same value as ``f_series`` at the alpha whose
-    phases are that row.
+    A phase k = 4096 a + b (mod 2^24, so any int64 k) takes its phasor as
+    E[a] * F[b], one complex multiply of two table entries:
+    E = ``_EXPI_TABLE``, e^{2 pi i a/4096}, and F = ``_EXPI_FINE``,
+    e^{2 pi i b/2^24}; no ``expi`` call.  Each part of the product is
+    within 4u (u = 2^-53) of cos and sin(2 pi k/2^24), the bound of
+    ``expi``: E's parts are within u, F's real parts within u and its
+    imaginary parts (below 1.6e-3) within u/100, and the two products and
+    the add of a part round by at most u/2 + u/1000 + u/2, 3.1u in all.
+    Over all 2^24 phases |E * F| <= 1 + 4u.  The terms are added in
+    ascending m with no BLAS reduction, so a row gives bit for bit the
+    same value alone as inside any batch.
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    return _ascending_sum(lambda lo, hi: theta[lo:hi].T, c, theta.shape[0])
+    theta = np.asarray(theta)
+    if theta.dtype.kind not in "iu":
+        raise TypeError("phasor_sum takes integer phases (units of 2pi/2^24), "
+                        f"not {theta.dtype}")
+    theta = theta.astype(np.int64, copy=False)
+    mask = _EXPI_L - 1
+
+    def phasors(lo, hi):
+        a = theta[lo:hi].T.copy()   # (N, hi - lo), C order
+        b = a & mask
+        a >>= 12
+        a &= mask
+        terms = _EXPI_TABLE[a]
+        terms *= _EXPI_FINE[b]
+        return terms
+    return _ascending_sum(phasors, c, theta.shape[0])
 
 
 def char_prod(rho, c):

@@ -21,6 +21,7 @@ from . import density as dn
 from . import empirical as em
 from . import goldbach as gb
 from . import spectral as sp
+from ._kernels import splitmix64
 from .errors import MfunError, RangeError
 from .svgplot import line_plot
 from .testfuncs import TestFunction
@@ -59,7 +60,7 @@ class Option(NamedTuple):
 
 # Every option, declared once.  Its range is checked before any grid, sample
 # or file is made; chained comparisons also refuse NaN.  eps = 0 keeps its
-# meaning of a fixed-order density; the seed keys a 64-bit Philox stream.
+# meaning of a fixed-order density; the seed keys a SplitMix64 stream.
 # The library checks x_max and samples again where it uses them.
 _OPTIONS = {
     "zeros": Option(Path, bundled_zeros_path(), "zero-ordinate file"),
@@ -296,13 +297,21 @@ def _weyl_appendix(config: argparse.Namespace, coeffs, path: Path,
     """Check count random Weyl sums against their bounds; print failures."""
     n = config.N
     coeffs.check_order(n)
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(config.seed)))
-    # one draw; zero vectors are dropped and replaced from the same stream
-    vecs = rng.integers(-3, 4, size=(count, n))
-    vecs = vecs[vecs.any(axis=1)]
+    # Entry m of row i is ((w >> 32) * 7 >> 32) - 3 for word w = i*n + m of
+    # the seed's SplitMix64 stream: each of -3 .. 3 has probability 1/7 to
+    # within a factor 1 +- 7/2^32.  Zero rows are dropped and the following
+    # rows drawn in their place.
+    vecs = np.empty((0, n), dtype=np.int64)
+    word = 0
     while len(vecs) < count:
-        more = rng.integers(-3, 4, size=(count - len(vecs), n))
-        vecs = np.concatenate([vecs, more[more.any(axis=1)]])
+        more = count - len(vecs)
+        draw = splitmix64(config.seed, word, word + more * n)
+        word += more * n
+        draw >>= 32
+        draw *= 7
+        draw >>= 32
+        draw = draw.view(np.int64).reshape(more, n) - 3
+        vecs = np.concatenate([vecs, draw[draw.any(axis=1)]])
     moduli = np.abs(em.weyl_test(coeffs, vecs, config.X))
     bounds = 2.0 / (config.X * np.abs(em.weyl_frequency(coeffs, vecs)))
     ok = moduli <= bounds * (1 + 1e-12)

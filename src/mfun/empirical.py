@@ -2,12 +2,13 @@
 time averages over the shift parameter, and closed-form Weyl sums.
 
 The Haar and time-average means are both means of Phi over a stream of
-points (``phasor_sum`` of drawn angles, ``f_grid_chunks`` on the alpha
+points (``phasor_sum`` of drawn phases, ``f_grid_chunks`` on the alpha
 grid), summed by one engine (``_stream_sums``) per block of points.
 
-Monte-Carlo uses numpy's Philox generator (a named counter-based RNG with
-a 64-bit seed); angles are drawn as 2*pi times 53-bit-mantissa uniforms,
-so a fixed seed reproduces results bit for bit.
+Monte-Carlo draws from ``splitmix64``, a counter-based SplitMix64 stream
+keyed by a 64-bit seed: each angle is a 24-bit integer phase, the top 24
+bits of one word, in units of 2pi/2^24, so a fixed seed reproduces
+results bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _EXPI_BLOCK, GRID_BLOCK, expi, f_grid_chunks, phasor_sum
+from ._kernels import (_EXPI_BLOCK, GRID_BLOCK, expi, f_grid_chunks,
+                       phasor_sum, splitmix64)
 from .density import DensityProfile, integrate_against
 from .errors import MfunError, RangeError
 from .spectral import CoefficientTable
@@ -35,11 +37,6 @@ TREND_FLOOR = 2e-3
 # Smaller chunks save memory but pay the per-chunk Python overhead more
 # often; at 2^20 points every pass over a chunk went to main memory.
 _CHUNK = 1 << 16
-# Angles per Haar draw block (512 KiB of float64 whatever N is): a chunk's
-# angles are drawn into one reused block buffer, never as a whole N x _CHUNK
-# matrix.  The block is rounded down to whole phasor_sum steps of
-# _EXPI_BLOCK // N rows, so that no block ends in a short expi call.
-_DRAW_BLOCK = 1 << 16
 
 
 class ResonanceError(MfunError):
@@ -87,30 +84,33 @@ def haar_oracle(coeffs: CoefficientTable, n: int, phis, samples: int,
     Every Phi is evaluated at every sample, so the means carry sampling
     noise only.  Returns (means list, max |S_N| seen).
 
-    Memory: one (B, N) angle buffer, B * N about ``_DRAW_BLOCK`` angles,
-    is reused for every draw.  Philox fills it row by row in stream order,
-    so the angles, and the means, do not depend on B.  Beyond it the call
-    holds one ``_CHUNK``-point chunk of S_N and the values of one Phi on it.
+    Angle m of sample i is 2pi k/2^24 with the integer phase k the top 24
+    bits of word i*N + m of ``splitmix64(seed, ...)``: uniform on the
+    2^24-th roots of unity.  Each angle lies within 2pi/2^24 of the
+    continuous draw 2pi w/2^64 of its word w, so a sample lies within
+    s_N * 2pi/2^24 of the continuous sample (s_N = sum of the c_m; 5.1e-9
+    at N = 10), and ``phasor_sum`` evaluates it to within 4u per term.
+
+    Memory: the words of one ``phasor_sum`` step, _EXPI_BLOCK // N rows of
+    N (64 KiB), are drawn at a time.  The stream is counter-based, so the
+    phases, and the means, do not depend on that block.  Beyond it the
+    call holds one ``_CHUNK``-point chunk of S_N and the values of one Phi
+    on it.
     """
     coeffs.check_order(n)
     if samples < MIN_HAAR_SAMPLES:
         raise RangeError(f"need at least {MIN_HAAR_SAMPLES} samples")
     c = coeffs.c[:n]
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    rows = max(1, _DRAW_BLOCK // n)
-    step = max(1, _EXPI_BLOCK // n)   # the rows of one phasor_sum step
-    if rows > step:
-        rows -= rows % step
-    buf = np.empty((rows, n))
+    rows = max(1, _EXPI_BLOCK // n)
     peaks = []   # max |S_N| of each chunk
 
     def draw(lo):
         w = np.empty(min(_CHUNK, samples - lo), dtype=np.complex128)
         for a in range(0, w.size, rows):
-            angles = buf[:min(rows, w.size - a)]
-            rng.random(out=angles)
-            angles *= 2.0 * math.pi
-            w[a:a + angles.shape[0]] = phasor_sum(angles, c)
+            b = min(a + rows, w.size)
+            phases = splitmix64(seed, (lo + a) * n, (lo + b) * n)
+            phases >>= 40   # the top 24 bits: phases in units of 2pi/2^24
+            w[a:b] = phasor_sum(phases.view(np.int64).reshape(b - a, n), c)
         peaks.append(float(np.max(np.abs(w))))
         return w
     sums, _ = _stream_sums(map(draw, range(0, samples, _CHUNK)), phis,

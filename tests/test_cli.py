@@ -17,6 +17,7 @@ import mfun.density
 import mfun.empirical
 import mfun.goldbach
 import mfun.zeros
+from mfun._kernels import splitmix64
 from mfun.cli import _fmt, _write_csv, default_test_functions, main
 from mfun.density import support_radius
 from mfun.empirical import haar_oracle
@@ -461,13 +462,16 @@ def test_weyl_command(tmp_path, capsys):
 def test_weyl_vectors_are_the_loop_draws(tmp_path, n, count):
     """The batched draw lists the vectors that drawing one vector at a time
     and skipping zero vectors gives, in order; at N = 1 a seventh of the
-    draws are zero, so the top-up from the same stream is exercised."""
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(3)))
-    want = []
+    draws are zero, so the top-up from the same stream is exercised.
+    Entry m of a row is ((w >> 32) * 7 >> 32) - 3 of its SplitMix64 word w,
+    here in Python integers."""
+    want, word = [], 0
     while len(want) < count:
-        vec = rng.integers(-3, 4, size=n)
-        if np.any(vec):
-            want.append("(" + " ".join(str(int(v)) for v in vec) + ")")
+        vec = [((int(w) >> 32) * 7 >> 32) - 3
+               for w in splitmix64(3, word, word + n)]
+        word += n
+        if any(vec):
+            want.append("(" + " ".join(map(str, vec)) + ")")
     assert run(["weyl", "--N", str(n), "--count", str(count), "--seed", "3",
                 "--out", str(tmp_path)]) == 0
     with open(tmp_path / "weyl.csv", newline="") as fh:
@@ -487,8 +491,8 @@ def test_weyl_rows_written_in_blocks(tmp_path, monkeypatch, capsys, coeffs,
     if fail:
         monkeypatch.setattr(mfun.empirical, "weyl_test",
                             lambda coeffs, vecs, x: np.ones(len(vecs), complex))
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(3)))
-    vecs = rng.integers(-3, 4, size=(count, 10))
+    words = splitmix64(3, 0, count * 10).reshape(count, 10)
+    vecs = ((words >> 32) * 7 >> 32).astype(np.int64) - 3
     assert vecs.any(axis=1).all()   # no top-up draw at this seed
     moduli = np.abs(mfun.empirical.weyl_test(coeffs, vecs, x))
     bounds = 2.0 / (x * np.abs(mfun.empirical.weyl_frequency(coeffs, vecs)))
@@ -521,8 +525,8 @@ def test_unknown_command_exits_2():
     assert exc.value.code == 2
 
 
-def _modules_after(code):
-    """The modules loaded once a fresh interpreter has run code."""
+def _modules_after(code, package="scipy"):
+    """The modules of package loaded once a fresh interpreter has run code."""
     src = str(Path(mfun.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", code + "\nimport sys\nprint(*sys.modules)"],
@@ -531,7 +535,8 @@ def _modules_after(code):
     assert proc.returncode == 0, proc.stderr
     modules = proc.stdout.split()
     assert "mfun" in modules
-    return [m for m in modules if m.split(".")[0] == "scipy"]
+    return [m for m in modules
+            if m == package or m.startswith(package + ".")]
 
 
 def test_cli_import_leaves_out_heavy_scipy():
@@ -551,3 +556,16 @@ def test_commands_load_no_scipy():
         "    with tempfile.TemporaryDirectory() as out:\n"
         "        assert mfun.cli.main([*argv.split(), '--out', out]) == 0"
     ) == []
+
+
+def test_compare_and_weyl_load_no_numpy_random():
+    """The Haar samples and the Weyl vectors come from the package's own
+    SplitMix64 stream: neither command imports numpy.random."""
+    assert _modules_after(
+        "import mfun.cli, tempfile\n"
+        "for argv in ('compare --N 10 --samples 20000 --X 1e4 "
+        "--r-points 512',\n"
+        "             'weyl --count 50'):\n"
+        "    with tempfile.TemporaryDirectory() as out:\n"
+        "        assert mfun.cli.main([*argv.split(), '--out', out]) == 0",
+        "numpy.random") == []

@@ -7,7 +7,7 @@ import pytest
 
 from mfun import TestFunction
 from mfun.density import invert_to_density
-from mfun._kernels import phasor_sum
+from mfun._kernels import expi, phasor_sum
 from mfun.empirical import (
     ResonanceError,
     alpha_average_many,
@@ -21,18 +21,31 @@ from mfun.spectral import build_coefficients, eval_f_N
 from mfun.zeros import ZeroTable
 
 
-def test_torus_map_identity_bit_exact(coeffs):
+def test_torus_map_identity_within_bound(coeffs):
     """f_N(alpha) equals the torus map sum c_m e^{i theta_m} (``phasor_sum``
-    on one row) at angles theta_m = alpha gamma_m - beta_m.
+    on one row) at angles theta_m = alpha gamma_m - beta_m, rounded to the
+    nearest integer phase k_m in units of 2pi/2^24.
 
-    Both paths evaluate ``expi`` on identical doubles, so the match is exact.
+    Against sum_m c_m expi(2pi k_m/2^24), each part is within the terms'
+    4u + 4u, the 2pi * 0.85u rounding of an angle and the products' and
+    sums' 2 * N * u/2, all times s = sum c_m.  Against f_N(alpha) it is
+    within s * pi/2^24, half a phase step per angle, and those roundings.
     """
     n = 12
+    c = coeffs.c[:n]
+    s = float(np.sum(c))
+    u = 2.0 ** -53
+    step = 2.0 * math.pi / 2 ** 24
     for alpha in (0.0, 1.0, 2.5, 17.3):
         angles = alpha * coeffs.gamma[:n] - coeffs.beta[:n]
+        k = np.rint(angles / step).astype(np.int64) % 2 ** 24
+        mapped = complex(phasor_sum(k[None, :], c)[0])
+        table = complex(np.sum(c * expi(step * k)))
+        tol = (8.0 + 2.0 * math.pi * 0.85 + n) * u * s
+        assert abs(mapped.real - table.real) <= tol
+        assert abs(mapped.imag - table.imag) <= tol
         direct = eval_f_N(coeffs, n, alpha)
-        mapped = complex(phasor_sum(angles[None, :], coeffs.c[:n])[0])
-        assert direct == mapped
+        assert abs(direct - mapped) <= s * (math.pi / 2 ** 24 + 1e-12)
 
 
 def test_haar_oracle_deterministic(coeffs):
@@ -123,7 +136,7 @@ def test_alpha_average_independent_of_chunk(coeffs, monkeypatch):
 def test_haar_oracle_independent_of_chunk(coeffs, monkeypatch):
     """Smaller chunks of whole blocks give the same Haar means bit for bit.
 
-    The draws are the same Philox stream in any chunking, and the Phi
+    The draws are the same counter-based stream in any chunking, and the Phi
     values are summed per grid block, so only the block sums' order fixes
     the means.
     """
@@ -139,9 +152,9 @@ def test_haar_oracle_independent_of_chunk(coeffs, monkeypatch):
 
 
 def test_haar_oracle_independent_of_draw_block(coeffs, monkeypatch):
-    """Angles drawn into a smaller block buffer, here 100 rows that do not
-    divide a chunk, give the same Haar means bit for bit: Philox fills the
-    buffer rows in stream order."""
+    """Phases drawn in smaller blocks, here 100 rows that do not divide a
+    chunk, give the same Haar means bit for bit: a word of the SplitMix64
+    stream depends only on its index."""
     import mfun.empirical as em
     n = 10
     s = float(np.sum(coeffs.c[:n]))
@@ -149,14 +162,15 @@ def test_haar_oracle_independent_of_draw_block(coeffs, monkeypatch):
             TestFunction.gaussian(0.1 * s + 0.2j * s, s / 3.0),
             TestFunction.character(4.0 / s)]
     whole = haar_oracle(coeffs, n, phis, 150000, seed=3)
-    monkeypatch.setattr(em, "_DRAW_BLOCK", 100 * n)
+    monkeypatch.setattr(em, "_EXPI_BLOCK", 100 * n)
     assert haar_oracle(coeffs, n, phis, 150000, seed=3) == whole
 
 
 def test_haar_oracle_holds_block_draws(coeffs):
     """The Haar route at N = 10 peaks within 6 chunk-sized complex arrays
-    of traced memory over compare's eight test functions: its angles are
-    drawn into one block buffer, not as an N x _CHUNK matrix per chunk."""
+    of traced memory over compare's eight test functions: its phases are
+    drawn one phasor_sum step at a time, not as an N x _CHUNK matrix per
+    chunk."""
     import tracemalloc
 
     import mfun.empirical as em
@@ -172,28 +186,6 @@ def test_haar_oracle_holds_block_draws(coeffs):
     finally:
         tracemalloc.stop()
     assert peak <= 6 * em._CHUNK * 16, peak
-
-
-def test_haar_draw_blocks_hold_whole_phasor_steps(coeffs, monkeypatch):
-    """At N = 10 each Haar draw block is a whole number of phasor_sum steps
-    (_EXPI_BLOCK // N rows), so expi gets a short block only at the end of
-    a chunk, never at the end of every draw block."""
-    import mfun._kernels as kernels
-    import mfun.empirical as em
-    n = 10
-    full = n * max(1, kernels._EXPI_BLOCK // n)
-    sizes = []
-    expi = kernels.expi
-
-    def recording(x):
-        sizes.append(np.size(x))
-        return expi(x)
-    monkeypatch.setattr(kernels, "expi", recording)
-    samples = 2 * em._CHUNK + 1000
-    haar_oracle(coeffs, n, [TestFunction.one()], samples, seed=5)
-    assert sum(sizes) == n * samples
-    chunks = -(-samples // em._CHUNK)
-    assert sum(size < full for size in sizes) <= chunks, sizes
 
 
 def test_streams_hold_about_one_chunk(coeffs):

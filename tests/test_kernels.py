@@ -1,4 +1,6 @@
-"""The table-driven phase exponential ``expi`` against mpmath.
+"""The table-driven phase exponential ``expi`` and the integer-phase
+tables of ``phasor_sum`` against mpmath, and the SplitMix64 stream
+against its reference words.
 
 External oracle: mpmath's cos and sin at 40 digits, whose argument
 reduction is exact for any double, 1e300 included.
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 from mfun import _kernels
-from mfun._kernels import EXPI_LIMIT, expi
+from mfun._kernels import EXPI_LIMIT, expi, phasor_sum, splitmix64
 
 U = 2.0 ** -53
 BOUND = 4.0 * U   # expi's stated bound, per component, absolute
@@ -104,3 +106,64 @@ def test_expi_values_depend_only_on_their_argument(monkeypatch):
     keep = np.arange(x.size) != 70
     assert np.array_equal(mixed[keep], whole[keep])
     assert np.array_equal(expi(x.reshape(2, -1)), whole.reshape(2, -1))
+
+
+def test_splitmix64_reference_words():
+    """The first words from seed 0 are those of Vigna's splitmix64.c."""
+    assert splitmix64(0, 0, 3).tolist() == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    assert splitmix64(0, 0, 3).dtype == np.uint64
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2 ** 64 - 1])
+def test_splitmix64_any_split(seed):
+    """Words [lo, hi) are that slice of words [0, hi), at splits inside and
+    across the Haar draw blocks of N = 10 (_EXPI_BLOCK // 10 rows of 10);
+    the top seed wraps the state mod 2^64."""
+    block = (_kernels._EXPI_BLOCK // 10) * 10
+    whole = splitmix64(seed, 0, 3 * block + 7)
+    for lo, hi in [(0, 1), (block - 1, block + 1), (block, 2 * block),
+                   (block - 3, 2 * block + 5), (2 * block + 1, whole.size),
+                   (5, 5)]:
+        assert np.array_equal(splitmix64(seed, lo, hi), whole[lo:hi])
+
+
+def test_phase_tables_within_bound():
+    """phasor_sum's phasor E[k >> 12] * F[k & 4095] of an integer phase k
+    is within 4u per part of cos and sin(2 pi k/2^24) at k = 4097 j,
+    j = 0 .. 4095, a stride through all 2^24 phases that takes entry j of
+    both tables; and
+    |E * F| <= 1 + 4u at every phase, which the support bound's 1e-12
+    margin relies on.  A single term with c = 1 is the product itself."""
+    mp = pytest.importorskip("mpmath")
+    one = np.ones(1)
+    k = np.arange(0, 2 ** 24, L + 1)
+    got = phasor_sum(k[:, None], one)
+    with mp.workdps(40):
+        x = [2 * mp.pi * int(ki) / 2 ** 24 for ki in k]
+        worst = max(max(abs(mp.cos(xi) - mp.mpf(z.real)),
+                        abs(mp.sin(xi) - mp.mpf(z.imag)))
+                    for xi, z in zip(x, got))
+    assert float(worst) <= BOUND
+    assert np.unique(k >> 12).size == L and np.unique(k & (L - 1)).size == L
+    block = 1 << 18
+    for lo in range(0, 2 ** 24, block):
+        phases = np.arange(lo, lo + block)[:, None]
+        assert np.abs(phasor_sum(phases, one)).max() <= 1.0 + BOUND
+
+
+def test_phasor_sum_takes_integer_phases():
+    """Phases are integers mod 2^24: k and k + 2^24, negative ones too, give
+    the same sum; the caller's phases are left as they were, also at N = 1
+    where a block of them is already in the kernel's order; and float
+    angles are refused rather than truncated."""
+    c = np.array([0.5, 0.25, 0.125])
+    k = np.array([[0, 1, 2 ** 24 - 1], [4095, 4096, 123456789]])
+    want = phasor_sum(k, c)
+    assert np.array_equal(phasor_sum(k + 2 ** 24, c), want)
+    assert np.array_equal(phasor_sum(k - 2 ** 24, c), want)
+    column = k.reshape(-1, 1)
+    phasor_sum(column, c[:1])
+    assert np.array_equal(column.reshape(k.shape), k)
+    with pytest.raises(TypeError):
+        phasor_sum(k.astype(np.float64), c)

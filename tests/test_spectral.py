@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfun import _kernels
-from mfun._kernels import phasor_sum
+from mfun._kernels import phasor_sum, splitmix64
 from mfun.empirical import MIN_HAAR_SAMPLES, haar_oracle
 from mfun.errors import ZeroTableError
 from mfun.goldbach import a2_curve, compare_main_term, sieve_lambda
@@ -105,8 +105,8 @@ def test_phase_sums_independent_of_batch(coeffs, monkeypatch):
         assert _kernels.f_series(alphas[i:i + 1], c, g, b)[0] == whole[i]
 
     seed = 11
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    theta = 2.0 * math.pi * rng.random((MIN_HAAR_SAMPLES, n))   # Haar's draws
+    # Haar's draws: the top 24 bits of each SplitMix64 word
+    theta = (splitmix64(seed, 0, MIN_HAAR_SAMPLES * n) >> 40).reshape(-1, n)
     batch = phasor_sum(theta, c)
     alone = np.concatenate([phasor_sum(row[None, :], c) for row in theta])
     assert np.array_equal(batch, alone)
