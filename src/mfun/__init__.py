@@ -24,7 +24,7 @@ from .errors import (
     RangeError,
     ZeroTableError,
 )
-from .goldbach import a2_curve, compare_main_term, r2_all, sieve_lambda, singular_series
+from .goldbach import a2_curve, compare_main_term, sieve_lambda, singular_series
 from .spectral import CoefficientTable, build_coefficients, eval_f_N, tail_bound
 from .testfuncs import TestFunction
 from .zeros import ZeroTable, bundled_zeros_path, load_zeros, verify_table
@@ -55,7 +55,6 @@ __all__ = [
     "invert_limit_density",
     "invert_to_density",
     "load_zeros",
-    "r2_all",
     "sieve_lambda",
     "singular_series",
     "support_radius",

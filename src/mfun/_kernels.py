@@ -548,10 +548,10 @@ def _far_coefficients(x, g, first):
     return coef
 
 
-def _fold(folded, coef, first):
+def _fold(folded, coef, first, length):
     """Add the coefficient columns of the nodes k = first+1 ..
-    first+coef.shape[1] into the columns k mod L of folded, in ascending k."""
-    length = folded.shape[1]
+    first+coef.shape[1] into the columns k mod length of folded, in
+    ascending k.  folded holds the columns that k mod length reaches."""
     j = 0
     while j < coef.shape[1]:
         pos = (first + 1 + j) % length
@@ -563,7 +563,8 @@ def _fold(folded, coef, first):
 def _far_rows(folded, lo, hi, n):
     """The far field of ``hankel_sum`` at rows lo .. hi-1 of an n-point
     grid, from the coefficients of its far nodes folded by k mod L,
-    L = 2(n - 1).
+    L = 2(n - 1); folded holds the columns up to min(K, L - 1), and the
+    FFTs pad them with zeros to L.
 
     One real FFT per power d gives sum_k coef[d, k] e^{-2 pi i k i/L};
     the powers (i t)^d are added by Horner's rule, d >= 0 in i t and
@@ -572,8 +573,8 @@ def _far_rows(folded, lo, hi, n):
     spectrum is the same bit for bit in any group, and on grids of up
     to 19,418 points one group holds all M + P - 1 rows.
     """
-    rows = folded.shape[0]
-    group = max(1, _SPECTRUM_BYTES // (16 * (folded.shape[1] // 2 + 1)))
+    rows, length = folded.shape[0], 2 * (n - 1)
+    group = max(1, _SPECTRUM_BYTES // (16 * (length // 2 + 1)))
     first = spectrum = None
 
     def spec(j):
@@ -581,7 +582,7 @@ def _far_rows(folded, lo, hi, n):
         if first != j - j % group:
             first = j - j % group
             spectrum = None   # free the last group before the next
-            spectrum = np.fft.rfft(folded[first:first + group],
+            spectrum = np.fft.rfft(folded[first:first + group], length,
                                    axis=1)[:, lo:hi]
         return spectrum[j - first]
     t = np.arange(lo, hi) / (n - 1)
@@ -661,7 +662,8 @@ def hankel_sum(r, rho, g):
     ``_HANKEL_CHUNK``, ``_SPECTRUM_BYTES`` and ``_FAR_BLOCK`` splits and
     thread counts.
 
-    Memory: the folded coefficients, (M + P - 1) x L doubles, spectra of
+    Memory: the folded coefficients, (M + P - 1) x min(K + 1, L) doubles
+    (only the columns k mod L <= K are ever non-zero), spectra of
     at most ``_SPECTRUM_BYTES`` and a few vectors of a block's rows.  The
     coefficients are built ``_FAR_BLOCK`` nodes at a time and the direct
     products ``_HANKEL_CHUNK`` elements at a time, so no matrix as wide as
@@ -688,10 +690,12 @@ def hankel_sum(r, rho, g):
             out[lo:hi] = _hankel_direct(r[lo:hi], rho, g)
         else:
             if folded is None:
-                folded = np.zeros((_HANKEL_M + _HANKEL_P - 1, length))
+                folded = np.zeros((_HANKEL_M + _HANKEL_P - 1,
+                                   min(size + 1, length)))
             for a in range(near, done, _FAR_BLOCK):
                 b = min(a + _FAR_BLOCK, done)
-                _fold(folded, _far_coefficients(x[a:b], g[a:b], a), a)
+                _fold(folded, _far_coefficients(x[a:b], g[a:b], a), a,
+                      length)
             done = near
             out[lo:hi] = _far_rows(folded, lo, hi, n)
             if near:

@@ -365,9 +365,10 @@ def cmd_goldbach(config: argparse.Namespace, out: Path) -> int:
               xlabel="x", ylabel="value")
     failed = False
     if config.x_max <= 2000:
-        sums = gb.a2_curve(table)
-        brute = gb.brute_force_sums(table, sums.s2).a2
-        mismatch = float(np.max(np.abs(brute - sums.a2)))
+        _, brute = gb.brute_force_sums(
+            table, gb.singular_series_all(config.x_max))
+        curve = gb.a2_curve(table, range(config.x_max + 1))
+        mismatch = float(np.max(np.abs(brute - list(curve.values()))))
         bound = 1e-9 * (float(np.max(np.abs(brute))) or 1.0)
         bad = not mismatch <= bound
         print(f"brute-force cross-check: max |A2 - brute force| = "

@@ -21,8 +21,8 @@ from .errors import RangeError
 from .spectral import CoefficientTable, eval_f_N
 
 __all__ = [
-    "ArithmeticTable", "GoldbachSums", "sieve_lambda", "r2_convolve",
-    "r2_all", "TWIN_PRIME_CONSTANT", "singular_series", "singular_series_all",
+    "ArithmeticTable", "sieve_lambda", "r2_convolve",
+    "TWIN_PRIME_CONSTANT", "singular_series", "singular_series_all",
     "a2_curve", "brute_force_sums", "compare_main_term", "primes_up_to",
 ]
 
@@ -65,14 +65,6 @@ class ArithmeticTable:
         lam = np.zeros(self.limit + 1)
         lam[self.pp] = self.lam_pp
         return lam
-
-
-@dataclass(frozen=True)
-class GoldbachSums:
-    """r_2, S_2 and the cumulative A_2 on a common index range."""
-    r2: np.ndarray
-    s2: np.ndarray
-    a2: np.ndarray
 
 
 def primes_up_to(n: int) -> np.ndarray:
@@ -255,19 +247,6 @@ def r2_convolve(pp, lam_pp, n_max):
     return blocks()
 
 
-def r2_all(table: ArithmeticTable) -> np.ndarray:
-    """r_2(n) = sum_{l+m=n} Lambda(l) Lambda(m) for all n <= limit.
-
-    Parity-split FFT self-convolution over the prime powers
-    (``r2_convolve``, which states its error bound against the direct
-    double loop); odd entries and structural zeros are exact sums.
-    """
-    r2 = np.empty(table.limit + 1)
-    for a, block in r2_convolve(table.pp, table.lam_pp, table.limit):
-        r2[a:a + block.size] = block
-    return r2
-
-
 def singular_series(n: int) -> float:
     """S_2(n): zero for odd n, else 2*C_2 * prod_{p|n, p>2} (p-1)/(p-2)."""
     if n < 1:
@@ -301,10 +280,14 @@ def singular_series_all(x_max: int, lo: int = 0, primes=None) -> np.ndarray:
     sqrt(x_max/2): n = 2m with m <= x_max/2 has at most one odd prime
     factor above it, as two would make m larger than x_max/2.  The small
     primes (95 at x_max = 5e5) each take one strided multiply, in
-    ascending order.  The large ones go after them, ``_LARGE_SLICE`` at a
-    time: each slice steps through its primes' multiples m = jp in the
-    range together, one fancy-indexed multiply per step, dropping each
-    prime past its last multiple.  An index belongs to one large p only,
+    ascending order.  The large ones go after them.  Those no wider than
+    the range (p <= m_hi - m_lo + 1, in the range's m = n/2) are stepped
+    through their multiples m = jp in the range, ``_LARGE_SLICE`` primes
+    at a time, one fancy-indexed multiply per step, dropping each prime
+    past its last multiple.  A wider prime has at most one multiple there,
+    so they are taken by cofactor: for each j, the wide primes in the
+    window [m_lo/j, m_hi/j], one multiply per window.  Only primes with a
+    multiple in the range are read.  An index belongs to one large p only,
     so no index repeats within a multiply, and its one large factor comes
     last.  Each S_2(n) is therefore the same product in the same order as
     in a loop over all primes on the whole range: bit-identical to it, for
@@ -323,8 +306,10 @@ def singular_series_all(x_max: int, lo: int = 0, primes=None) -> np.ndarray:
         s2[first - lo::2 * p] *= (p - 1.0) / (p - 2.0)
     m_lo = max(1, -(-lo // 2))          # the range's m = n / 2
     large = odd[k:]
-    for i in range(0, large.size, _LARGE_SLICE):
-        p = large[i:i + _LARGE_SLICE]
+    # large[wide:] are wider than the range's half - m_lo + 1 values of m
+    wide = np.searchsorted(large, half - m_lo + 1, side="right")
+    for i in range(0, wide, _LARGE_SLICE):
+        p = large[i:min(i + _LARGE_SLICE, wide)]
         f = (p - 1.0) / (p - 2.0)
         m = -(-m_lo // p) * p           # the least multiple >= m_lo
         while True:
@@ -335,6 +320,14 @@ def singular_series_all(x_max: int, lo: int = 0, primes=None) -> np.ndarray:
                 break
             s2[2 * m - lo] *= f
             m += p
+    if wide < large.size:
+        cof = np.arange(1, half // int(large[wide]) + 1)
+        starts = np.maximum(np.searchsorted(large, -(-m_lo // cof)), wide)
+        stops = np.searchsorted(large, half // cof, side="right")
+        for j, a, b in zip(cof.tolist(), starts.tolist(), stops.tolist()):
+            if a < b:
+                p = large[a:b]
+                s2[2 * j * p - lo] *= (p - 1.0) / (p - 2.0)
     return s2
 
 
@@ -390,43 +383,30 @@ def _a2_slices(table: ArithmeticTable):
         del r2, s2    # no block is held while the next one is made
 
 
-def a2_curve(table: ArithmeticTable, grid=None):
+def a2_curve(table: ArithmeticTable, grid) -> dict[int, float]:
     """Cumulative A_2(x) = sum_{n<=x} (r_2(n) - n S_2(n)) at integer x.
 
-    Without grid: ``GoldbachSums`` over 0 .. limit.  r_2 and A_2 are
-    gathered from the block engine (``_a2_slices``, which states the
-    compensated sum's bound), and S_2 is sieved over the whole range once
-    the engine is done, bit for bit the engine's blocks of it.  The engine
-    lets go of its spectra before its last block, so they (about one array
-    of limit doubles) never meet more than two whole arrays.
-
-    With grid (integers in [0, limit]): {x: A_2(x)} for each x of grid,
-    read off the engine's slices as they pass.  Nothing of length limit is
-    made: the memory is the spectra and buffers of one block.
+    Returns {x: A_2(x)} for each x of grid (integers in [0, limit]), in
+    ascending x, read off the block engine's slices (``_a2_slices``, which
+    states the compensated sum's bound) as they pass.  Nothing of length
+    limit is made: the memory is the spectra and buffers of one block and
+    the mapping.  A caller that needs every x passes ``range(limit + 1)``.
     """
-    if grid is not None:
-        xs = sorted({int(x) for x in grid})
-        if xs and not 0 <= xs[0] <= xs[-1] <= table.limit:
-            raise RangeError(f"grid must lie within [0, {table.limit}]")
-        picked, i = {}, 0
-        for lo, _, a2 in _a2_slices(table):
-            j = bisect.bisect_left(xs, lo + a2.size, i)
-            picked.update((x, float(a2[x - lo])) for x in xs[i:j])
-            i = j
-        return picked
-    r2_parts, a2_parts = [], []
-    for _, r2, a2 in _a2_slices(table):
-        r2_parts.append(r2.copy())
-        a2_parts.append(a2.copy())
-    r2 = np.concatenate(r2_parts)
-    del r2_parts
-    a2 = np.concatenate(a2_parts)
-    del a2_parts
-    return GoldbachSums(r2=r2, s2=singular_series_all(table.limit), a2=a2)
+    xs = sorted({int(x) for x in grid})
+    if xs and not 0 <= xs[0] <= xs[-1] <= table.limit:
+        raise RangeError(f"grid must lie within [0, {table.limit}]")
+    picked, i = {}, 0
+    for lo, _, a2 in _a2_slices(table):
+        j = bisect.bisect_left(xs, lo + a2.size, i)
+        picked.update((x, float(a2[x - lo])) for x in xs[i:j])
+        i = j
+    return picked
 
 
-def brute_force_sums(table: ArithmeticTable, s2: np.ndarray) -> GoldbachSums:
-    """The O(x^2) reference for ``a2_curve``, for desk scale (x <= 2000).
+def brute_force_sums(table: ArithmeticTable,
+                     s2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The O(x^2) reference for ``a2_curve``, for desk scale (x <= 2000):
+    the arrays (r2, a2) over 0 .. limit.
 
     r_2(m) is the dot product of Lambda(1..m-1) with its reverse, and A_2
     the plain cumulative sum of r_2(n) - n S_2(n), with s2 = S_2(0..limit)
@@ -437,15 +417,15 @@ def brute_force_sums(table: ArithmeticTable, s2: np.ndarray) -> GoldbachSums:
     for m in range(2, table.limit + 1):
         r2[m] = float(np.dot(lam[1:m], lam[m - 1:0:-1]))
     n = np.arange(table.limit + 1, dtype=float)
-    return GoldbachSums(r2=r2, s2=s2, a2=np.cumsum(r2 - n * s2))
+    return r2, np.cumsum(r2 - n * s2)
 
 
 def compare_main_term(a2, coeffs: CoefficientTable, n: int,
                       x_grid) -> list[dict]:
     """Rows (x, A_2, main term, residual, residual/(x log^3 x)) per grid x.
 
-    a2[x] is A_2(x): the whole curve (``GoldbachSums.a2``) or the mapping
-    that ``a2_curve(table, x_grid)`` returns.
+    a2[x] is A_2(x), as in the mapping that ``a2_curve(table, x_grid)``
+    returns.
     """
     x_grid = sorted(int(x) for x in x_grid)
     try:

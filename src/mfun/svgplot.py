@@ -62,21 +62,28 @@ def line_plot(path, curves, title="", xlabel="", ylabel=""):
                      f'font-size="11">{t:.6g}</text>')
     parts.append(f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" '
                  'fill="none" stroke="black"/>')
-    for i, (label, x, y) in enumerate(curves):
-        color = _COLORS[i % len(_COLORS)]
-        u = px(np.asarray(x, dtype=float)).tolist()
-        v = py(np.asarray(y, dtype=float)).tolist()
-        pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(u, v))
-        parts.append(f'<polyline points="{pts}" fill="none" '
-                     f'stroke="{color}" stroke-width="1.5"/>')
-        parts.append(f'<text x="{_W - _MR - 8}" y="{_MT + 18 + 16 * i}" '
+    tail = [
+        f'<text x="{_W / 2:.1f}" y="{_H - 12}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12">{xlabel}</text>',
+        f'<text x="16" y="{_H / 2:.1f}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12" '
+        f'transform="rotate(-90 16 {_H / 2:.1f})">{ylabel}</text>',
+        "</svg>",
+    ]
+    with open(path, "w") as fh:
+        fh.write("\n".join(parts))
+        for i, (label, x, y) in enumerate(curves):
+            color = _COLORS[i % len(_COLORS)]
+            u = px(np.asarray(x, dtype=float))
+            v = py(np.asarray(y, dtype=float))
+            fh.write('\n<polyline points="')
+            # 4,096 points (about 60 KiB of text) formatted per write
+            for lo in range(0, u.size, 4096):
+                pts = zip(u[lo:lo + 4096].tolist(), v[lo:lo + 4096].tolist())
+                fh.write((" " if lo else "")
+                         + " ".join(f"{a:.2f},{b:.2f}" for a, b in pts))
+            fh.write(f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n'
+                     f'<text x="{_W - _MR - 8}" y="{_MT + 18 + 16 * i}" '
                      f'text-anchor="end" font-family="sans-serif" '
                      f'font-size="12" fill="{color}">{label}</text>')
-    parts.append(f'<text x="{_W / 2:.1f}" y="{_H - 12}" text-anchor="middle" '
-                 f'font-family="sans-serif" font-size="12">{xlabel}</text>')
-    parts.append(f'<text x="16" y="{_H / 2:.1f}" text-anchor="middle" '
-                 f'font-family="sans-serif" font-size="12" '
-                 f'transform="rotate(-90 16 {_H / 2:.1f})">{ylabel}</text>')
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+        fh.write("\n" + "\n".join(tail) + "\n")

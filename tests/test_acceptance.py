@@ -38,8 +38,10 @@ from mfun.goldbach import (
     a2_curve,
     brute_force_sums,
     compare_main_term,
-    r2_all,
+    primes_up_to,
+    r2_convolve,
     sieve_lambda,
+    singular_series_all,
 )
 from mfun.zeros import counting_check, verify_table
 
@@ -216,14 +218,15 @@ def test_criterion_09_goldbach_side(coeffs):
     t0 = time.monotonic()
     # desk scale: exact against the O(x^2) brute force
     table = sieve_lambda(2000)
-    sums = a2_curve(table)
-    brute = brute_force_sums(table, sums.s2)
-    r2_gap = float(np.max(np.abs(r2_all(table) - brute.r2)))
-    a2_gap = float(np.max(np.abs(brute.a2 - sums.a2)))
-    scale = float(np.max(np.abs(brute.a2)))
+    curve = a2_curve(table, range(2001))
+    brute_r2, brute_a2 = brute_force_sums(table, singular_series_all(2000))
+    r2 = np.concatenate([b for _, b in r2_convolve(table.pp, table.lam_pp,
+                                                     2000)])
+    r2_gap = float(np.max(np.abs(r2 - brute_r2)))
+    a2_gap = float(np.max(np.abs(brute_a2 - [curve[x] for x in range(2001)])))
+    scale = float(np.max(np.abs(brute_a2)))
     # singular series reduction vs the defining product truncated at
     # 10^5 (S_2's C_2 runs to 10^7, well inside the 2/cutoff tail bound)
-    from mfun.goldbach import primes_up_to, singular_series_all
     cutoff = 10 ** 5
     s2 = singular_series_all(10 ** 4)
     odd = [int(p) for p in primes_up_to(cutoff)[1:]]
@@ -238,9 +241,8 @@ def test_criterion_09_goldbach_side(coeffs):
                                                   + 1e-12))
     # full comparison at x_max = 2e5, N = 100
     big = sieve_lambda(2 * 10 ** 5)
-    big_sums = a2_curve(big)
     grid = np.unique(np.geomspace(1000, 2 * 10 ** 5, 200).astype(int))
-    rows = compare_main_term(big_sums.a2, coeffs, 100, grid)
+    rows = compare_main_term(a2_curve(big, grid), coeffs, 100, grid)
     worst_resid = max(abs(r["normalized_residual"]) for r in rows)
     dt = time.monotonic() - t0
     ok = (r2_gap <= 1e-9 and a2_gap <= 1e-9 * scale and s2_gap <= 1.0

@@ -420,14 +420,35 @@ def test_goldbach_validate_desk_scale(tmp_path, capsys):
     assert "brute-force cross-check" in capsys.readouterr().out
 
 
+def test_svg_polyline_written_in_blocks(tmp_path):
+    """A 9,000-point curve spans three 4,096-point writes: its polyline
+    holds every point once, single-spaced across the block edges, each
+    scaled into the plot area as the whole-array map scales it."""
+    from mfun import svgplot
+    x = np.arange(9000.0)
+    y = np.sin(x / 300.0)
+    svgplot.line_plot(tmp_path / "p.svg", [("sin", x, y)])
+    text = (tmp_path / "p.svg").read_text()
+    (points,) = re.findall(r'<polyline points="([^"]*)"', text)
+    pairs = points.split(" ")
+    assert len(pairs) == x.size and text.endswith("</svg>\n")
+    pad = 0.05 * (y.max() - y.min())
+    y0, y1 = y.min() - pad, y.max() + pad
+    u = svgplot._ML + x / x[-1] * (svgplot._W - svgplot._ML - svgplot._MR)
+    v = svgplot._MT + (y1 - y) / (y1 - y0) * (
+        svgplot._H - svgplot._MT - svgplot._MB)
+    assert pairs == [f"{a:.2f},{b:.2f}" for a, b in zip(u.tolist(),
+                                                        v.tolist())]
+
+
 def test_goldbach_cross_check_has_its_own_verdict(tmp_path, monkeypatch,
                                                   capsys):
     """A brute-force mismatch fails the run on a verdict line of its own,
     with the measured gap and the bound; the residual line still passes."""
     oracle = mfun.goldbach.brute_force_sums
     def shifted(table, s2):
-        sums = oracle(table, s2)
-        return dataclasses.replace(sums, a2=sums.a2 + 1.0)
+        r2, a2 = oracle(table, s2)
+        return r2, a2 + 1.0
     monkeypatch.setattr(mfun.goldbach, "brute_force_sums", shifted)
     assert run(["goldbach-validate", "--x-max", "1500", "--N", "30",
                 "--out", str(tmp_path)]) == 1

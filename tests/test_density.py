@@ -307,6 +307,75 @@ def test_hankel_sum_independent_of_far_block(coeffs, monkeypatch):
         assert _kernels.hankel_sum(r, rho, g).tobytes() == blocked.tobytes()
 
 
+def _hankel_sum_wide_fold(r, rho, g):
+    """Oracle: ``hankel_sum`` with its far-field coefficients folded into
+    all L = 2(n - 1) columns, every node added at column k mod L in the
+    same order, and each spectrum taken over the whole L-wide rows."""
+    n, size = r.size, rho.size
+    x = rho * r[-1]
+    length = 2 * (n - 1)
+    rows = _kernels._HANKEL_M + _kernels._HANKEL_P - 1
+    fft_work = rows * length * math.log2(length)
+    out = np.empty(n)
+    out[0] = np.sum(g)
+    folded, done, lo = np.zeros((rows, length)), size, 1
+    while lo < n:
+        hi = min(2 * lo, n)
+        near = int(np.searchsorted(x * (lo / (n - 1)), _kernels._HANKEL_X0))
+        if (hi - lo) * (size - near) * _kernels._J0_COST <= fft_work:
+            out[lo:hi] = _kernels._hankel_direct(r[lo:hi], rho, g)
+        else:
+            for a in range(near, done, _kernels._FAR_BLOCK):
+                b = min(a + _kernels._FAR_BLOCK, done)
+                coef = _kernels._far_coefficients(x[a:b], g[a:b], a)
+                for j in range(coef.shape[1]):
+                    folded[:, (a + 1 + j) % length] += coef[:, j]
+            done = near
+            out[lo:hi] = _kernels._far_rows(folded, lo, hi, n)
+            if near:
+                out[lo:hi] += _kernels._hankel_direct(r[lo:hi], rho[:near],
+                                                      g[:near])
+        lo = hi
+    return out
+
+
+@pytest.mark.parametrize("order, points", [(5, 512), (10, 4096)])
+def test_hankel_sum_matches_wide_fold(coeffs, monkeypatch, order, points):
+    """Folding onto the min(K + 1, L) columns the nodes reach gives the
+    bytes of the L-wide fold, where the fold wraps (order 5, 512 points:
+    K = 13,570 nodes, L = 1,022) and where it does not (order 10, 4,096
+    points: K = 313, L = 8,190)."""
+    d = invert_to_density(coeffs, order, points)
+    r, rho = d.r_grid, d.rho_grid
+    g = rho * d.characteristic
+    widths = []
+    far_rows = _kernels._far_rows
+    monkeypatch.setattr(_kernels, "_far_rows", lambda folded, *a: (
+        widths.append(folded.shape[1]) or far_rows(folded, *a)))
+    got = _kernels.hankel_sum(r, rho, g)
+    length = 2 * (points - 1)
+    assert set(widths) == {min(rho.size + 1, length)}
+    assert got.tobytes() == _hankel_sum_wide_fold(r, rho, g).tobytes()
+
+
+def test_hankel_sum_memory_follows_nodes(coeffs):
+    """On 2^14 points at order 5 (K = 13,570 nodes, L = 32,766) the sum
+    holds within 13 MiB of traced memory: it took 15.0 MiB with the
+    27 x L fold, and takes 11.0 MiB with 27 x (K + 1) columns."""
+    import tracemalloc
+
+    d = invert_to_density(coeffs, 5, 1 << 14)
+    r, rho = d.r_grid, d.rho_grid
+    g = rho * d.characteristic
+    tracemalloc.start()
+    try:
+        _kernels.hankel_sum(r, rho, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13 << 20, peak
+
+
 def _hankel_stated_bound(r, rho, g):
     """The bound of the ``hankel_sum`` docstring against ``_hankel_direct``,
     with a_m recomputed from its product formula."""

@@ -25,7 +25,6 @@ from mfun.goldbach import (
     brute_force_sums,
     compare_main_term,
     primes_up_to,
-    r2_all,
     r2_convolve,
     sieve_lambda,
     singular_series,
@@ -75,8 +74,14 @@ def test_primes_up_to():
     assert primes_up_to(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
+def r2_whole(table):
+    """r_2 over 0 .. limit, gathered from r2_convolve's blocks."""
+    return gathered(r2_convolve(table.pp, table.lam_pp, table.limit),
+                    table.limit)
+
+
 def test_r2_closed_forms(table):
-    r2 = r2_all(table)
+    r2 = r2_whole(table)
     assert r2[4] == pytest.approx(LOG2 ** 2)
     assert r2[5] == pytest.approx(2 * LOG2 * LOG3)          # 1.523000...
     assert r2[6] == pytest.approx(2 * LOG2 ** 2 + LOG3 ** 2)
@@ -85,8 +90,8 @@ def test_r2_closed_forms(table):
 
 
 def test_r2_matches_brute_force(table):
-    r2 = r2_all(table)
-    brute = brute_force_sums(table, np.zeros(table.limit + 1)).r2
+    r2 = r2_whole(table)
+    brute, _ = brute_force_sums(table, np.zeros(table.limit + 1))
     for m in range(2, 2001):
         assert r2[m] == pytest.approx(brute[m], abs=1e-9)
 
@@ -94,7 +99,7 @@ def test_r2_matches_brute_force(table):
 def test_r2_halved_symmetry(table):
     # summing over l < m/2, doubling, and adding the middle term agrees
     lam = table.lam
-    r2 = r2_all(table)
+    r2 = r2_whole(table)
     for m in (100, 101, 999, 2000):
         half = 2.0 * float(np.dot(lam[1:(m + 1) // 2],
                                   lam[m - 1:m - (m + 1) // 2:-1]))
@@ -289,28 +294,40 @@ def test_singular_series_all_matches_scalar():
         assert s2[n] == singular_series(n), n
 
 
+def curve(table):
+    """A_2 over 0 .. limit, read from a2_curve at every x."""
+    picked = a2_curve(table, range(table.limit + 1))
+    return np.array([picked[x] for x in range(table.limit + 1)])
+
+
+def steps_of(table):
+    """The steps r_2(n) - n S_2(n) of A_2 over 0 .. limit."""
+    n = np.arange(table.limit + 1, dtype=np.float64)
+    return r2_whole(table) - n * singular_series_all(table.limit)
+
+
 def test_a2_recurrence(table):
-    sums = a2_curve(table)
-    n = np.arange(len(sums.a2), dtype=float)
-    steps = sums.r2 - n * sums.s2
-    assert sums.a2[0] == pytest.approx(0.0)
-    recon = np.cumsum(steps)
-    assert np.max(np.abs(sums.a2 - recon)) <= 1e-8 * max(
-        1.0, float(np.max(np.abs(sums.a2))))
+    a2 = curve(table)
+    assert a2[0] == pytest.approx(0.0)
+    recon = np.cumsum(steps_of(table))
+    assert np.max(np.abs(a2 - recon)) <= 1e-8 * max(
+        1.0, float(np.max(np.abs(a2))))
 
 
 def test_a2_compensated_sum_within_bound():
     """Sampled prefixes of A_2 against math.fsum, within the stated bound."""
     x = 200000
-    sums = a2_curve(sieve_lambda(x))
-    steps = sums.r2 - np.arange(x + 1, dtype=float) * sums.s2
+    table = sieve_lambda(x)
+    steps = steps_of(table)
+    ks = np.linspace(0, x, 60).astype(int).tolist()
+    a2 = a2_curve(table, ks)
     u = 2.0 ** -53
-    for k in np.linspace(0, x, 60).astype(int).tolist():
+    for k in ks:
         head = steps[:k + 1].tolist()
         exact = math.fsum(head)
         gamma = k * u / (1.0 - k * u)
         bound = u * abs(exact) + gamma ** 2 * math.fsum(map(abs, head))
-        assert abs(sums.a2[k] - exact) <= bound, k
+        assert abs(a2[k] - exact) <= bound, k
 
 
 def sum2_one_shot(values):
@@ -330,25 +347,8 @@ def test_a2_blocks_match_one_shot_sum2(monkeypatch):
     import mfun.goldbach as gb
     x = 20000
     monkeypatch.setattr(gb, "_SUM_BLOCK", 777)
-    sums = a2_curve(sieve_lambda(x))
-    steps = sums.r2 - np.arange(x + 1, dtype=np.float64) * sums.s2
-    assert np.array_equal(sums.a2, sum2_one_shot(steps))
-
-
-def test_a2_curve_holds_block_sums():
-    """a2_curve at x_max = 5e5 peaks within 4 arrays of x_max + 1 doubles
-    of traced memory: r2, s2, A_2 and the block-sized transients, with no
-    whole-length steps or error terms and no whole-grid transform."""
-    import tracemalloc
-    x = 500_000
     table = sieve_lambda(x)
-    tracemalloc.start()
-    try:
-        a2_curve(table)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * (x + 1) * 8, peak / ((x + 1) * 8)
+    assert np.array_equal(curve(table), sum2_one_shot(steps_of(table)))
 
 
 def test_a2_grid_holds_no_whole_array():
@@ -357,7 +357,7 @@ def test_a2_grid_holds_no_whole_array():
     x_max + 1 doubles: r2_convolve's spectra (1.05 arrays) and buffers of
     one block, where one more whole array would make 2.05.  (At 5e5 the
     buffers of one 2^15-point block alone are 0.57 arrays, so the same
-    peak there is 1.96 arrays, below the 4 of the whole-curve path.)"""
+    peak there is 1.96 arrays.)"""
     import tracemalloc
     x = 4_000_000
     table = sieve_lambda(x)
@@ -383,11 +383,12 @@ def slice_edges(table):
 @pytest.mark.parametrize("x", [2000, 20_000, 500_000])
 def test_grid_values_are_the_curve(tmp_path, x):
     """goldbach-validate's A_2 column, and the grid path at every block and
-    slice edge, equal the whole curve's A_2 bit for bit."""
+    slice edge, equal the one-shot Sum2 of the whole-range steps bit for
+    bit."""
     import csv
     from mfun.cli import main
     table = sieve_lambda(x)
-    whole = a2_curve(table).a2
+    whole = sum2_one_shot(steps_of(table))
     edges = slice_edges(table)
     assert len(edges) > 6 or x == 2000   # up to 2000 one slice holds all
     picked = a2_curve(table, edges)
@@ -412,17 +413,17 @@ def test_a2_grid_range_guard(table):
 def test_small_x_max_matches_brute_force(x):
     """Every x_max up to 64, where the odd + odd transform is short or
     absent: r_2 and A_2 match the O(x^2) brute force, S_2 the scalar
-    formula, and the grid path the whole curve at every n."""
+    formula, and A_2 at every n the one-shot Sum2 of the steps."""
     table = sieve_lambda(x)
-    sums = a2_curve(table)
-    brute = brute_force_sums(table, sums.s2)
-    assert np.max(np.abs(sums.r2 - brute.r2)) <= 1e-12
-    assert np.max(np.abs(sums.a2 - brute.a2)) <= 1e-9 * max(
-        1.0, float(np.max(np.abs(brute.a2))))
-    assert sums.s2.tolist() == [0.0] + [singular_series(n)
-                                        for n in range(1, x + 1)]
-    picked = a2_curve(table, range(x + 1))
-    assert [picked[n] for n in range(x + 1)] == sums.a2.tolist()
+    s2 = singular_series_all(x)
+    r2b, a2b = brute_force_sums(table, s2)
+    a2 = curve(table)
+    assert np.max(np.abs(r2_whole(table) - r2b)) <= 1e-12
+    assert np.max(np.abs(a2 - a2b)) <= 1e-9 * max(
+        1.0, float(np.max(np.abs(a2b))))
+    assert s2.tolist() == [0.0] + [singular_series(n)
+                                   for n in range(1, x + 1)]
+    assert np.array_equal(a2, sum2_one_shot(steps_of(table)))
 
 
 def bits(a):
@@ -433,15 +434,19 @@ def bits(a):
 def test_singular_series_ranges_match_whole(x_max):
     """S_2 sieved on [lo, hi) is the matching slice of the whole-range
     sieve, bit for bit: ranges at 0, 1 and 2, short ones where every large
-    prime has at most one multiple, empty ones, and with a prime table
-    that runs past x_max / 2."""
+    prime has at most one multiple, ranges narrower than their widest
+    large primes, one that straddles x_max / 2, empty ones, and with a
+    prime table that runs past x_max / 2."""
     whole = singular_series_all(x_max)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(5)))
     starts = rng.integers(0, x_max + 1, size=12).tolist()
     widths = rng.integers(0, x_max // 8, size=12).tolist()
     ranges = [(0, x_max + 1), (1, 2), (2, 3), (0, 7), (3, 4), (5, 5),
               (x_max - 9, x_max + 1), (x_max // 2, x_max // 2 + 2),
-              (x_max // 3, x_max // 3 + 4096)]
+              (x_max // 3, x_max // 3 + 4096),
+              (x_max // 2 - 999, x_max // 2 + 1001),
+              (x_max - 4097, x_max - 3001), (x_max // 5 + 1, x_max // 5 + 257),
+              (x_max // 7, x_max // 7 + 2 * math.isqrt(x_max))]
     ranges += [(a, min(a + w, x_max + 1)) for a, w in zip(starts, widths)]
     primes = primes_up_to(x_max)[1:]
     for lo, hi in ranges:
@@ -478,15 +483,15 @@ def test_lambda_table_matches_dense_table(x):
 
 
 def test_a2_matches_brute_force(table):
-    sums = a2_curve(table)
-    a2b = brute_force_sums(table, sums.s2).a2
-    assert np.max(np.abs(a2b[:2001] - sums.a2[:2001])) <= 1e-9 * float(
+    a2 = curve(table)
+    _, a2b = brute_force_sums(table, singular_series_all(table.limit))
+    assert np.max(np.abs(a2b[:2001] - a2[:2001])) <= 1e-9 * float(
         np.max(np.abs(a2b[:2001])))
 
 
 def test_compare_main_term_rows(table, coeffs):
-    sums = a2_curve(table)
-    rows = compare_main_term(sums.a2, coeffs, 20, [100, 1000, 2999])
+    rows = compare_main_term(a2_curve(table, [100, 1000, 2999]), coeffs, 20,
+                             [100, 1000, 2999])
     assert [r["x"] for r in rows] == [100, 1000, 2999]
     for r in rows:
         assert r["residual"] == pytest.approx(r["a2"] - r["main_term"])
@@ -495,9 +500,9 @@ def test_compare_main_term_rows(table, coeffs):
 
 
 def test_compare_main_term_range_guard(table, coeffs):
-    sums = a2_curve(table)
+    a2 = a2_curve(table, range(table.limit + 1))
     with pytest.raises(RangeError):
-        compare_main_term(sums.a2, coeffs, 20, [100, 10 ** 6])
+        compare_main_term(a2, coeffs, 20, [100, 10 ** 6])
 
 
 def test_sieve_guard():

@@ -205,8 +205,8 @@ def test_analytic_tail_remainder_matches_mpmath_quad(coeffs, p):
 
 def test_main_term_matches_definition(coeffs):
     x = 1234
-    sums = a2_curve(sieve_lambda(2000))
-    (row,) = compare_main_term(sums.a2, coeffs, 30, [x])
+    (row,) = compare_main_term(a2_curve(sieve_lambda(2000), [x]), coeffs,
+                               30, [x])
     want = -4.0 * x ** 1.5 * eval_f_N(coeffs, 30, math.log(x)).real
     assert row["main_term"] == pytest.approx(want, rel=1e-14)
 
