@@ -6,8 +6,15 @@ functions and the Bessel far field), whose table also serves
 ``phasor_sum``'s integer phases, the Bessel functions J0 and J1
 (``j0_arr``, ``j1_arr``: stored polynomials below x0 = 20, Hankel's
 expansion above), and numpy's FFT for the far field of the
-Fourier-Bessel sum on its uniform grid (``hankel_sum``).  Loops run over
-chunks or cache-sized blocks to keep peak memory bounded.
+Fourier-Bessel sum on its uniform grid (``hankel_sum``).
+
+Every blocked loop in mfun sizes its blocks from one working-set budget,
+``_BLOCK_BYTES`` (512 KiB), read at call time: ``_per_block(b)`` items,
+b the bytes a loop holds per item (stated beside it), so a block stays in
+cache and peak memory bounded.  The stream chunks of ``empirical`` (1 MiB)
+and ``hankel_sum``'s spectra (8 MiB) take fixed multiples of it.  No
+output depends on it; ``GRID_BLOCK`` and ``zeros._Z_CHUNK`` fix a
+summation order, so they stay fixed.
 
 No kernel reduces through BLAS, whose summation order can change with the
 matrix shape and the thread count.  The phase sums ``f_series`` and
@@ -41,13 +48,10 @@ import numpy as np
 
 from . import _bessel_table
 
-# Elements per chunk of _hankel_direct's r x rho product matrix (512 KiB).
-_HANKEL_CHUNK = 1 << 16
-# Nodes per block of f_grid_chunks' factored phases.
+# Bytes one block of a blocked loop may hold (see _per_block).
+_BLOCK_BYTES = 1 << 19
+# Nodes per block of f_grid_chunks' factored phases: fixes its sums.
 GRID_BLOCK = 1 << 10
-# Blocks per group of f_grid_chunks' term sums: one group's terms take
-# 256 KiB, which stays in cache while the N terms are added.
-_GRID_GROUP = 16
 
 # expi reduces x to k * 2pi/L + d with |d| <= pi/L.  2pi = P1 + P2 + P3 to
 # within 2^-85, where P1 and P2 carry 17 significant bits (Cody and Waite),
@@ -61,8 +65,6 @@ _ROUND = 1.5 * 2.0 ** 52   # t + _ROUND - _ROUND rounds t to an integer
 EXPI_LIMIT = 2.0 ** 26
 # pi/4 in the same three parts: (4k - 1) * part is exact for the first two
 _QUARTER_PI = tuple(s * (_EXPI_L // 8) for s in (_STEP_1, _STEP_2, _STEP_3))
-# Elements per block: the block's temporaries (about 0.5 MB) stay in cache.
-_EXPI_BLOCK = 1 << 13
 
 # Pairs and Bessel arguments x >= _HANKEL_X0 take Hankel's expansion of J0
 # (and J1) to _HANKEL_M terms (even: the first terms left out are a_M and
@@ -70,11 +72,6 @@ _EXPI_BLOCK = 1 << 13
 _HANKEL_X0 = 20.0
 _HANKEL_M = 20
 _HANKEL_P = 8
-# Bytes of far-field spectrum rows that hankel_sum holds at a time.
-_SPECTRUM_BYTES = 8 << 20
-# Nodes per block of hankel_sum's far-field coefficients: a block's
-# coefficients and temporaries take about 0.5 MiB.
-_FAR_BLOCK = 1 << 10
 # a_m = (-1)^m prod_{l<=m} (2l - 1)^2 / (m! 8^m), m = 0 .. M-1, are J0's
 # Hankel coefficients a_m(0); J1's are prod_{l<=m} (4 - (2l - 1)^2) / (m! 8^m)
 _HANKEL_A = np.cumprod(
@@ -99,8 +96,11 @@ _NEAR = tuple(np.ascontiguousarray(np.array(t).T)
               for t in (_bessel_table.J0, _bessel_table.J1))
 _FAR = tuple(np.stack([a[0::2], a[1::2]]) * (-1.0) ** np.arange(_HANKEL_M // 2)
              for a in (_HANKEL_A, _HANKEL_A1))
-# Elements per block of the Bessel kernel: its temporaries stay in cache.
-_BESSEL_BLOCK = 1 << 15
+
+
+def _per_block(item_bytes):
+    """Items of item_bytes each that ``_BLOCK_BYTES`` holds, at least 1."""
+    return max(1, _BLOCK_BYTES // item_bytes)
 
 
 def _bessel_near(x, table, out):
@@ -152,8 +152,9 @@ def _bessel_far(x, nu, out):
 def _bessel(x, nu, out):
     """J_nu, nu = 0 or 1, elementwise over x into out (see ``j0_arr``)."""
     flat, res = x.reshape(-1), out.reshape(-1)
-    for lo in range(0, flat.size, _BESSEL_BLOCK):
-        hi = min(lo + _BESSEL_BLOCK, flat.size)
+    step = _per_block(16)   # an element's argument and value
+    for lo in range(0, flat.size, step):
+        hi = min(lo + step, flat.size)
         signed = flat[lo:hi]
         xb = np.abs(signed)
         flip = signed < 0.0 if nu else None   # J1 is odd; read before out
@@ -295,20 +296,21 @@ def expi(x):
     |x| > EXPI_LIMIT, inf and NaN take ``np.cos`` and ``np.sin`` instead,
     so non-finite values propagate as they do there.
 
-    The work runs in blocks of ``_EXPI_BLOCK`` elements, whose temporaries
-    stay in cache.  Every operation is elementwise, so a value depends only
+    The work runs in blocks of elements whose temporaries fit the
+    budget.  Every operation is elementwise, so a value depends only
     on its own x: not on the array around it or the block it falls in.
     """
     x = np.asarray(x, dtype=np.float64)
     out = np.empty(x.shape, dtype=np.complex128)
     flat, res = x.reshape(-1), out.reshape(-1)
-    n = min(_EXPI_BLOCK, flat.size)
+    step = _per_block(64)   # k, d, t, idx: 8 bytes each; table, poly: 16
+    n = min(step, flat.size)
     k, d, t = np.empty(n), np.empty(n), np.empty(n)
     idx = np.empty(n, dtype=np.int64)
     table = np.empty(n, dtype=np.complex128)
     poly = np.empty(n, dtype=np.complex128)
-    for lo in range(0, flat.size, _EXPI_BLOCK):
-        hi = min(lo + _EXPI_BLOCK, flat.size)
+    for lo in range(0, flat.size, step):
+        hi = min(lo + step, flat.size)
         m = hi - lo
         xb, kb, db, tb, ib = flat[lo:hi], k[:m], d[:m], t[:m], idx[:m]
         eb, pb, ob = table[:m], poly[:m], res[lo:hi]
@@ -356,7 +358,7 @@ def _ascending_sum(phasors, c, n):
     """
     c = np.asarray(c, dtype=np.float64)
     out = np.empty(n, dtype=np.complex128)
-    step = max(1, _EXPI_BLOCK // c.size)
+    step = _per_block(64 * c.size)   # a point's N terms, each through expi
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         terms = phasors(lo, hi)
@@ -403,8 +405,8 @@ def f_grid_chunks(start, stop, chunk, h, c, gamma, beta):
 
     Memory: besides the N x K table, a chunk holds its output (chunk
     complex values, rounded up to whole blocks), its N block phasors and
-    one ``_GRID_GROUP``-block term buffer (256 KiB), reused for the whole
-    sweep: the terms are added a group of blocks at a time.
+    one term buffer of half the budget, reused for the whole sweep: the
+    terms are added a group of blocks at a time.
 
     Error bound against the exact sum over the exact real j*h: with
     u = 2^-53 and each part of ``expi`` within 4u,
@@ -422,7 +424,8 @@ def f_grid_chunks(start, stop, chunk, h, c, gamma, beta):
     k = GRID_BLOCK
     table = expi(np.multiply.outer(gamma, np.arange(k) * h))
     table *= c[:, None]
-    work = np.empty((_GRID_GROUP, k), dtype=np.complex128)
+    group = _per_block(32 * k)   # a block's output rows and terms
+    work = np.empty((group, k), dtype=np.complex128)
     for lo in range(start, stop, chunk):
         count = min(chunk, stop - lo)
         first = lo // k
@@ -432,8 +435,8 @@ def f_grid_chunks(start, stop, chunk, h, c, gamma, beta):
         block -= beta[:, None]
         block = expi(block)
         out = np.empty((blocks, k), dtype=np.complex128)
-        for g in range(0, blocks, _GRID_GROUP):
-            rows = out[g:g + _GRID_GROUP]
+        for g in range(0, blocks, group):
+            rows = out[g:g + group]
             v = block[:, g:g + rows.shape[0], None]
             term = work[:rows.shape[0]]
             np.multiply(v[0], table[0], out=rows)
@@ -492,11 +495,11 @@ def _hankel_direct(r, rho, g):
     Each output is the pairwise (numpy ``sum``) reduction over k of its
     own row of the products g_k * J0(rho_k * r_i), not a BLAS product, so
     its value depends only on r_i, rho and g: not on the other r values,
-    the ``_HANKEL_CHUNK`` split or the thread count.  It is the oracle of
+    the chunk split or the thread count.  It is the oracle of
     ``hankel_sum``.
     """
     out = np.empty(r.shape, dtype=np.float64)
-    cols = max(1, _HANKEL_CHUNK // max(rho.size, 1))
+    cols = _per_block(8 * max(rho.size, 1))   # a row of products
     buf = np.empty((min(cols, r.size), rho.size))   # one chunk, reused
     for lo in range(0, r.size, cols):
         hi = min(lo + cols, r.size)
@@ -569,12 +572,12 @@ def _far_rows(folded, lo, hi, n):
     One real FFT per power d gives sum_k coef[d, k] e^{-2 pi i k i/L};
     the powers (i t)^d are added by Horner's rule, d >= 0 in i t and
     d < 0 in 1/(i t).  The FFTs are taken over groups of rows whose
-    spectra fit ``_SPECTRUM_BYTES``, one group held at a time; a row's
+    spectra fit 16 budgets (8 MiB), one group held at a time; a row's
     spectrum is the same bit for bit in any group, and on grids of up
     to 19,418 points one group holds all M + P - 1 rows.
     """
     rows, length = folded.shape[0], 2 * (n - 1)
-    group = max(1, _SPECTRUM_BYTES // (16 * (length // 2 + 1)))
+    group = max(1, 16 * _BLOCK_BYTES // (16 * (length // 2 + 1)))
     first = spectrum = None
 
     def spec(j):
@@ -627,8 +630,8 @@ def hankel_sum(r, rho, g):
       d = p - m, is one real FFT of length L over the coefficients
       g_k x_k^{-1/2} (-e_k)^p/p! a_m x_k^{-m}, folded by k mod L: M + P - 1
       FFTs per block.  Each node's coefficients are built and folded once
-      per call, when its pairs first turn far, ``_FAR_BLOCK`` nodes at a
-      time in ascending k.
+      per call, when its pairs first turn far, a block of nodes at a time
+      in ascending k.
 
     A block takes the FFTs only when its far pairs, each worth
     ``_J0_COST`` butterflies, outnumber the (M + P - 1) L log2 L
@@ -658,16 +661,14 @@ def hankel_sum(r, rho, g):
 
     A value depends on r_i and the grid's point count (its block and FFT
     length), besides rho and g.  numpy's FFT and every sum here run in a
-    fixed order, so the result is byte-identical across reruns,
-    ``_HANKEL_CHUNK``, ``_SPECTRUM_BYTES`` and ``_FAR_BLOCK`` splits and
-    thread counts.
+    fixed order, so the result is byte-identical across reruns, block
+    budgets and thread counts.
 
     Memory: the folded coefficients, (M + P - 1) x min(K + 1, L) doubles
-    (only the columns k mod L <= K are ever non-zero), spectra of
-    at most ``_SPECTRUM_BYTES`` and a few vectors of a block's rows.  The
-    coefficients are built ``_FAR_BLOCK`` nodes at a time and the direct
-    products ``_HANKEL_CHUNK`` elements at a time, so no matrix as wide as
-    the K nodes is built.
+    (only the columns k mod L <= K are ever non-zero), spectra of at most
+    16 budgets and a few vectors of a block's rows.  The coefficients
+    and the direct products are built a budget at a time, so no matrix
+    as wide as the K nodes is built.
     """
     r = np.asarray(r, dtype=np.float64)
     rho = np.asarray(rho, dtype=np.float64)
@@ -680,6 +681,7 @@ def hankel_sum(r, rho, g):
     out[0] = np.sum(g)
     folded = None
     done = size
+    step = _per_block(512)   # a node's coefficients and temporaries
     lo = 1
     while lo < n:
         hi = min(2 * lo, n)
@@ -692,8 +694,8 @@ def hankel_sum(r, rho, g):
             if folded is None:
                 folded = np.zeros((_HANKEL_M + _HANKEL_P - 1,
                                    min(size + 1, length)))
-            for a in range(near, done, _FAR_BLOCK):
-                b = min(a + _FAR_BLOCK, done)
+            for a in range(near, done, step):
+                b = min(a + step, done)
                 _fold(folded, _far_coefficients(x[a:b], g[a:b], a), a,
                       length)
             done = near

@@ -21,7 +21,7 @@ from . import density as dn
 from . import empirical as em
 from . import goldbach as gb
 from . import spectral as sp
-from ._kernels import splitmix64
+from ._kernels import _per_block, splitmix64
 from .errors import MfunError, RangeError
 from .svgplot import line_plot
 from .testfuncs import TestFunction
@@ -36,13 +36,11 @@ COUNTING_SLACK = 2
 COUNTING_T_MIN = 25.0
 
 # Ceilings on the two options whose memory grows with their value: a
-# density at 2^18 r points peaks near 165 MiB (its Hankel sum's folded
-# far-field coefficients, 27 x 524,286 doubles, are 108 MiB of it), and 10^5
-# Weyl vectors, checked in one batch, near 60 MiB.
+# density at 2^18 r points peaks near 66 MiB (numpy, the profile and one
+# 8 MiB group of its Hankel sum's spectra), and 10^5 Weyl vectors, checked
+# in one batch, near 63 MiB.
 MAX_R_POINTS = 2 ** 18
 MAX_WEYL_COUNT = 10 ** 5
-# Weyl vectors whose CSV rows are built as Python objects at a time.
-_WEYL_BLOCK = 4096
 
 # Calibrated once on the bundled pipeline (x_max=2e5, N=100, observed
 # maximum 0.0099 over x >= 1000) and frozen with a 5x margin.
@@ -141,15 +139,17 @@ def _write_csv(path: Path, header, rows):
 
     rows is an iterable of rows, or a 2-D float array whose rows all take
     one "%.17g" template, as ``_fmt`` prints a float (an integral value
-    below 1e17 prints as its int).  The array is formatted 4096 rows per
-    string, which bounds the memory the text takes.
+    below 1e17 prints as its int).  The array is formatted a budget of
+    rows per string, which bounds the memory the text takes.
     """
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         if isinstance(rows, np.ndarray):
             line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-            for lo in range(0, rows.shape[0], 4096):
-                block = rows[lo:lo + 4096]
+            # a cell's Python float and its text: 64 bytes
+            step = _per_block(64 * rows.shape[1])
+            for lo in range(0, rows.shape[0], step):
+                block = rows[lo:lo + step]
                 fh.write(line * block.shape[0] % tuple(block.ravel().tolist()))
             return
         for row in rows:
@@ -318,8 +318,9 @@ def _weyl_appendix(config: argparse.Namespace, coeffs, path: Path,
     bad = []
 
     def rows():
-        for lo in range(0, count, _WEYL_BLOCK):
-            hi = lo + _WEYL_BLOCK
+        step = _per_block(128)   # a vector's CSV row as Python objects
+        for lo in range(0, count, step):
+            hi = lo + step
             for vec, modulus, bound, good in zip(
                     vecs[lo:hi].tolist(), moduli[lo:hi].tolist(),
                     bounds[lo:hi].tolist(), ok[lo:hi].tolist()):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import (_EXPI_BLOCK, GRID_BLOCK, expi, f_grid_chunks,
+from ._kernels import (GRID_BLOCK, _per_block, expi, f_grid_chunks,
                        phasor_sum, splitmix64)
 from .density import DensityProfile, integrate_against
 from .errors import MfunError, RangeError
@@ -32,15 +32,17 @@ __all__ = [
 MIN_HAAR_SAMPLES = 10 ** 4
 RESONANCE_FLOOR = 1e-9
 TREND_FLOOR = 2e-3
-# Points per chunk, whole grid blocks: the stream engine holds one chunk of
-# points (1 MiB complex at 2^16) and the values of one Phi on it at a time.
-# Smaller chunks save memory but pay the per-chunk Python overhead more
-# often; at 2^20 points every pass over a chunk went to main memory.
-_CHUNK = 1 << 16
 
 
 class ResonanceError(MfunError):
     """The integer combination of ordinates is numerically near zero."""
+
+
+def _chunk_points():
+    """Points per stream chunk: whole grid blocks of 16-byte points in two
+    budgets (2^16 points, 1 MiB).  Smaller chunks pay the per-chunk Python
+    overhead more often; at 2^20 points every pass went to main memory."""
+    return 2 * _per_block(16 * GRID_BLOCK) * GRID_BLOCK
 
 
 def _stream_sums(chunks, phis, marks):
@@ -54,7 +56,6 @@ def _stream_sums(chunks, phis, marks):
     Phi, complex128 for a complex one.  Returns (one array over marks per
     Phi, the points w_k at the marks).
     """
-    assert _CHUNK % GRID_BLOCK == 0, "a chunk must hold whole grid blocks"
     sums = [[] for _ in phis]
     points = []
     running = [0.0] * len(phis)   # sum of each Phi over the earlier chunks
@@ -91,21 +92,21 @@ def haar_oracle(coeffs: CoefficientTable, n: int, phis, samples: int,
     s_N * 2pi/2^24 of the continuous sample (s_N = sum of the c_m; 5.1e-9
     at N = 10), and ``phasor_sum`` evaluates it to within 4u per term.
 
-    Memory: the words of one ``phasor_sum`` step, _EXPI_BLOCK // N rows of
-    N (64 KiB), are drawn at a time.  The stream is counter-based, so the
-    phases, and the means, do not depend on that block.  Beyond it the
-    call holds one ``_CHUNK``-point chunk of S_N and the values of one Phi
-    on it.
+    Memory: the words of one ``phasor_sum`` step (64 KiB) are drawn at a
+    time.  The stream is counter-based, so the phases, and the means, do
+    not depend on that block.  Beyond it the call holds one chunk of S_N
+    (``_chunk_points``) and the values of one Phi on it.
     """
     coeffs.check_order(n)
     if samples < MIN_HAAR_SAMPLES:
         raise RangeError(f"need at least {MIN_HAAR_SAMPLES} samples")
     c = coeffs.c[:n]
-    rows = max(1, _EXPI_BLOCK // n)
+    rows = _per_block(64 * n)   # one phasor_sum step
+    chunk = _chunk_points()
     peaks = []   # max |S_N| of each chunk
 
     def draw(lo):
-        w = np.empty(min(_CHUNK, samples - lo), dtype=np.complex128)
+        w = np.empty(min(chunk, samples - lo), dtype=np.complex128)
         for a in range(0, w.size, rows):
             b = min(a + rows, w.size)
             phases = splitmix64(seed, (lo + a) * n, (lo + b) * n)
@@ -113,7 +114,7 @@ def haar_oracle(coeffs: CoefficientTable, n: int, phis, samples: int,
             w[a:b] = phasor_sum(phases.view(np.int64).reshape(b - a, n), c)
         peaks.append(float(np.max(np.abs(w))))
         return w
-    sums, _ = _stream_sums(map(draw, range(0, samples, _CHUNK)), phis,
+    sums, _ = _stream_sums(map(draw, range(0, samples, chunk)), phis,
                            [samples - 1])
     return [(s / samples).item() for s in sums], max(peaks)
 
@@ -138,7 +139,7 @@ def alpha_average_many(coeffs: CoefficientTable, n: int, phis, x_list):
     returns a list over phis of lists over x_list.  f_N comes from
     ``f_grid_chunks`` in chunks of whole grid blocks, its trapezoid ends
     included, and the Phi sums from the same block-wise engine as
-    ``haar_oracle``, so the means depend neither on ``_CHUNK`` nor on the
+    ``haar_oracle``, so the means depend neither on the chunks nor on the
     thread count.
     """
     coeffs.check_order(n)
@@ -149,7 +150,7 @@ def alpha_average_many(coeffs: CoefficientTable, n: int, phis, x_list):
     h = x_max / (total_pts - 1)
     marks = [min(int(round(x / h)), total_pts - 1) for x in x_list]
     c, g, b = coeffs.c[:n], coeffs.gamma[:n], coeffs.beta[:n]
-    chunks = f_grid_chunks(0, total_pts, _CHUNK, h, c, g, b)
+    chunks = f_grid_chunks(0, total_pts, _chunk_points(), h, c, g, b)
     sums, ends = _stream_sums(chunks, phis, [0, *marks])
     k = np.array(marks, dtype=np.float64)
     out = []

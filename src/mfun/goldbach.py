@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import _per_block
 from .errors import RangeError
 from .spectral import CoefficientTable, eval_f_N
 
@@ -34,15 +35,6 @@ X_MAX_GUARD = 10 ** 7
 # 1e-5 to 1e-4 of max |A_2| (x_max = 2e4 to 5e5), far outside the 1e-9
 # agreement the benchmark's reference outputs are held to.
 TWIN_PRIME_CONSTANT = float.fromhex("0x1.5200bae37dd05p-1")
-# Large primes per slice of singular_series_all: its index and factor
-# transients stay near 0.6 MiB.
-_LARGE_SLICE = 1 << 14
-# Frequencies per chunk of r2_convolve's sum of spectrum products (64 KiB):
-# the products go through one chunk-sized buffer, not a spectrum-sized one.
-_SPEC_CHUNK = 1 << 12
-# Entries per slice of the compensated A_2 sums: six slice buffers of
-# 64 KiB, whatever x_max is.
-_SUM_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -214,14 +206,17 @@ def r2_convolve(pp, lam_pp, n_max):
     def blocks():
         nonlocal spectra
         spec = np.empty(size // 2 + 1, dtype=np.complex128)
-        term = np.empty(min(_SPEC_CHUNK, spec.size), dtype=np.complex128)
+        # a frequency's sum, term and pair of spectrum values (64 bytes) in
+        # half the budget: the products take a chunk, not a spectrum
+        chunk = _per_block(128)
+        term = np.empty(min(chunk, spec.size), dtype=np.complex128)
         cur = np.empty(size)      # inverse transform of output block s
         tail = np.zeros(block)    # what block s - 1 adds to its head
         a = 0
         for s in range(count):
             # sum_{i+j=s} W_i W_j, a chunk of frequencies at a time
-            for c in range(0, spec.size, _SPEC_CHUNK):
-                part = spec[c:c + _SPEC_CHUNK]
+            for c in range(0, spec.size, chunk):
+                part = spec[c:c + chunk]
                 t = term[:part.size]
                 part.fill(0.0)
                 for i in range((s + 1) // 2):   # the pairs i < s - i
@@ -282,8 +277,8 @@ def singular_series_all(x_max: int, lo: int = 0, primes=None) -> np.ndarray:
     primes (95 at x_max = 5e5) each take one strided multiply, in
     ascending order.  The large ones go after them.  Those no wider than
     the range (p <= m_hi - m_lo + 1, in the range's m = n/2) are stepped
-    through their multiples m = jp in the range, ``_LARGE_SLICE`` primes
-    at a time, one fancy-indexed multiply per step, dropping each prime
+    through their multiples m = jp in the range, a budget of primes at a
+    time, one fancy-indexed multiply per step, dropping each prime
     past its last multiple.  A wider prime has at most one multiple there,
     so they are taken by cofactor: for each j, the wide primes in the
     window [m_lo/j, m_hi/j], one multiply per window.  Only primes with a
@@ -308,8 +303,9 @@ def singular_series_all(x_max: int, lo: int = 0, primes=None) -> np.ndarray:
     large = odd[k:]
     # large[wide:] are wider than the range's half - m_lo + 1 values of m
     wide = np.searchsorted(large, half - m_lo + 1, side="right")
-    for i in range(0, wide, _LARGE_SLICE):
-        p = large[i:min(i + _LARGE_SLICE, wide)]
+    step = _per_block(32)   # a prime, its factor, multiple and index
+    for i in range(0, wide, step):
+        p = large[i:min(i + step, wide)]
         f = (p - 1.0) / (p - 2.0)
         m = -(-m_lo // p) * p           # the least multiple >= m_lo
         while True:
@@ -333,7 +329,7 @@ def singular_series_all(x_max: int, lo: int = 0, primes=None) -> np.ndarray:
 
 def _a2_slices(table: ArithmeticTable):
     """The block engine: (lo, r2, a2) for consecutive slices lo .. hi - 1 of
-    0 .. limit, ascending, each at most ``_SUM_BLOCK`` entries.
+    0 .. limit, ascending, each of at most a budget of entries.
 
     r_2 comes from ``r2_convolve`` one finished block at a time, S_2 from
     ``singular_series_all`` on the same n-range, and A_2(n) is the
@@ -354,14 +350,15 @@ def _a2_slices(table: ArithmeticTable):
     the next slice is drawn, so a caller holds no block of the engine.
     """
     odd = primes_up_to(table.limit // 2)[1:]
-    m = min(_SUM_BLOCK, table.limit + 1)
+    step = _per_block(64)   # six buffers, n and S_2(n): 8 bytes each
+    m = min(step, table.limit + 1)
     r, v, t, a2 = np.empty(m), np.empty(m), np.empty(m), np.empty(m)
     s = np.zeros(m + 1)    # s_{lo-1}, then s_lo .. s_{hi-1}
     e = np.zeros(m + 1)    # sum of e_i over i < lo, then the running sum
     for a, r2 in r2_convolve(table.pp, table.lam_pp, table.limit):
         s2 = singular_series_all(a + r2.size - 1, a, odd)
-        for lo in range(0, r2.size, _SUM_BLOCK):
-            hi = min(lo + _SUM_BLOCK, r2.size)
+        for lo in range(0, r2.size, step):
+            hi = min(lo + step, r2.size)
             n = hi - lo
             rb, vb, tb, ab = r[:n], v[:n], t[:n], a2[:n]
             sb, eb = s[:n + 1], e[:n + 1]

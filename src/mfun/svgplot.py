@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._kernels import _per_block
+
 __all__ = ["line_plot"]
 
 _W, _H = 800, 500
@@ -77,9 +79,10 @@ def line_plot(path, curves, title="", xlabel="", ylabel=""):
             u = px(np.asarray(x, dtype=float))
             v = py(np.asarray(y, dtype=float))
             fh.write('\n<polyline points="')
-            # 4,096 points (about 60 KiB of text) formatted per write
-            for lo in range(0, u.size, 4096):
-                pts = zip(u[lo:lo + 4096].tolist(), v[lo:lo + 4096].tolist())
+            # a point's two Python floats and its text: 128 bytes
+            step = _per_block(128)
+            for lo in range(0, u.size, step):
+                pts = zip(u[lo:lo + step].tolist(), v[lo:lo + step].tolist())
                 fh.write((" " if lo else "")
                          + " ".join(f"{a:.2f},{b:.2f}" for a, b in pts))
             fh.write(f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n'

@@ -14,15 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import expi
+from ._kernels import _per_block, expi
 
 __all__ = ["TestFunction"]
 
 _QUAD_NODES_MIN = 64
-# Points (radii x quadrature nodes) per row block of a smooth angular
-# average: a block's complex points take 256 KiB, and its Phi values and
-# their temporaries stay in cache.
-_AVERAGE_BLOCK = 1 << 14
 
 
 def _disc_arc_fraction(r, center: complex, radius: float):
@@ -154,10 +150,11 @@ class TestFunction:
         """(1/2pi) * integral of Phi(r e^{i theta}) d theta, per radius.
 
         The smooth kinds take the mean over the quadrature nodes one block
-        of radii at a time, at most ``_AVERAGE_BLOCK`` points per block;
-        each radius's mean is its own row's, so the blocks do not change it.
-        A rectangle's arc fractions are taken in row blocks too, each
-        radius's ten cut angles within one block.
+        of radii at a time, 32 bytes of the budget per point (radius x
+        node): its complex value and its Phi value.  Each radius's mean is
+        its own row's, so the blocks do not change it.  A rectangle's arc
+        fractions are taken in row blocks too, each radius's ten cut
+        angles within one block.
         """
         r = np.atleast_1d(np.asarray(r, dtype=np.float64))
         p = self.params
@@ -166,7 +163,7 @@ class TestFunction:
         if self.kind == "rectangle":
             out = np.empty(r.shape)
             flat, res = r.reshape(-1), out.reshape(-1)
-            rows = _AVERAGE_BLOCK // 10   # ten cut angles per radius
+            rows = _per_block(32 * 10)   # ten cut angles per radius
             for lo in range(0, flat.size, rows):
                 res[lo:lo + rows] = _rect_arc_fraction(
                     flat[lo:lo + rows], p["x0"], p["x1"], p["y0"], p["y1"])
@@ -187,7 +184,7 @@ class TestFunction:
         n = max(_QUAD_NODES_MIN, 4 * int(scale) + 16)
         nodes = expi(np.linspace(0.0, 2.0 * math.pi, n, endpoint=False))
         r = r.reshape(-1)
-        rows = max(1, _AVERAGE_BLOCK // n)
+        rows = _per_block(32 * n)
         for lo in range(0, r.size, rows):
             w = np.outer(r[lo:lo + rows], nodes)
             out[lo:lo + rows] = self(w).mean(axis=1)

@@ -10,11 +10,11 @@ grids of all ordinates, and each refinement round one more covers the
 secant points of the brackets still open.
 
 ``hardy_z`` takes a number or an array of t.  It works through blocks of
-``_Z_ROWS`` = 64 points and panels of ``_Z_PANEL`` = 1024 terms, so its
-complex terms take about 1 MiB at a time, and a value depends only on its
-own t: a number gives, bit for bit, the matching element of any array
-holding it.  Against mpmath, Z is within 1e-8 on [15, 240] and within
-1e-11 at t = 1000.3 and 1419.4 (tests/test_zeros.py).
+points and panels of terms sized from the block budget (64 points and
+1024 terms at 512 KiB), and a value depends only on its own t: a number
+gives, bit for bit, the matching element of any array holding it.
+Against mpmath, Z is within 1e-8 on [15, 240] and within 1e-11 at
+t = 1000.3 and 1419.4 (tests/test_zeros.py).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._kernels import expi
+from ._kernels import _per_block, expi
 from .errors import AmbiguousBracketError, RangeError, ZeroTableError
 
 __all__ = [
@@ -46,10 +46,7 @@ _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360,
              1 / 156)
 _STIRLING_R2 = 144.0
 
-# hardy_z takes points in blocks of _Z_ROWS rows and main terms in panels
-# of _Z_PANEL columns; each row is summed in chunks of _Z_CHUNK terms.
-_Z_ROWS = 64
-_Z_PANEL = 1024
+# Each row of hardy_z's main terms is summed in chunks of _Z_CHUNK terms.
 _Z_CHUNK = 64
 
 _BRACKET = 0.05
@@ -136,8 +133,9 @@ def _riemann_siegel_theta(t: np.ndarray) -> np.ndarray:
             + (a - 0.5) * np.arctan2(b, a) + (series * inv).imag + shift)
 
 
-def _zeta_half_line(t: np.ndarray) -> np.ndarray:
-    """zeta(1/2 + it) by Euler-Maclaurin summation, for a block of t.
+def _zeta_half_line(t: np.ndarray, panel: int) -> np.ndarray:
+    """zeta(1/2 + it) by Euler-Maclaurin summation, for a block of t,
+    taking the terms in panels of panel columns (whole chunks).
 
     Row r sums n^(-1/2) e^(-it log n) over n < m = max(floor(3|t_r|), 10),
     the phases through ``expi``, and adds the end terms
@@ -152,8 +150,8 @@ def _zeta_half_line(t: np.ndarray) -> np.ndarray:
     last = (m.astype(np.int64) - 2) // _Z_CHUNK   # the chunk of n = m - 1
     width = (int(last.max()) + 1) * _Z_CHUNK
     sums = np.empty((t.size, width // _Z_CHUNK), dtype=np.complex128)
-    for lo in range(0, width, _Z_PANEL):
-        n = np.arange(lo + 1, min(lo + _Z_PANEL, width) + 1, dtype=np.float64)
+    for lo in range(0, width, panel):
+        n = np.arange(lo + 1, min(lo + panel, width) + 1, dtype=np.float64)
         terms = expi(np.multiply.outer(-t, np.log(n)))
         terms *= 1.0 / np.sqrt(n)
         np.putmask(terms, n >= m[:, None], 0.0)
@@ -181,8 +179,8 @@ def hardy_z(t):
 
     Real, with the zeros of zeta on the critical line.  t is a number or
     an array: a number gives a float, an array an array of its shape.  The
-    points go in blocks of ``_Z_ROWS`` and each value depends only on its
-    own t, so a number gives the matching element of an array bit for bit.
+    points go in blocks and each value depends only on its own t, so a
+    number gives the matching element of an array bit for bit.
     Against mpmath, Z is within 1e-8 on [15, 240] and within 1e-11 at
     t = 1000.3 and 1419.4.
     """
@@ -191,9 +189,12 @@ def hardy_z(t):
         raise ValueError("t must be finite")
     flat = t.reshape(-1)
     z = np.empty(flat.size)
-    for lo in range(0, flat.size, _Z_ROWS):
-        tb = flat[lo:lo + _Z_ROWS]
-        zeta = _zeta_half_line(tb)
+    # a point holds a panel row of 16 chunks of phases, 8 bytes a term
+    rows = _per_block(16 * 8 * _Z_CHUNK)
+    panel = _per_block(8 * rows * _Z_CHUNK) * _Z_CHUNK
+    for lo in range(0, flat.size, rows):
+        tb = flat[lo:lo + rows]
+        zeta = _zeta_half_line(tb, panel)
         phase = expi(_riemann_siegel_theta(tb))
         z[lo:lo + tb.size] = phase.real * zeta.real - phase.imag * zeta.imag
     return float(z[0]) if t.ndim == 0 else z.reshape(t.shape)

@@ -504,11 +504,11 @@ def test_weyl_vectors_are_the_loop_draws(tmp_path, n, count):
 @pytest.mark.parametrize("fail", [False, True])
 def test_weyl_rows_written_in_blocks(tmp_path, monkeypatch, capsys, coeffs,
                                      fail):
-    """With blocks of 4 vectors, 14 vectors span three whole blocks and a
-    partial one; weyl.csv holds the rows that checking and formatting the
-    whole batch at once writes, and every failing row, in whichever block,
-    is reported."""
-    count, x = 14, 1e4
+    """At the default budget (blocks of 4,096 vectors) 4,110 vectors span
+    a whole block and a partial one; weyl.csv holds the rows that checking
+    and formatting the whole batch at once writes, and every failing row,
+    in whichever block, is reported."""
+    count, x = 4110, 1e4
     if fail:
         monkeypatch.setattr(mfun.empirical, "weyl_test",
                             lambda coeffs, vecs, x: np.ones(len(vecs), complex))
@@ -524,7 +524,6 @@ def test_weyl_rows_written_in_blocks(tmp_path, monkeypatch, capsys, coeffs,
         for vec, modulus, bound, good in zip(vecs.tolist(), moduli, bounds,
                                              ok)]
     assert ok.all() != fail
-    monkeypatch.setattr(mfun.cli, "_WEYL_BLOCK", 4)
     assert run(["weyl", "--count", str(count), "--seed", "3", "--X", "1e4",
                 "--out", str(tmp_path)]) == int(fail)
     assert (tmp_path / "weyl.csv").read_text().splitlines() == want

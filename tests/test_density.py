@@ -259,23 +259,17 @@ def test_fourier_round_trip(coeffs):
     assert np.max(np.abs(back - char_M_N(coeffs, n, probe))) <= 1e-6
 
 
-def test_hankel_sum_independent_of_batch(coeffs, monkeypatch):
-    """The direct sum sums each row on its own: the same alone, in a batch
-    and across chunks.  The grid path, which takes the FFT on this grid,
-    gives the same bytes on a rerun, across chunk splits and with its
-    spectrum taken in groups of rows."""
+def test_hankel_sum_independent_of_batch(coeffs):
+    """The direct sum sums each row on its own: the same alone and in a
+    batch.  The grid path, which takes the FFT on this grid, gives the
+    same bytes on a rerun.  (tests/test_budget.py varies the chunks of
+    both and the groups of rows the spectra are taken in.)"""
     n = 10
     d = invert_to_density(coeffs, n, 300)
     r, rho = d.r_grid, d.rho_grid
     g = rho * d.characteristic
     whole = _kernels._hankel_direct(r, rho, g)
     grid = _kernels.hankel_sum(r, rho, g)
-    assert np.array_equal(_kernels.hankel_sum(r, rho, g), grid)
-    monkeypatch.setattr(_kernels, "_HANKEL_CHUNK", 7 * rho.size)
-    assert np.array_equal(_kernels._hankel_direct(r, rho, g), whole)
-    assert np.array_equal(_kernels.hankel_sum(r, rho, g), grid)
-    # 5 rows of 300 complex values per group: 6 groups, the last partial
-    monkeypatch.setattr(_kernels, "_SPECTRUM_BYTES", 5 * 16 * 300 + 1)
     assert np.array_equal(_kernels.hankel_sum(r, rho, g), grid)
     for i in (0, 6, 7, 8, 299):
         assert _kernels._hankel_direct(r[i:i + 1], rho, g)[0] == whole[i]
@@ -285,8 +279,9 @@ def test_hankel_sum_independent_of_far_block(coeffs, monkeypatch):
     """The far-field coefficients folded one node block at a time give the
     same bytes for any block size: one node, 7 nodes, L + 1 nodes (so
     every whole block wraps past a multiple of the FFT length L) and one
-    block of all K nodes; and on the order-5 grid of 512 points (K =
-    13,570 nodes) the sum holds within 2 MiB of traced memory, where all
+    block of all K nodes, each set by the budget at 512 bytes a node; and
+    on the order-5 grid of 512 points (K = 13,570 nodes) the sum holds
+    within 2 MiB of traced memory at the default budget, where all
     27 x K coefficients at once took 7.4 MiB."""
     import tracemalloc
 
@@ -303,7 +298,7 @@ def test_hankel_sum_independent_of_far_block(coeffs, monkeypatch):
     length = 2 * (r.size - 1)
     assert rho.size > 2 * length
     for block in (1, 7, length + 1, rho.size):
-        monkeypatch.setattr(_kernels, "_FAR_BLOCK", block)
+        monkeypatch.setattr(_kernels, "_BLOCK_BYTES", 512 * block)
         assert _kernels.hankel_sum(r, rho, g).tobytes() == blocked.tobytes()
 
 
@@ -325,11 +320,10 @@ def _hankel_sum_wide_fold(r, rho, g):
         if (hi - lo) * (size - near) * _kernels._J0_COST <= fft_work:
             out[lo:hi] = _kernels._hankel_direct(r[lo:hi], rho, g)
         else:
-            for a in range(near, done, _kernels._FAR_BLOCK):
-                b = min(a + _kernels._FAR_BLOCK, done)
-                coef = _kernels._far_coefficients(x[a:b], g[a:b], a)
-                for j in range(coef.shape[1]):
-                    folded[:, (a + 1 + j) % length] += coef[:, j]
+            coef = _kernels._far_coefficients(x[near:done], g[near:done],
+                                              near)
+            for j in range(coef.shape[1]):
+                folded[:, (near + 1 + j) % length] += coef[:, j]
             done = near
             out[lo:hi] = _kernels._far_rows(folded, lo, hi, n)
             if near:

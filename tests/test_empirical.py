@@ -115,62 +115,11 @@ def test_alpha_average_checkpoints_consistent(coeffs):
     assert ladder[0] == pytest.approx(single, rel=1e-9)
 
 
-def test_alpha_average_independent_of_chunk(coeffs, monkeypatch):
-    """Smaller chunks of whole grid blocks give the same means bit for bit."""
-    import mfun.empirical as em
-    n = 10
-    s = float(np.sum(coeffs.c[:n]))
-    phis = [TestFunction.disc(0.0, 0.5 * s),
-            TestFunction.gaussian(0.1 * s + 0.2j * s, s / 3.0),
-            TestFunction.character(4.0 / s)]
-    x, k = 500.0, em.GRID_BLOCK
-    h = x / math.ceil(x * 10.0 * coeffs.gamma[n - 1] / (2.0 * math.pi))
-    # marks inside a block, at the last node of a patched chunk, at the
-    # first node of the next, and at the partial last block
-    ladder = [137.0, (4 * k - 1) * h, 8 * k * h, x]
-    whole = em.alpha_average_many(coeffs, n, phis, ladder)
-    monkeypatch.setattr(em, "_CHUNK", 4 * k)
-    assert em.alpha_average_many(coeffs, n, phis, ladder) == whole
-
-
-def test_haar_oracle_independent_of_chunk(coeffs, monkeypatch):
-    """Smaller chunks of whole blocks give the same Haar means bit for bit.
-
-    The draws are the same counter-based stream in any chunking, and the Phi
-    values are summed per grid block, so only the block sums' order fixes
-    the means.
-    """
-    import mfun.empirical as em
-    n = 10
-    s = float(np.sum(coeffs.c[:n]))
-    phis = [TestFunction.disc(0.0, 0.5 * s),
-            TestFunction.gaussian(0.1 * s + 0.2j * s, s / 3.0),
-            TestFunction.character(4.0 / s)]
-    whole = haar_oracle(coeffs, n, phis, 300000, seed=3)
-    monkeypatch.setattr(em, "_CHUNK", 4 * em.GRID_BLOCK)
-    assert haar_oracle(coeffs, n, phis, 300000, seed=3) == whole
-
-
-def test_haar_oracle_independent_of_draw_block(coeffs, monkeypatch):
-    """Phases drawn in smaller blocks, here 100 rows that do not divide a
-    chunk, give the same Haar means bit for bit: a word of the SplitMix64
-    stream depends only on its index."""
-    import mfun.empirical as em
-    n = 10
-    s = float(np.sum(coeffs.c[:n]))
-    phis = [TestFunction.disc(0.0, 0.5 * s),
-            TestFunction.gaussian(0.1 * s + 0.2j * s, s / 3.0),
-            TestFunction.character(4.0 / s)]
-    whole = haar_oracle(coeffs, n, phis, 150000, seed=3)
-    monkeypatch.setattr(em, "_EXPI_BLOCK", 100 * n)
-    assert haar_oracle(coeffs, n, phis, 150000, seed=3) == whole
-
-
 def test_haar_oracle_holds_block_draws(coeffs):
     """The Haar route at N = 10 peaks within 6 chunk-sized complex arrays
     of traced memory over compare's eight test functions: its phases are
-    drawn one phasor_sum step at a time, not as an N x _CHUNK matrix per
-    chunk."""
+    drawn one phasor_sum step at a time, not as an N x chunk matrix per
+    chunk (2^16 points at the default budget)."""
     import tracemalloc
 
     import mfun.empirical as em
@@ -178,20 +127,21 @@ def test_haar_oracle_holds_block_draws(coeffs):
     from mfun.density import support_radius
     n = 10
     phis = default_test_functions(support_radius(coeffs, n))
-    samples = 4 * em._CHUNK + 1000
+    chunk = em._chunk_points()
+    samples = 4 * chunk + 1000
     tracemalloc.start()
     try:
         haar_oracle(coeffs, n, phis, samples, seed=4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * em._CHUNK * 16, peak
+    assert peak <= 6 * chunk * 16, peak
 
 
 def test_streams_hold_about_one_chunk(coeffs):
     """Peak traced memory of both routes stays within 2 chunk working sets.
 
-    A chunk's working set is its N x _CHUNK float64 angle matrix.  The
+    A chunk's working set is its N x chunk float64 angle matrix.  The
     runs cover at least four chunks, so a route that kept more than the
     current chunk alive, or a chunk too large for the run, fails.
     """
@@ -203,9 +153,10 @@ def test_streams_hold_about_one_chunk(coeffs):
     phis = [TestFunction.disc(0.0, 0.5 * s), TestFunction.character(4.0 / s)]
     samples = 1 << 21
     h = 2.0 * math.pi / (10.0 * coeffs.gamma[n - 1])
-    x = 4.5 * em._CHUNK * h
-    assert samples >= 4 * em._CHUNK
-    budget = 2 * em._CHUNK * n * 8
+    chunk = em._chunk_points()
+    x = 4.5 * chunk * h
+    assert samples >= 4 * chunk
+    budget = 2 * chunk * n * 8
     tracemalloc.start()
     try:
         haar_oracle(coeffs, n, phis, samples, seed=4)

@@ -341,12 +341,10 @@ def sum2_one_shot(values):
     return out
 
 
-def test_a2_blocks_match_one_shot_sum2(monkeypatch):
-    """A_2 summed in blocks of 777 entries, carrying both running sums
-    across blocks, is bit for bit the one-shot Sum2 of the same steps."""
-    import mfun.goldbach as gb
+def test_a2_blocks_match_one_shot_sum2():
+    """A_2 summed in slices (three at x = 2e4), carrying both running sums
+    across them, is bit for bit the one-shot Sum2 of the same steps."""
     x = 20000
-    monkeypatch.setattr(gb, "_SUM_BLOCK", 777)
     table = sieve_lambda(x)
     assert np.array_equal(curve(table), sum2_one_shot(steps_of(table)))
 

@@ -90,13 +90,12 @@ def test_expi_non_finite_propagate_like_cos_and_sin():
     assert got[5] == complex(want_cos[5], want_sin[5])
 
 
-def test_expi_values_depend_only_on_their_argument(monkeypatch):
-    """A value is the same alone, in any block and next to a fallback."""
+def test_expi_values_depend_only_on_their_argument():
+    """A value is the same alone and next to a fallback (tests/test_budget.py
+    varies the blocks)."""
     rng = np.random.Generator(np.random.Philox(key=np.uint64(7)))
     x = rng.uniform(-50.0, 50.0, 3 * 64 + 6)
     whole = expi(x)
-    monkeypatch.setattr(_kernels, "_EXPI_BLOCK", 64)
-    assert np.array_equal(expi(x), whole)
     for i in (0, 63, 64, 65, x.size - 1):
         assert expi(x[i:i + 1])[0] == whole[i]
     wild = x.copy()
@@ -118,9 +117,9 @@ def test_splitmix64_reference_words():
 @pytest.mark.parametrize("seed", [0, 3, 2 ** 64 - 1])
 def test_splitmix64_any_split(seed):
     """Words [lo, hi) are that slice of words [0, hi), at splits inside and
-    across the Haar draw blocks of N = 10 (_EXPI_BLOCK // 10 rows of 10);
-    the top seed wraps the state mod 2^64."""
-    block = (_kernels._EXPI_BLOCK // 10) * 10
+    across the Haar draw blocks of N = 10 (one phasor_sum step of rows of
+    10); the top seed wraps the state mod 2^64."""
+    block = _kernels._per_block(64 * 10) * 10
     whole = splitmix64(seed, 0, 3 * block + 7)
     for lo, hi in [(0, 1), (block - 1, block + 1), (block, 2 * block),
                    (block - 3, 2 * block + 5), (2 * block + 1, whole.size),

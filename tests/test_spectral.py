@@ -83,7 +83,7 @@ def test_f_N_vectorized_consistent(coeffs):
     assert np.array_equal(grid, vec[:6].reshape(2, 3))
 
 
-def test_phase_sums_independent_of_batch(coeffs, monkeypatch):
+def test_phase_sums_independent_of_batch(coeffs):
     """f_series and phasor_sum values do not depend on the points around them.
 
     Both kernels add their terms in ascending m, so a value is the same
@@ -93,14 +93,9 @@ def test_phase_sums_independent_of_batch(coeffs, monkeypatch):
     c, g, b = coeffs.c[:n], coeffs.gamma[:n], coeffs.beta[:n]
     alphas = np.linspace(0.0, 1e3, 700)
     whole = _kernels.f_series(alphas, c, g, b)
-    edges = [_kernels._EXPI_BLOCK // n]
-    monkeypatch.setattr(_kernels, "_EXPI_BLOCK", 64 * n)
-    edges.append(_kernels._EXPI_BLOCK // n)
-    blocked = _kernels.f_series(alphas, c, g, b)
-    assert np.array_equal(blocked, whole)
-    picks = {0, alphas.size - 1}
-    for edge in edges:
-        picks |= {edge - 2, edge - 1, edge, edge + 1, 2 * edge - 1, 2 * edge}
+    edge = _kernels._per_block(64 * n)   # points per block: 327 here
+    picks = {0, alphas.size - 1, edge - 2, edge - 1, edge, edge + 1,
+             2 * edge - 1, 2 * edge}
     for i in sorted(picks):
         assert _kernels.f_series(alphas[i:i + 1], c, g, b)[0] == whole[i]
 
@@ -143,9 +138,9 @@ def test_f_grid_matches_mpmath_within_bound(coeffs, n):
                 assert float(abs(mp.mpc(got) - exact)) <= bound, (j, got)
 
 
-def test_f_grid_values_depend_only_on_the_index(coeffs, monkeypatch):
-    """A node's value is the same alone, in any window, in any chunking,
-    across blocks and in any grouping of blocks."""
+def test_f_grid_values_depend_only_on_the_index(coeffs):
+    """A node's value is the same alone, in any window, in any chunking
+    and across blocks (tests/test_budget.py varies the grouping of blocks)."""
     n = 10
     c, g, b = coeffs.c[:n], coeffs.gamma[:n], coeffs.beta[:n]
     h = 2.0 * math.pi / (10.0 * g[-1])
@@ -160,10 +155,6 @@ def test_f_grid_values_depend_only_on_the_index(coeffs, monkeypatch):
         assert np.array_equal(part, whole[lo:hi])
     pieces = _kernels.f_grid_chunks(start, stop, k + 3, h, c, g, b)
     assert np.array_equal(np.concatenate(list(pieces)), whole)
-    monkeypatch.setattr(_kernels, "_GRID_GROUP", 2)
-    again = next(_kernels.f_grid_chunks(start, stop, stop - start,
-                                        h, c, g, b))
-    assert np.array_equal(again, whole)
 
 
 def test_f_N_bounded_by_support_radius(coeffs):
