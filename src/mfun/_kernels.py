@@ -84,9 +84,8 @@ _MCMAHON_E = 0.0487
 # of the FFT path.  On a 2-core Xeon a pair takes about 60 ns (j0_arr itself
 # about 31 ns per element), a butterfly with its share of Horner's rule 0.8
 # ns (n = 4096) to 2 ns (n = 512); timed whole, hankel_sum breaks even near
-# 30.  25 keeps the order-25 and --eps 1 grids (which switch at 27) summed
-# directly, bit for bit.
-_J0_COST = 25
+# 30 (orders 25 to 100 on 4096 points: 15 ms at 25, 12.7 ms at 30 to 50).
+_J0_COST = 30
 
 # j0_arr and j1_arr below _HANKEL_X0: row j of _NEAR[nu] holds the s^j
 # coefficients of the polynomials on the unit intervals [i, i+1), in
@@ -635,9 +634,7 @@ def hankel_sum(r, rho, g):
 
     A block takes the FFTs only when its far pairs, each worth
     ``_J0_COST`` butterflies, outnumber the (M + P - 1) L log2 L
-    butterflies of its FFTs; otherwise it is summed directly.  So short
-    rho grids (order 25, ``--eps 1``) are summed as ``_hankel_direct``
-    sums them, bit for bit.
+    butterflies of its FFTs; otherwise it is summed directly.
 
     Error bound against ``_hankel_direct``, with u = 2^-53, K nodes,
     s = sqrt(2/(pi x0)) and A = sum_{m<M} |a_m| x0^-m:

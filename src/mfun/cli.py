@@ -146,8 +146,7 @@ def _write_csv(path: Path, header, rows):
         fh.write(",".join(header) + "\n")
         if isinstance(rows, np.ndarray):
             line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-            # a cell's Python float and its text: 64 bytes
-            step = _per_block(64 * rows.shape[1])
+            step = _per_block(64 * rows.shape[1])   # a cell's float and text
             for lo in range(0, rows.shape[0], step):
                 block = rows[lo:lo + step]
                 fh.write(line * block.shape[0] % tuple(block.ravel().tolist()))

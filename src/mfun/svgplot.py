@@ -79,12 +79,11 @@ def line_plot(path, curves, title="", xlabel="", ylabel=""):
             u = px(np.asarray(x, dtype=float))
             v = py(np.asarray(y, dtype=float))
             fh.write('\n<polyline points="')
-            # a point's two Python floats and its text: 128 bytes
-            step = _per_block(128)
+            step = _per_block(128)   # a point's two Python floats and text
             for lo in range(0, u.size, step):
-                pts = zip(u[lo:lo + step].tolist(), v[lo:lo + step].tolist())
-                fh.write((" " if lo else "")
-                         + " ".join(f"{a:.2f},{b:.2f}" for a, b in pts))
+                pts = np.stack([u[lo:lo + step], v[lo:lo + step]], axis=1)
+                fh.write((" " if lo else "") + " ".join(
+                    ["%.2f,%.2f"] * len(pts)) % tuple(pts.ravel().tolist()))
             fh.write(f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n'
                      f'<text x="{_W - _MR - 8}" y="{_MT + 18 + 16 * i}" '
                      f'text-anchor="end" font-family="sans-serif" '

@@ -34,11 +34,11 @@ __all__ = [
     "hardy_z", "verify_zero", "verify_table", "counting_check",
 ]
 
-# Euler-Maclaurin tuning: m(t) = max(floor(3|t|), 10) main terms and four
-# Bernoulli corrections.
-_EM_FACTOR = 3.0
+# Euler-Maclaurin tuning: m(t) = max(floor(|t|), 10) main terms and K = 10
+# Bernoulli corrections, B_2 .. B_20.
 _EM_MIN_TERMS = 10.0
-_BERNOULLI = (1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30)
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
+              -3617 / 510, 43867 / 798, -174611 / 330)
 
 # Stirling's series for log Gamma: B_2k / (2k (2k - 1)), k = 1 .. 7, summed
 # at |w| >= 12
@@ -137,16 +137,19 @@ def _zeta_half_line(t: np.ndarray, panel: int) -> np.ndarray:
     """zeta(1/2 + it) by Euler-Maclaurin summation, for a block of t,
     taking the terms in panels of panel columns (whole chunks).
 
-    Row r sums n^(-1/2) e^(-it log n) over n < m = max(floor(3|t_r|), 10),
+    Row r sums n^(-1/2) e^(-it log n) over n < m = max(floor(|t_r|), 10),
     the phases through ``expi``, and adds the end terms
     m^(1-s)/(s-1) + m^(-s)/2 and the Bernoulli corrections
-    B_2k/(2k)! (s)_(2k-1) m^(1-s-2k), s = 1/2 + it_r.  The block is padded
-    to its largest m with zero terms.  Each row is summed in chunks of
-    ``_Z_CHUNK`` consecutive n, pairwise within a chunk, and the chunk
-    sums in ascending order up to the row's own last chunk, so the padding
-    and the other rows leave a row's sum unchanged.
+    B_2k/(2k)! (s)_(2k-1) m^(1-s-2k), k = 1 .. K = 10, s = 1/2 + it_r.  The
+    remainder is at most |s + 2K + 1|/(sigma + 2K + 1) times the first
+    omitted term (Edwards, Riemann's Zeta Function, 6.4): at most 1.8e-14
+    (near t = 11, where m = 10) and below 3e-16 on [15, 10^6].  The block
+    is padded to its largest m with zero terms.  Each row is summed in
+    chunks of ``_Z_CHUNK`` consecutive n, pairwise within a chunk, and the
+    chunk sums in ascending order up to the row's own last chunk, so the
+    padding and the other rows leave a row's sum unchanged.
     """
-    m = np.maximum(np.floor(_EM_FACTOR * np.abs(t)), _EM_MIN_TERMS)
+    m = np.maximum(np.floor(np.abs(t)), _EM_MIN_TERMS)
     last = (m.astype(np.int64) - 2) // _Z_CHUNK   # the chunk of n = m - 1
     width = (int(last.max()) + 1) * _Z_CHUNK
     sums = np.empty((t.size, width // _Z_CHUNK), dtype=np.complex128)

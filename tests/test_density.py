@@ -391,11 +391,12 @@ def _hankel_stated_bound(r, rho, g):
 
 
 @pytest.mark.parametrize("order, points, fft", [
-    (5, 512, True), (5, 4096, True), (10, 4096, True), (25, 4096, False)])
+    (5, 512, True), (5, 4096, True), (10, 4096, True), (25, 4096, True)])
 def test_hankel_sum_within_stated_bound(coeffs, monkeypatch, order, points,
                                         fft):
     """The grid path against the direct sum, on the inversion's own
-    coefficients, within the docstring's bound; order 25 stays direct."""
+    coefficients, within the docstring's bound; fft says whether the grid
+    takes the FFT in some block (each of these does)."""
     d = invert_to_density(coeffs, order, points)
     r, rho = d.r_grid, d.rho_grid
     g = 2.0 * d.characteristic / (r[-1] * _kernels.j1_arr(rho * r[-1])) ** 2

@@ -102,11 +102,13 @@ def hardy_z_scalar(t):
     Euler-Maclaurin sum of n**-s by numpy's complex power, then theta by
     Stirling's series in Python complex arithmetic."""
     s = 0.5 + 1j * t
-    m = max(int(3.0 * abs(t)), 10)
+    m = max(int(abs(t)), 10)
     zeta = complex(np.sum(np.arange(1, m) ** (-s)))
     zeta += m ** (1.0 - s) / (s - 1.0) + 0.5 * m ** (-s)
     fact, poch = 1.0, 1.0 + 0j
-    for k, b2k in enumerate((1 / 6, -1 / 30, 1 / 42, -1 / 30), start=1):
+    for k, b2k in enumerate((1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66,
+                             -691 / 2730, 7 / 6, -3617 / 510, 43867 / 798,
+                             -174611 / 330), start=1):
         fact *= (2 * k - 1) * (2 * k)
         poch *= (s + (2 * k - 2)) * (s + (2 * k - 3)) if k > 1 else s
         zeta += (b2k / fact) * poch * m ** (1.0 - s - 2 * k)
@@ -142,7 +144,7 @@ def test_hardy_z_scalar_equals_array_element(zero_table):
 
 
 def test_hardy_z_matches_scalar_form(zero_table):
-    """On the zeros-verify grids, within 1e-14 of the scalar form (1.6e-15
+    """On the zeros-verify grids, within 1e-14 of the scalar form (1.2e-15
     measured; max |Z| there is 0.26)."""
     t = verify_grids(zero_table.gammas).ravel()
     old = np.array([hardy_z_scalar(x) for x in t.tolist()])
