@@ -10,9 +10,10 @@ Fourier-Bessel sum on its uniform grid (``hankel_sum``).
 
 Every blocked loop in mfun sizes its blocks from one working-set budget,
 ``_BLOCK_BYTES`` (512 KiB), read at call time: ``_per_block(b)`` items,
-b the bytes a loop holds per item (stated beside it), so a block stays in
-cache and peak memory bounded.  The stream chunks of ``empirical`` (1 MiB)
-and ``hankel_sum``'s spectra (8 MiB) take fixed multiples of it.  No
+b the bytes an item holds in the loop (stated beside it), so a block stays
+in cache.  The stream chunks of ``empirical`` are two budgets (1 MiB).
+tests/test_budget.py holds the traced peak of every blocked kernel,
+beyond its inputs, its output and a stream's chunk, within 3 budgets.  No
 output depends on it; ``GRID_BLOCK`` and ``zeros._Z_CHUNK`` fix a
 summation order, so they stay fixed.
 
@@ -103,10 +104,11 @@ def _per_block(item_bytes):
 
 
 def _bessel_near(x, table, out):
-    """J_nu at 0 <= x < x0 by Horner's rule on the unit interval of x."""
+    """J_nu at 0 <= x < x0 by Horner's rule on the unit interval of x;
+    out may be x itself."""
     t = np.floor(x)
     idx = t.astype(np.intp)
-    s = x - t
+    s = np.subtract(x, t, out=t)
     s -= 0.5   # exact from x >= 1; below, within u/4 of x - 1/2
     coef = np.empty_like(x)
     table[-1].take(idx, out=out)
@@ -122,20 +124,22 @@ def _bessel_far(x, nu, out):
     J_nu(x) = sqrt(2/(pi x)) (P cos w - Q sin w), w = x - (2 nu + 1) pi/4,
     with P and Q the even and odd terms of sum_m (-i)^m a_m(nu) x^-m.  As
     cos w and sin w are (cos x +- sin x)/sqrt(2) with the signs of nu, the
-    phase is ``expi(x)`` alone: no multiple of pi/4 is rounded.
+    phase is ``expi(x)`` alone: no multiple of pi/4 is rounded.  out may
+    be x.  Taken first, the phase and expi's block are the most an element
+    holds besides x and out (56 bytes).
     """
     coef = _FAR[nu]
+    e = expi(x)
     inv = 1.0 / x
     inv2 = inv * inv
-    acc = np.empty((2, x.size))
-    acc[...] = coef[:, -1:]
-    for j in range(coef.shape[1] - 2, -1, -1):
-        acc *= inv2
-        acc += coef[:, j:j + 1]
-    p, q = acc
+    p, q = acc = np.empty((2, x.size))
+    for row, c in zip(acc, coef):   # row by row: no broadcast buffer
+        row.fill(c[-1])
+        for cj in c[-2::-1]:
+            row *= inv2
+            row += cj
     q *= inv
-    e = expi(x)
-    plus = p + q
+    plus = np.add(p, q, out=inv2)
     if nu:   # J1: (Q - P) cos x + (P + Q) sin x
         cos_part, sin_part = np.subtract(q, p, out=p), plus
     else:    # J0: (P + Q) cos x + (P - Q) sin x
@@ -151,7 +155,9 @@ def _bessel_far(x, nu, out):
 def _bessel(x, nu, out):
     """J_nu, nu = 0 or 1, elementwise over x into out (see ``j0_arr``)."""
     flat, res = x.reshape(-1), out.reshape(-1)
-    step = _per_block(16)   # an element's argument and value
+    # |x| and its masks (11 bytes), a far element's compacted copy (8) and
+    # what _bessel_far holds (56): the most any element holds
+    step = _per_block(76)
     for lo in range(0, flat.size, step):
         hi = min(lo + step, flat.size)
         signed = flat[lo:hi]
@@ -159,16 +165,17 @@ def _bessel(x, nu, out):
         flip = signed < 0.0 if nu else None   # J1 is odd; read before out
         ob = res[lo:hi]
         near = xb < _HANKEL_X0   # NaN is far, and stays NaN there
-        if near.all():
+        count = np.count_nonzero(near)
+        if count == near.size:
             _bessel_near(xb, _NEAR[nu], ob)
-        elif not near.any():
+        elif not count:
             _bessel_far(xb, nu, ob)
         else:
-            part = np.empty(xb.size - np.count_nonzero(near))
-            _bessel_far(xb[~near], nu, part)
+            part = xb[~near]
+            _bessel_far(part, nu, part)
             ob[~near] = part
-            part = np.empty(xb.size - part.size)
-            _bessel_near(xb[near], _NEAR[nu], part)
+            part = xb[near]
+            _bessel_near(part, _NEAR[nu], part)
             ob[near] = part
         if nu and flip.any():
             np.negative(ob, out=ob, where=flip)
@@ -302,17 +309,17 @@ def expi(x):
     x = np.asarray(x, dtype=np.float64)
     out = np.empty(x.shape, dtype=np.complex128)
     flat, res = x.reshape(-1), out.reshape(-1)
-    step = _per_block(64)   # k, d, t, idx: 8 bytes each; table, poly: 16
+    # k, d, t (and the table index in t): 8 bytes each; the table: 16; the
+    # polynomial goes to the output
+    step = _per_block(40)
     n = min(step, flat.size)
     k, d, t = np.empty(n), np.empty(n), np.empty(n)
-    idx = np.empty(n, dtype=np.int64)
     table = np.empty(n, dtype=np.complex128)
-    poly = np.empty(n, dtype=np.complex128)
     for lo in range(0, flat.size, step):
         hi = min(lo + step, flat.size)
         m = hi - lo
-        xb, kb, db, tb, ib = flat[lo:hi], k[:m], d[:m], t[:m], idx[:m]
-        eb, pb, ob = table[:m], poly[:m], res[lo:hi]
+        xb, kb, db, tb = flat[lo:hi], k[:m], d[:m], t[:m]
+        eb, ob = table[:m], res[lo:hi]
         # NaN compares false, so a NaN also makes the block wild
         wild = not (xb.max() <= EXPI_LIMIT and xb.min() >= -EXPI_LIMIT)
         if wild:
@@ -321,7 +328,9 @@ def expi(x):
         # k = round(x L / 2pi); the low mantissa bits of k + _ROUND are k mod L
         np.multiply(xb, _INV_STEP, out=kb)
         kb += _ROUND
+        ib = tb.view(np.int64)
         np.bitwise_and(kb.view(np.int64), _EXPI_L - 1, out=ib)
+        _EXPI_TABLE.take(ib, out=eb, mode="clip")   # unbuffered; ib < L
         kb -= _ROUND
         np.multiply(kb, _STEP_1, out=tb)
         np.subtract(xb, tb, out=db)
@@ -329,15 +338,14 @@ def expi(x):
         db -= tb
         np.multiply(kb, _STEP_3, out=tb)
         db -= tb
-        _EXPI_TABLE.take(ib, out=eb, mode="clip")   # unbuffered; ib < L
         np.multiply(db, db, out=tb)
         np.multiply(tb, 1.0 / 24.0, out=kb)
         kb -= 0.5
-        np.multiply(kb, tb, out=pb.real)
+        np.multiply(kb, tb, out=ob.real)
         tb *= -1.0 / 6.0
         tb += 1.0
-        np.multiply(tb, db, out=pb.imag)
-        np.multiply(eb, pb, out=ob)
+        np.multiply(tb, db, out=ob.imag)
+        np.multiply(eb, ob, out=ob)
         ob += eb
         if wild:
             far = flat[lo:hi][bad]
@@ -443,6 +451,7 @@ def f_grid_chunks(start, stop, chunk, h, c, gamma, beta):
                 np.multiply(v[m], table[m], out=term)
                 rows += term
         yield out.reshape(-1)[lo - first * k:lo - first * k + count]
+        out = rows = None   # hold no view of a chunk the caller let go
 
 
 def phasor_sum(theta, c):
@@ -495,7 +504,8 @@ def _hankel_direct(r, rho, g):
     own row of the products g_k * J0(rho_k * r_i), not a BLAS product, so
     its value depends only on r_i, rho and g: not on the other r values,
     the chunk split or the thread count.  It is the oracle of
-    ``hankel_sum``.
+    ``hankel_sum``.  It holds a budget of products, reused, and
+    ``j0_arr``'s block over them.
     """
     out = np.empty(r.shape, dtype=np.float64)
     cols = _per_block(8 * max(rho.size, 1))   # a row of products
@@ -570,23 +580,15 @@ def _far_rows(folded, lo, hi, n):
 
     One real FFT per power d gives sum_k coef[d, k] e^{-2 pi i k i/L};
     the powers (i t)^d are added by Horner's rule, d >= 0 in i t and
-    d < 0 in 1/(i t).  The FFTs are taken over groups of rows whose
-    spectra fit 16 budgets (8 MiB), one group held at a time; a row's
-    spectrum is the same bit for bit in any group, and on grids of up
-    to 19,418 points one group holds all M + P - 1 rows.
+    d < 0 in 1/(i t).  The spectra are taken one row at a time, as
+    Horner's rule reads them: one spectrum of L/2 + 1 complex values is
+    held at a time, and pocketfft gives a row the same bits alone as in
+    any batch.
     """
     rows, length = folded.shape[0], 2 * (n - 1)
-    group = max(1, 16 * _BLOCK_BYTES // (16 * (length // 2 + 1)))
-    first = spectrum = None
 
     def spec(j):
-        nonlocal first, spectrum
-        if first != j - j % group:
-            first = j - j % group
-            spectrum = None   # free the last group before the next
-            spectrum = np.fft.rfft(folded[first:first + group], length,
-                                   axis=1)[:, lo:hi]
-        return spectrum[j - first]
+        return np.fft.rfft(folded[j], length)[lo:hi]
     t = np.arange(lo, hi) / (n - 1)
     z, w = 1j * t, -1j / t
     top = _HANKEL_M - 1   # the row of d = 0
@@ -662,10 +664,10 @@ def hankel_sum(r, rho, g):
     budgets and thread counts.
 
     Memory: the folded coefficients, (M + P - 1) x min(K + 1, L) doubles
-    (only the columns k mod L <= K are ever non-zero), spectra of at most
-    16 budgets and a few vectors of a block's rows.  The coefficients
-    and the direct products are built a budget at a time, so no matrix
-    as wide as the K nodes is built.
+    (only the columns k mod L <= K are ever non-zero), one spectrum of
+    L/2 + 1 complex values at a time and a few vectors of a block's rows.
+    The coefficients and the direct products are built a budget at a
+    time, so no matrix as wide as the K nodes is built.
     """
     r = np.asarray(r, dtype=np.float64)
     rho = np.asarray(rho, dtype=np.float64)

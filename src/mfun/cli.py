@@ -36,9 +36,9 @@ COUNTING_SLACK = 2
 COUNTING_T_MIN = 25.0
 
 # Ceilings on the two options whose memory grows with their value: a
-# density at 2^18 r points peaks near 66 MiB (numpy, the profile and one
-# 8 MiB group of its Hankel sum's spectra), and 10^5 Weyl vectors, checked
-# in one batch, near 63 MiB.
+# density at 2^18 r points peaks near 60 MiB (numpy, the profile and one
+# 4 MiB spectrum of its Hankel sum at a time), and 10^5 Weyl vectors,
+# checked in one batch, near 63 MiB.
 MAX_R_POINTS = 2 ** 18
 MAX_WEYL_COUNT = 10 ** 5
 

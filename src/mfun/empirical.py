@@ -40,8 +40,8 @@ class ResonanceError(MfunError):
 
 def _chunk_points():
     """Points per stream chunk: whole grid blocks of 16-byte points in two
-    budgets (2^16 points, 1 MiB).  Smaller chunks pay the per-chunk Python
-    overhead more often; at 2^20 points every pass went to main memory."""
+    budgets (2^16 points, 1 MiB), each Phi taken on slices of it.  Smaller
+    chunks pay the per-chunk Python overhead more often."""
     return 2 * _per_block(16 * GRID_BLOCK) * GRID_BLOCK
 
 
@@ -54,25 +54,31 @@ def _stream_sums(chunks, phis, marks):
     so a sum depends on the points alone, not on how the stream is
     chunked.  Phi is summed in the dtype of its values: float64 for a real
     Phi, complex128 for a complex one.  Returns (one array over marks per
-    Phi, the points w_k at the marks).
+    Phi, the points w_k at the marks).  Each Phi runs on slices of whole
+    blocks of a chunk, 80 bytes a point: what a character, the costliest
+    kind, holds with its share of ``expi``'s block and the last slice.
     """
     sums = [[] for _ in phis]
     points = []
     running = [0.0] * len(phis)   # sum of each Phi over the earlier chunks
     done = 0
+    width = _per_block(80 * GRID_BLOCK) * GRID_BLOCK
     for w in chunks:
         here = [k - done for k in marks if done <= k < done + w.size]
         points += w[here].tolist()
-        starts = np.arange(0, w.size, GRID_BLOCK)
         for i, phi in enumerate(phis):
-            vals = phi(w)
+            parts, tails = [[running[i]]], []   # block sums; sums in a block
+            for lo in range(0, w.size, width):
+                vals = phi(w[lo:lo + width])
+                parts.append(np.add.reduceat(
+                    vals, np.arange(0, vals.size, GRID_BLOCK)))
+                tails += [vals[k - k % GRID_BLOCK - lo:k - lo + 1].sum()
+                          for k in here if lo <= k < lo + width]
             # before[q]: the sum of Phi over every block before block q
-            before = np.cumsum(np.concatenate(
-                ([running[i]], np.add.reduceat(vals, starts))))
-            sums[i] += [before[k // GRID_BLOCK]
-                        + vals[k - k % GRID_BLOCK:k + 1].sum() for k in here]
+            before = np.cumsum(np.concatenate(parts))
+            sums[i] += [before[k // GRID_BLOCK] + t
+                        for k, t in zip(here, tails)]
             running[i] = before[-1]
-            vals = None   # free them before the next Phi is evaluated
         done += w.size
         w = None   # free it before the next chunk is built
     return [np.array(s) for s in sums], np.array(points, dtype=np.complex128)
@@ -95,7 +101,7 @@ def haar_oracle(coeffs: CoefficientTable, n: int, phis, samples: int,
     Memory: the words of one ``phasor_sum`` step (64 KiB) are drawn at a
     time.  The stream is counter-based, so the phases, and the means, do
     not depend on that block.  Beyond it the call holds one chunk of S_N
-    (``_chunk_points``) and the values of one Phi on it.
+    (``_chunk_points``) and one Phi's work on a slice of it.
     """
     coeffs.check_order(n)
     if samples < MIN_HAAR_SAMPLES:
@@ -112,7 +118,7 @@ def haar_oracle(coeffs: CoefficientTable, n: int, phis, samples: int,
             phases = splitmix64(seed, (lo + a) * n, (lo + b) * n)
             phases >>= 40   # the top 24 bits: phases in units of 2pi/2^24
             w[a:b] = phasor_sum(phases.view(np.int64).reshape(b - a, n), c)
-        peaks.append(float(np.max(np.abs(w))))
+            peaks.append(float(np.max(np.abs(w[a:b]))))
         return w
     sums, _ = _stream_sums(map(draw, range(0, samples, chunk)), phis,
                            [samples - 1])

@@ -150,10 +150,10 @@ class TestFunction:
         """(1/2pi) * integral of Phi(r e^{i theta}) d theta, per radius.
 
         The smooth kinds take the mean over the quadrature nodes one block
-        of radii at a time, 32 bytes of the budget per point (radius x
-        node): its complex value and its Phi value.  Each radius's mean is
-        its own row's, so the blocks do not change it.  A rectangle's arc
-        fractions are taken in row blocks too, each radius's ten cut
+        of radii at a time, sized by the bytes a point (radius x node)
+        holds: 80 for a character, 40 for a Gaussian.  Each radius's mean
+        is its own row's, so the blocks do not change it.  A rectangle's
+        arc fractions are taken in row blocks too, each radius's ten cut
         angles within one block.
         """
         r = np.atleast_1d(np.asarray(r, dtype=np.float64))
@@ -163,7 +163,8 @@ class TestFunction:
         if self.kind == "rectangle":
             out = np.empty(r.shape)
             flat, res = r.reshape(-1), out.reshape(-1)
-            rows = _per_block(32 * 10)   # ten cut angles per radius
+            # ten cut angles, nine arcs and their phases through expi
+            rows = _per_block(672)
             for lo in range(0, flat.size, rows):
                 res[lo:lo + rows] = _rect_arc_fraction(
                     flat[lo:lo + rows], p["x0"], p["x1"], p["y0"], p["y1"])
@@ -175,16 +176,16 @@ class TestFunction:
         # smooth kinds: periodic trapezoid in theta
         if self.kind == "character":
             scale = abs(p["z"]) * float(r.max(initial=0.0))
-            out = np.empty(r.size, dtype=np.complex128)
+            out, held = np.empty(r.size, dtype=np.complex128), 80
         elif self.kind == "gaussian":
             scale = float(r.max(initial=0.0)) / p["sigma"]
-            out = np.empty(r.size)
+            out, held = np.empty(r.size), 40
         else:
             raise ValueError(f"unknown kind {self.kind!r}")
         n = max(_QUAD_NODES_MIN, 4 * int(scale) + 16)
         nodes = expi(np.linspace(0.0, 2.0 * math.pi, n, endpoint=False))
         r = r.reshape(-1)
-        rows = _per_block(32 * n)
+        rows = _per_block(held * n)
         for lo in range(0, r.size, rows):
             w = np.outer(r[lo:lo + rows], nodes)
             out[lo:lo + rows] = self(w).mean(axis=1)

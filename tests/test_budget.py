@@ -3,13 +3,18 @@ loop in mfun.  No output may depend on it: each blocked kernel, and each
 output file formatted in blocks, gives the same bytes at the default
 budget, at a tiny one (blocks of one or a few items), at an odd one
 (block lengths that are no power of two) and at four times the default.
+And the budget bounds memory: each blocked kernel's traced peak, beyond
+its inputs, its output and a stream's chunk, stays within 3 budgets at
+the default and at four times it.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import mfun.empirical as em
 from mfun import _kernels
 from mfun.cli import main
 from mfun.density import invert_to_density
@@ -90,3 +95,75 @@ def test_outputs_independent_of_block_budget(coeffs, default_outputs,
     assert got.keys() == default_outputs.keys()
     for name, want in default_outputs.items():
         assert got[name] == want, name
+
+
+def _blocked_kernels(coeffs):
+    """Every blocked kernel as {name: (call, bytes of it not counted)}, on
+    inputs that span several blocks at four times the default budget.
+    Only a stream route leaves bytes out of its count: its chunk."""
+    n = 10
+    c, g, b = coeffs.c[:n], coeffs.gamma[:n], coeffs.beta[:n]
+    s = float(np.sum(c))
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(30)))
+    near = rng.uniform(-20.0, 20.0, 200_000)
+    far = rng.uniform(20.0, 1e4, 200_000)
+    alpha = rng.uniform(0.0, 1e4, 20_000)
+    theta = rng.integers(0, 2 ** 24, (20_000, n))
+    d10 = invert_to_density(coeffs, n, 4096)
+    r, rho = d10.r_grid, d10.rho_grid
+    weights = rho * d10.characteristic
+    r_avg = np.linspace(0.0, 1.2 * s, 20_000)
+    rect = TestFunction.rectangle(-0.3 * s, 0.2 * s, -0.1 * s, 0.4 * s)
+    gauss = TestFunction.gaussian(0.1 * s + 0.2j * s, s / 3.0)
+    char = TestFunction.character(4.0 / s)
+    chunk = em._chunk_points()
+    h = 2.0 * math.pi / (10.0 * g[-1])
+    streams = [TestFunction.disc(0.0, 0.5 * s), gauss, char]
+    return {
+        "j0_near": (lambda: _kernels.j0_arr(near), 0),
+        "j0_far": (lambda: _kernels.j0_arr(far), 0),
+        "j1_near": (lambda: _kernels.j1_arr(near), 0),
+        "j1_far": (lambda: _kernels.j1_arr(far), 0),
+        "expi": (lambda: _kernels.expi(near), 0),
+        "f_series": (lambda: _kernels.f_series(alpha, c, g, b), 0),
+        "phasor_sum": (lambda: _kernels.phasor_sum(theta, c), 0),
+        "hankel_direct": (lambda: _kernels._hankel_direct(r, rho, weights),
+                          0),
+        "hankel_sum": (lambda: _kernels.hankel_sum(r, rho, weights), 0),
+        "average_rectangle": (lambda: rect.angular_average(r_avg), 0),
+        "average_gaussian": (lambda: gauss.angular_average(r_avg), 0),
+        "average_character": (lambda: char.angular_average(r_avg), 0),
+        "hardy_z": (lambda: hardy_z(np.linspace(10.0, 300.0, 4000)), 0),
+        "haar": (lambda: haar_oracle(coeffs, n, streams, 4 * chunk, seed=3),
+                 16 * chunk),
+        "alpha": (lambda: alpha_average_many(coeffs, n, streams,
+                                             [2.25 * chunk * h,
+                                              4.5 * chunk * h]),
+                  16 * chunk),
+    }
+
+
+KERNELS = ["j0_near", "j0_far", "j1_near", "j1_far", "expi", "f_series",
+           "phasor_sum", "hankel_direct", "hankel_sum", "average_rectangle",
+           "average_gaussian", "average_character", "hardy_z", "haar",
+           "alpha"]
+
+
+@pytest.mark.parametrize("scale", [1, 4], ids=["default", "4x"])
+@pytest.mark.parametrize("name", KERNELS)
+def test_kernel_holds_three_budgets(coeffs, monkeypatch, name, scale):
+    """A blocked kernel's traced peak, beyond its inputs, its output and
+    a stream's chunk, stays within 3 budgets at the default budget and
+    at four times it.  Counting 16 bytes per element in ``_bessel``, as
+    it once did, took j0_arr's far field to 4.6 budgets."""
+    budget = scale * _kernels._BLOCK_BYTES
+    monkeypatch.setattr(_kernels, "_BLOCK_BYTES", budget)
+    call, chunk = _blocked_kernels(coeffs)[name]
+    tracemalloc.start()
+    try:
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = peak - getattr(out, "nbytes", 0) - chunk
+    assert held <= 3 * budget, (name, held / budget)

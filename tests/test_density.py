@@ -354,8 +354,9 @@ def test_hankel_sum_matches_wide_fold(coeffs, monkeypatch, order, points):
 
 def test_hankel_sum_memory_follows_nodes(coeffs):
     """On 2^14 points at order 5 (K = 13,570 nodes, L = 32,766) the sum
-    holds within 13 MiB of traced memory: it took 15.0 MiB with the
-    27 x L fold, and takes 11.0 MiB with 27 x (K + 1) columns."""
+    holds within 6 MiB of traced memory: it took 15.0 MiB with the
+    27 x L fold, 11.0 MiB with 27 x (K + 1) columns and all 27 spectra in
+    one group, and takes 4.1 MiB with one spectrum at a time."""
     import tracemalloc
 
     d = invert_to_density(coeffs, 5, 1 << 14)
@@ -367,7 +368,7 @@ def test_hankel_sum_memory_follows_nodes(coeffs):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 13 << 20, peak
+    assert peak <= 6 << 20, peak
 
 
 def _hankel_stated_bound(r, rho, g):

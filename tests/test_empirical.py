@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mfun import TestFunction
+from mfun import TestFunction, _kernels
 from mfun.density import invert_to_density
 from mfun._kernels import expi, phasor_sum
 from mfun.empirical import (
@@ -139,11 +139,14 @@ def test_haar_oracle_holds_block_draws(coeffs):
 
 
 def test_streams_hold_about_one_chunk(coeffs):
-    """Peak traced memory of both routes stays within 2 chunk working sets.
+    """Peak traced memory of both routes stays within one chunk of
+    complex points and 3 budgets.
 
-    A chunk's working set is its N x chunk float64 angle matrix.  The
-    runs cover at least four chunks, so a route that kept more than the
-    current chunk alive, or a chunk too large for the run, fails.
+    Each Phi runs on budget-sized slices of the chunk.  The runs cover at
+    least four chunks, so a route that kept more than the current chunk
+    alive, or ran a Phi on a whole chunk, fails: the Haar route took
+    3.0 MiB and the alpha route 3.4 MiB that way, against the 2.5 MiB
+    bound at the default budget.
     """
     import tracemalloc
 
@@ -156,7 +159,7 @@ def test_streams_hold_about_one_chunk(coeffs):
     chunk = em._chunk_points()
     x = 4.5 * chunk * h
     assert samples >= 4 * chunk
-    budget = 2 * chunk * n * 8
+    budget = 16 * chunk + 3 * _kernels._BLOCK_BYTES
     tracemalloc.start()
     try:
         haar_oracle(coeffs, n, phis, samples, seed=4)
