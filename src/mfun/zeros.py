@@ -192,9 +192,10 @@ def hardy_z(t):
         raise ValueError("t must be finite")
     flat = t.reshape(-1)
     z = np.empty(flat.size)
-    # a point holds a panel row of 16 chunks of phases, 8 bytes a term
-    rows = _per_block(16 * 8 * _Z_CHUNK)
-    panel = _per_block(8 * rows * _Z_CHUNK) * _Z_CHUNK
+    # a point holds a panel row of 2 chunks of terms, 64 bytes a term: its
+    # phase, its value and its share of expi's block
+    rows = _per_block(2 * 64 * _Z_CHUNK)
+    panel = _per_block(64 * rows * _Z_CHUNK) * _Z_CHUNK
     for lo in range(0, flat.size, rows):
         tb = flat[lo:lo + rows]
         zeta = _zeta_half_line(tb, panel)
