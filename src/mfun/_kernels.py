@@ -155,9 +155,7 @@ def _bessel_far(x, nu, out):
 def _bessel(x, nu, out):
     """J_nu, nu = 0 or 1, elementwise over x into out (see ``j0_arr``)."""
     flat, res = x.reshape(-1), out.reshape(-1)
-    # |x| and its masks (11 bytes), a far element's compacted copy (8) and
-    # what _bessel_far holds (56): the most any element holds
-    step = _per_block(76)
+    step = _per_block(76)   # |x|, 3 masks, a far copy and _bessel_far's 56
     for lo in range(0, flat.size, step):
         hi = min(lo + step, flat.size)
         signed = flat[lo:hi]
@@ -165,10 +163,9 @@ def _bessel(x, nu, out):
         flip = signed < 0.0 if nu else None   # J1 is odd; read before out
         ob = res[lo:hi]
         near = xb < _HANKEL_X0   # NaN is far, and stays NaN there
-        count = np.count_nonzero(near)
-        if count == near.size:
+        if near.all():
             _bessel_near(xb, _NEAR[nu], ob)
-        elif not count:
+        elif not near.any():
             _bessel_far(xb, nu, ob)
         else:
             part = xb[~near]

@@ -192,9 +192,11 @@ def hardy_z(t):
         raise ValueError("t must be finite")
     flat = t.reshape(-1)
     z = np.empty(flat.size)
-    # a point holds a panel row of 2 chunks of terms, 64 bytes a term: its
-    # phase, its value and its share of expi's block
-    rows = _per_block(2 * 64 * _Z_CHUNK)
+    # a point holds a panel row of 2 chunks of terms, 64 bytes a term (its
+    # phase, its value and its share of expi's block), and the sums of its
+    # max(|t|, 10) terms' chunks, 16 bytes a chunk
+    terms = int(np.abs(flat).max(initial=0.0))
+    rows = _per_block(2 * 64 * _Z_CHUNK + terms // 4)
     panel = _per_block(64 * rows * _Z_CHUNK) * _Z_CHUNK
     for lo in range(0, flat.size, rows):
         tb = flat[lo:lo + rows]

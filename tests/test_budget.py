@@ -134,7 +134,8 @@ def _blocked_kernels(coeffs):
         "average_rectangle": (lambda: rect.angular_average(r_avg), 0),
         "average_gaussian": (lambda: gauss.angular_average(r_avg), 0),
         "average_character": (lambda: char.angular_average(r_avg), 0),
-        "hardy_z": (lambda: hardy_z(np.linspace(10.0, 2000.0, 1000)), 0),
+        "hardy_z": (lambda: hardy_z(np.append(np.linspace(10.0, 2000.0, 1000),
+                                              2e4)), 0),
         "haar": (lambda: haar_oracle(coeffs, n, streams, 4 * chunk, seed=3),
                  16 * chunk),
         "alpha": (lambda: alpha_average_many(coeffs, n, streams,
