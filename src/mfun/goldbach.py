@@ -1,17 +1,17 @@
-"""Desk-scale Goldbach arithmetic: von Mangoldt sieve, the weighted
-representation counts r_2(n), the singular series S_2(n), the summatory
-residue A_2(x), and its comparison against the zero-sum main term, with
-an O(x^2) brute-force reference for r_2 and A_2.
+"""Desk-scale Goldbach arithmetic: von Mangoldt sieve, the singular
+series S_2(n), the summatory residue A_2(x) = sum_{n<=x} (r_2(n) - n S_2(n))
+of the weighted representation counts r_2(n), and its comparison against
+the zero-sum main term, with an O(x^2) brute-force reference for r_2 and
+A_2.
 
-r_2, S_2 and A_2 come from one block engine (``_a2_slices``): for each
-block of n in ascending order it forms r_2, then S_2, then the compensated
-A_2 sums, and carries only the convolution's overlap-add tail and the two
-running sums to the next block.
+A_2 is only ever read at a grid, so no r_2(n) is formed: ``a2_curve``
+takes sum_{n<=x} r_2(n) from sums of Lambda(l) psi(x - l) over the prime
+powers l <= x/2 (``_pair_sums``), and sum_{n<=x} n S_2(n) from one
+compensated running sum over blocks of the S_2 sieve.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -22,7 +22,7 @@ from .errors import RangeError
 from .spectral import CoefficientTable, eval_f_N
 
 __all__ = [
-    "ArithmeticTable", "sieve_lambda", "r2_convolve",
+    "ArithmeticTable", "sieve_lambda",
     "TWIN_PRIME_CONSTANT", "singular_series", "singular_series_all",
     "a2_curve", "brute_force_sums", "compare_main_term", "primes_up_to",
 ]
@@ -99,147 +99,6 @@ def sieve_lambda(x_max: int) -> ArithmeticTable:
     return ArithmeticTable(
         limit=x_max, pp=np.insert(primes, at, [q for q, _ in powers]),
         lam_pp=np.insert(logs, at, [w for _, w in powers]))
-
-
-def _r2_block(k):
-    """Half-grid points per block of ``r2_convolve``: the power of two at or
-    above 64 sqrt(k), so that the blocks (k / B of them) and the block
-    transforms (length 2B) both grow like sqrt(k)."""
-    return 1 << (math.ceil(64.0 * math.sqrt(k)) - 1).bit_length()
-
-
-def r2_convolve(pp, lam_pp, n_max):
-    """Self-convolution r2[n] = sum_{l+m=n} w(l) w(m) of weights on a support,
-    handed out block by block.
-
-    pp: ascending support indices (the prime powers, for Lambda), lam_pp:
-    the matching weights w.  Returns an iterator of pairs (a, r2[a:b]) whose
-    ranges [a, b) follow each other from 0 to n_max + 1; each block is
-    final when it is handed out, and a fresh array.
-
-    The sum is split by parity.  Odd + odd gives the even n: a real FFT
-    convolution of the odd weights on the half grid (2i + 1 -> i, offset by
-    the least odd index).  Odd n, and even n from two even indices, are
-    short exact sums added directly, one shifted copy per even index (for
-    Lambda the ~log2(x) powers of two).  So every odd entry is a sum of at
-    most one product per even index, a structural zero there (3, 149, 331,
-    373, ...) stays exactly 0.0, and entries below twice the least index
-    get no FFT term.
-
-    The half grid (k points) is cut into blocks W_i of B = ``_r2_block(k)``
-    points, each transformed once at length L = 2B before this function
-    returns.  Those spectra, about k complex values (as much memory as
-    n_max doubles), are what the iterator keeps, until the last block's
-    products are formed, beside four buffers of at most 2B doubles (the
-    spectrum sum, the inverse transform, the carried tail and the block
-    handed out).  The odd indices are sliced out of pp block by block, so
-    no odd-only copy of the support is made.  Output block s is the
-    inverse transform of sum_{i+j=s} W_i W_j (each pair i < j taken once
-    and doubled), and its first B values are added to the last B of block
-    s - 1 (overlap-add, Stockham 1966).  After step s the half grid below
-    B(s + 1) is final, and so is r2 below n = 2 lo + 2B(s + 1): that range
-    is handed out with the even-index sums for it added, in ascending even
-    index as over the whole range.  So each entry is the same sum in the
-    same order as in one whole-range array.  When one block holds the grid,
-    L is the power of two 1 << (2k - 2).bit_length() >= 2k - 1, and the one
-    block is all of r2.
-
-    Error bound (eps = 2**-52, L the transform length, S the sum of
-    w(n)**2 over n <= n_max), against the exact sums:
-
-        max_n |r2[n] - sum_{l+m=n} w(l) w(m)| <= 2 eps log2(L) S.
-
-    The transforms round each output to O(eps log2 L) of the largest one
-    (the usual root-mean-square estimate, not a worst case), and by
-    Cauchy-Schwarz no r2[n] exceeds S.  For Lambda, checked against
-    extended-precision sums at sampled n for x = 2e5, 2e6 and 1e7, the
-    error stays below 2 eps * max r2 and 0.05 eps log2(L) S.  The direct
-    double loop in floating point is itself off by up to
-    0.6 eps log2(2 n_max) S at x = 2e5; the tests hold this function to
-    the bound against that loop.
-    """
-    pp = np.asarray(pp, dtype=np.int64)
-    lam_pp = np.asarray(lam_pp, dtype=np.float64)
-    even = pp % 2 == 0
-    pe, we = pp[even], lam_pp[even]
-    # the least odd index; without one, n_max + 1 (no odd + odd sums)
-    lo = int(pp[even.argmin()]) if not even.all() else n_max + 1
-    del even
-    even_sums = list(zip(pe.tolist(), we.tolist()))
-
-    def odd_in(a, b):
-        """The odd support indices in [a, b) and their weights."""
-        i, j = np.searchsorted(pp, (a, b))
-        keep = pp[i:j] % 2 == 1
-        return pp[i:j][keep], lam_pp[i:j][keep]
-
-    def finish(a, b, start=0, odd_sums=None):
-        """r2[a:b], given the odd + odd sums at its even n from start on."""
-        out = np.zeros(b - a)
-        if odd_sums is not None:
-            out[start - a::2] = odd_sums
-        for e, w in even_sums:
-            po, wo = odd_in(a - e, b - e)
-            out[po + (e - a)] += (2.0 * w) * wo   # e + o and o + e
-            i, j = np.searchsorted(pe, (a - e, b - e))
-            out[pe[i:j] + (e - a)] += w * we[i:j]
-        return out
-
-    if 2 * lo > n_max:
-        return iter([(0, finish(0, n_max + 1))])
-    k = (n_max - 2 * lo) // 2 + 1               # r2[2 lo + 2j] for j < k
-    block = _r2_block(k)
-    if block >= k:
-        block, size = k, 1 << (2 * k - 2).bit_length()
-    else:
-        size = 2 * block                        # >= 2 block - 1: no wrap-around
-    count = -(-k // block)
-    spectra = np.empty((count, size // 2 + 1), dtype=np.complex128)
-    half = np.empty(block)
-    for i in range(count):
-        po, wo = odd_in(lo + 2 * block * i, lo + 2 * min(block * (i + 1), k))
-        half.fill(0.0)
-        half[(po - lo) // 2 - block * i] = wo
-        np.fft.rfft(half, size, out=spectra[i])
-    del half, po, wo
-
-    def blocks():
-        nonlocal spectra
-        spec = np.empty(size // 2 + 1, dtype=np.complex128)
-        # a frequency's sum, term and pair of spectrum values (64 bytes) in
-        # half the budget: the products take a chunk, not a spectrum
-        chunk = _per_block(128)
-        term = np.empty(min(chunk, spec.size), dtype=np.complex128)
-        cur = np.empty(size)      # inverse transform of output block s
-        tail = np.zeros(block)    # what block s - 1 adds to its head
-        a = 0
-        for s in range(count):
-            # sum_{i+j=s} W_i W_j, a chunk of frequencies at a time
-            for c in range(0, spec.size, chunk):
-                part = spec[c:c + chunk]
-                t = term[:part.size]
-                part.fill(0.0)
-                for i in range((s + 1) // 2):   # the pairs i < s - i
-                    np.multiply(spectra[i, c:c + part.size],
-                                spectra[s - i, c:c + part.size], out=t)
-                    part += t
-                part *= 2.0
-                if s % 2 == 0:
-                    mid = spectra[s // 2, c:c + part.size]
-                    np.multiply(mid, mid, out=t)
-                    part += t
-            if s + 1 == count:
-                spectra = None    # the last step has read them all
-            np.fft.irfft(spec, size, out=cur)
-            cur[:block] += tail
-            if s + 1 < count:
-                np.add(cur[block:], 0.0, out=tail)   # 0.0 + x, as into zeros
-            b = min(2 * lo + 2 * block * (s + 1), n_max + 1)
-            yield a, finish(a, b, 2 * lo + 2 * block * s,
-                            cur[:min(block, k - block * s)])
-            a = b
-
-    return blocks()
 
 
 def singular_series(n: int) -> float:
@@ -327,77 +186,157 @@ def singular_series_all(x_max: int, lo: int = 0, primes=None) -> np.ndarray:
     return s2
 
 
-def _a2_slices(table: ArithmeticTable):
-    """The block engine: (lo, r2, a2) for consecutive slices lo .. hi - 1 of
-    0 .. limit, ascending, each of at most a budget of entries.
+def _sum2(v, s, e):
+    """Running compensated sums of v along its last axis, carried on from
+    the running sums s and e (one per row of v): the arrays (s, e), of v's
+    shape, whose s + e is each prefix.
 
-    r_2 comes from ``r2_convolve`` one finished block at a time, S_2 from
-    ``singular_series_all`` on the same n-range, and A_2(n) is the
-    compensated running sum of v_n = r_2(n) - n S_2(n): Sum2 of Ogita, Rump
-    and Oishi (SIAM J. Sci. Comput. 26, 2005) applied to every prefix.
-    That is s = cumsum(v), the exact rounding error of each step by TwoSum,
-    e_i = (s_{i-1} - (s_i - t)) + (v_i - t) with t = s_i - s_{i-1} and
-    e_0 = 0, and A_2 = s + cumsum(e).  With u = 2**-53 and
-    gamma_k = k u / (1 - k u), each prefix S_k obeys
-
-        |A_2(k) - S_k| <= u |S_k| + gamma_k**2 * sum_{i<=k} |v_i|.
-
-    Each slice's cumsums start from the last s_i and cumsum(e) of the
-    slice before; those two numbers and the convolution's overlap-add tail
-    are all that passes from one block to the next.  A cumsum is one
-    sequential chain of adds, so A_2 is bit for bit the same for any block
-    or slice size.  The r2 and a2 slices are reused buffers, valid until
-    the next slice is drawn, so a caller holds no block of the engine.
+    This is Sum2 of Ogita, Rump and Oishi (SIAM J. Sci. Comput. 26, 2005)
+    on every prefix: s = cumsum(v), the exact rounding error of each add
+    by TwoSum, e_i = (s_{i-1} - (s_i - t)) + (v_i - t) with
+    t = s_i - s_{i-1}, and e = cumsum(e_i).  With u = 2**-53 and
+    gamma_k = k u / (1 - k u), each rounded prefix s + e of k terms is
+    within u |S_k| + gamma_k**2 sum_{i<=k} |v_i| of the exact S_k.  A
+    cumsum is one sequential chain of adds, so no prefix depends on how v
+    is cut into calls.  Five arrays of v's size are live: 40 bytes a cell.
     """
-    odd = primes_up_to(table.limit // 2)[1:]
-    step = _per_block(64)   # six buffers, n and S_2(n): 8 bytes each
-    m = min(step, table.limit + 1)
-    r, v, t, a2 = np.empty(m), np.empty(m), np.empty(m), np.empty(m)
-    s = np.zeros(m + 1)    # s_{lo-1}, then s_lo .. s_{hi-1}
-    e = np.zeros(m + 1)    # sum of e_i over i < lo, then the running sum
-    for a, r2 in r2_convolve(table.pp, table.lam_pp, table.limit):
-        s2 = singular_series_all(a + r2.size - 1, a, odd)
-        for lo in range(0, r2.size, step):
-            hi = min(lo + step, r2.size)
-            n = hi - lo
-            rb, vb, tb, ab = r[:n], v[:n], t[:n], a2[:n]
-            sb, eb = s[:n + 1], e[:n + 1]
-            rb[:] = r2[lo:hi]
-            np.multiply(np.arange(a + lo, a + hi, dtype=np.float64),
-                        s2[lo:hi], out=vb)
-            np.subtract(rb, vb, out=vb)
-            sb[1:] = vb
-            np.cumsum(sb, out=sb)
-            np.subtract(sb[1:], sb[:-1], out=tb)
-            vb -= tb
-            np.subtract(sb[1:], tb, out=tb)
-            np.subtract(sb[:-1], tb, out=tb)
-            np.add(tb, vb, out=eb[1:])
-            np.cumsum(eb, out=eb)
-            np.add(sb[1:], eb[1:], out=ab)
-            s[0], e[0] = sb[-1], eb[-1]
-            yield a + lo, rb, ab
-        del r2, s2    # no block is held while the next one is made
+    shape = (*v.shape[:-1], v.shape[-1] + 1)
+    s_run = np.empty(shape)
+    s_run[..., 0] = s
+    s_run[..., 1:] = v
+    np.cumsum(s_run, axis=-1, out=s_run)
+    t = np.subtract(s_run[..., 1:], s_run[..., :-1])
+    err = np.subtract(v, t)
+    np.subtract(s_run[..., 1:], t, out=t)
+    np.subtract(s_run[..., :-1], t, out=t)
+    e_run = np.empty(shape)
+    e_run[..., 0] = e
+    np.add(t, err, out=e_run[..., 1:])
+    np.cumsum(e_run, axis=-1, out=e_run)
+    return s_run[..., 1:], e_run[..., 1:]
+
+
+def _pair_sums(table: ArithmeticTable, xs: np.ndarray):
+    """R(x) = sum_{n<=x} r_2(n), the sum of Lambda(l) Lambda(m) over the
+    pairs l + m <= x, at each x of xs (ascending int64 within [0, limit]),
+    as the running sums (s, e) of a Sum2 chain: R(x) ~ s + e.
+
+    A pair with l + m <= x has min(l, m) <= x/2, so
+
+        R(x) = -psi(floor(x/2))**2 + sum_{l <= x/2} 2 Lambda(l) psi(x - l)
+
+    with Chebyshev's psi(y) = sum_{m<=y} Lambda(m).  psi is held at the
+    prime powers as their compensated running sum, rounded once, and
+    psi(x - l) is read there by ``searchsorted``.  Each R(x) is one chain
+    of ``_sum2``: it starts at -psi(floor(x/2))**2, squared exactly from
+    psi's unrounded running sums, and adds the terms in ascending l,
+    carried from block to block.  A block holds as many whole chains of
+    consecutive x as fit in it, or else one chain's next stretch of l;
+    the shorter chains in it run on over zero terms, which leave both
+    running sums as they were.  So each R(x) is the same chain of adds for
+    any budget and any grid around it.  A block cell holds its key, index,
+    term and ``_sum2``'s arrays: 64 bytes.
+
+    Error bound (u = 2**-53, R the exact sum of the table's doubles): each
+    term is within 2u of its own, from the rounding of psi and of the
+    product, so that, with Sum2's gamma_k**2 parts (k <= x) below u / 80,
+
+        |s + e - R(x)| <= 3 u (R(x) + psi(floor(x/2))**2).
+    """
+    k = np.searchsorted(table.pp, xs[-1], side="right")   # every y read
+    pp, lam = table.pp[:k], table.lam_pp[:k]
+    terms = np.searchsorted(pp, xs // 2, side="right")   # l <= x/2 per x
+    psi = np.empty(k + 1)    # psi[i] = Lambda(pp[0]) + ... + Lambda(pp[i - 1])
+    psi[0] = s = e = 0.0
+    half_s, half_e = np.zeros(xs.size), np.zeros(xs.size)   # psi(x/2) = s + e
+    step = _per_block(40)
+    for a in range(0, k, step):
+        run_s, run_e = _sum2(lam[a:a + step], s, e)
+        np.add(run_s, run_e, out=psi[a + 1:a + 1 + run_s.size])
+        s, e = run_s[-1], run_e[-1]
+        i, j = np.searchsorted(terms, (a + 1, a + 1 + run_s.size))
+        half_s[i:j] = run_s[terms[i:j] - a - 1]
+        half_e[i:j] = run_e[terms[i:j] - a - 1]
+    # psi(x/2)**2 = sq + sq_err up to half_e**2: half_s split into halves
+    # of 26 bits (Dekker 1971) gives the rounding error of its square exactly
+    sq = half_s * half_s
+    hi = half_s * 134217729.0   # 2**27 + 1
+    hi -= hi - half_s
+    lo = half_s - hi
+    sq_err = ((hi * hi - sq) + 2.0 * hi * lo) + lo * lo + 2.0 * half_s * half_e
+    cells = _per_block(64)
+    sums, errs = np.empty(xs.size), np.empty(xs.size)
+    counts, i = terms.tolist(), 0
+    while i < xs.size:
+        j = i + 1        # rows i .. j - 1 of the block
+        while j < xs.size and (j + 1 - i) * counts[j] <= cells:
+            j += 1
+        x, m = xs[i:j, None], terms[i:j, None]
+        s, e = 0.0 - sq[i:j], 0.0 - sq_err[i:j]   # +0.0 as zero terms leave it
+        width = max(1, cells // (j - i))
+        for c in range(0, counts[j - 1], width):
+            ls = pp[c:min(c + width, counts[j - 1])]
+            y = x - ls
+            y[np.arange(c, c + ls.size) >= m] = 0    # past x/2: psi(0) = 0
+            t = psi[np.searchsorted(pp, y, side="right")]
+            t *= 2.0 * lam[c:c + ls.size]
+            run_s, run_e = _sum2(t, s, e)
+            s, e = run_s[:, -1].copy(), run_e[:, -1].copy()
+        sums[i:j], errs[i:j] = s, e
+        i = j
+    return sums, errs
 
 
 def a2_curve(table: ArithmeticTable, grid) -> dict[int, float]:
     """Cumulative A_2(x) = sum_{n<=x} (r_2(n) - n S_2(n)) at integer x.
 
     Returns {x: A_2(x)} for each x of grid (integers in [0, limit]), in
-    ascending x, read off the block engine's slices (``_a2_slices``, which
-    states the compensated sum's bound) as they pass.  Nothing of length
-    limit is made: the memory is the spectra and buffers of one block and
-    the mapping.  A caller that needs every x passes ``range(limit + 1)``.
+    ascending x, as A_2(x) = R(x) - T(x).  R comes from the pair sums of
+    ``_pair_sums``, and T(x) = sum_{n<=x} n S_2(n) from one Sum2 chain over
+    n (``_sum2``), carried across ``singular_series_all`` blocks of a
+    budget of doubles, in slices of a budget of ``_sum2`` cells, and read
+    at the grid as it passes.  The two chains' running sums are
+    subtracted before they are added: beyond the first few x, R and T lie
+    within a factor 2 of each other, so s_R - s_T is exact (Sterbenz) and
+    A_2 is rounded once.  The odd primes the sieve of S_2 needs are taken
+    from the table's support.  Nothing of length limit is made, and no
+    r_2(n) is formed: the memory is psi at the prime powers, the odd
+    primes up to max(grid) / 2 and one block.
+
+    Error bound (u = 2**-53; R, T and A_2 the exact sums of the table's
+    Lambda and of S_2 as ``singular_series_all`` gives it; x <= 1e7):
+
+        |a2_curve(x) - A_2(x)| <= 5 u (R(x) + psi(floor(x/2))**2 + T(x)).
+
+    That is R's bound, u T for the products n S_2(n) and two roundings of
+    A_2.  Against the exact sums at 60 points up to x = 2e4 (2e5) the
+    error was at most 1.6e-9 (7.0e-8).  A_2 is the same bits for any
+    budget and grid.
     """
     xs = sorted({int(x) for x in grid})
-    if xs and not 0 <= xs[0] <= xs[-1] <= table.limit:
+    if not xs:
+        return {}
+    if not 0 <= xs[0] <= xs[-1] <= table.limit:
         raise RangeError(f"grid must lie within [0, {table.limit}]")
-    picked, i = {}, 0
-    for lo, _, a2 in _a2_slices(table):
-        j = bisect.bisect_left(xs, lo + a2.size, i)
-        picked.update((x, float(a2[x - lo])) for x in xs[i:j])
-        i = j
-    return picked
+    x = np.array(xs, dtype=np.int64)
+    r_s, r_e = _pair_sums(table, x)
+    # The odd primes <= max(grid) / 2: a prime's log p is above every
+    # Lambda before it, and a power p^k (k >= 2) comes after a prime above p.
+    lam = table.lam_pp[:np.searchsorted(table.pp, xs[-1] // 2, side="right")]
+    odd = table.pp[:lam.size][lam == np.maximum.accumulate(lam)][1:]
+    t_s, t_e = np.empty(x.size), np.empty(x.size)
+    s = e = 0.0
+    step, sub = _per_block(8), _per_block(40)
+    for lo in range(0, xs[-1] + 1, step):
+        hi = min(lo + step, xs[-1] + 1)
+        v = singular_series_all(hi - 1, lo, odd)
+        v *= np.arange(lo, hi, dtype=np.float64)
+        for a in range(lo, hi, sub):
+            run_s, run_e = _sum2(v[a - lo:a - lo + sub], s, e)
+            s, e = run_s[-1], run_e[-1]
+            i, j = np.searchsorted(x, (a, a + run_s.size))
+            t_s[i:j], t_e[i:j] = run_s[x[i:j] - a], run_e[x[i:j] - a]
+    return dict(zip(xs, ((r_s - t_s) + (r_e - t_e)).tolist()))
 
 
 def brute_force_sums(table: ArithmeticTable,

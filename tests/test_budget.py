@@ -24,6 +24,7 @@ from mfun.testfuncs import TestFunction
 from mfun.zeros import hardy_z
 
 BUDGETS = [4000, 255_255, 4 * _kernels._BLOCK_BYTES]
+S2_STEP = _kernels._per_block(8)   # a2_curve's S_2 block at the default
 
 
 def _outputs(coeffs, out):
@@ -52,6 +53,13 @@ def _outputs(coeffs, out):
     r, rho = d10.r_grid, d10.rho_grid
     weights = rho * d10.characteristic
     r_avg = np.linspace(0.0, 1.2 * s, 3000)
+    # A_2 at 2e5 over 4 S_2 blocks, 2 of psi and up to 2 chain blocks: at
+    # every x <= 1000 (many chains to a block), the goldbach-validate grid
+    # and each S_2 block edge with its neighbours
+    a2_grid = sorted({*range(1001), *range(S2_STEP - 1, 200_001, S2_STEP),
+                      *range(S2_STEP, 200_001, S2_STEP),
+                      *range(S2_STEP + 1, 200_001, S2_STEP),
+                      *np.geomspace(100, 200_000, 257).astype(int).tolist()})
     with np.errstate(invalid="ignore"):
         got = {"expi": _kernels.expi(wild).tobytes()}
     got |= {
@@ -69,7 +77,7 @@ def _outputs(coeffs, out):
         "alpha": repr(alpha_average_many(coeffs, n, phis, ladder)),
         "averages": b"".join(np.asarray(phi.angular_average(r_avg)).tobytes()
                              for phi in phis),
-        "a2": repr(a2_curve(sieve_lambda(20_000), range(20_001))),
+        "a2": repr(a2_curve(sieve_lambda(200_000), a2_grid)),
         "hardy_z": hardy_z(np.append(np.linspace(10.0, 300.0, 150),
                                      [1000.3, 1419.4])).tobytes(),
     }

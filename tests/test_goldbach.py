@@ -1,22 +1,26 @@
-"""Arithmetic side: Lambda sieve, r_2 convolution, singular series, A_2.
+"""Arithmetic side: Lambda sieve, pair sums of r_2, singular series, A_2.
 
 Oracles: exact closed forms in logs of small primes, an O(x^2) brute
-force at desk scale, the direct double loop over prime-power pairs that
-the FFT convolution replaced, the per-prime loop that the small/large
-prime split of the singular series replaced, and the truncated defining
-Euler products.
+force at desk scale, the direct double loop over prime-power pairs, exact
+integer sums of the table's doubles, the per-prime loop that the
+small/large prime split of the singular series replaced, and the
+truncated defining Euler products.
 """
 
+import itertools
 import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mfun
+import mfun.goldbach as gb
+from mfun import _kernels
 from mfun.errors import RangeError
 from mfun.goldbach import (
     TWIN_PRIME_CONSTANT,
@@ -25,7 +29,6 @@ from mfun.goldbach import (
     brute_force_sums,
     compare_main_term,
     primes_up_to,
-    r2_convolve,
     sieve_lambda,
     singular_series,
     singular_series_all,
@@ -74,10 +77,32 @@ def test_primes_up_to():
     assert primes_up_to(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
+U = 2.0 ** -53
+
+
+def pair_running_sums(table, xs):
+    """The Sum2 running sums (s, e) of R(x) = sum_{n<=x} r_2(n) at each x
+    of the ascending xs."""
+    return gb._pair_sums(table, np.asarray(xs, dtype=np.int64))
+
+
+def pair_sums(table, xs):
+    """R(x) at each x of the ascending xs, rounded once."""
+    s, e = pair_running_sums(table, xs)
+    return s + e
+
+
+def pair_gap(table, xs):
+    """|s + e - R(x)| at each x of xs, exactly, and the bound of
+    ``_pair_sums``, 3 u (R + psi(x/2)**2)."""
+    return [(abs(Fraction(s) + Fraction(e) - r), 3 * U * (r + q))
+            for s, e, (r, q, _) in zip(*pair_running_sums(table, xs),
+                                       exact_sums(table, xs))]
+
+
 def r2_whole(table):
-    """r_2 over 0 .. limit, gathered from r2_convolve's blocks."""
-    return gathered(r2_convolve(table.pp, table.lam_pp, table.limit),
-                    table.limit)
+    """r_2 over 0 .. limit, as the steps R(n) - R(n - 1) of the pair sums."""
+    return np.diff(pair_sums(table, range(table.limit + 1)), prepend=0.0)
 
 
 def test_r2_closed_forms(table):
@@ -90,119 +115,114 @@ def test_r2_closed_forms(table):
 
 
 def test_r2_matches_brute_force(table):
-    r2 = r2_whole(table)
+    """The pair sums at every x <= 2000 are the running sum of the O(x^2)
+    brute force's r_2, within that running sum's own rounding (at most
+    2000 u of it)."""
     brute, _ = brute_force_sums(table, np.zeros(table.limit + 1))
-    for m in range(2, 2001):
-        assert r2[m] == pytest.approx(brute[m], abs=1e-9)
+    want = np.cumsum(brute[:2001])
+    assert np.all(np.abs(pair_sums(table, range(2001)) - want)
+                  <= 2048 * U * want)
 
 
 def test_r2_halved_symmetry(table):
-    # summing over l < m/2, doubling, and adding the middle term agrees
+    """R(x) sums over l <= x/2 only, doubles, and takes off psi(x/2)**2:
+    the sum of Lambda(l) psi(x - l) over every l agrees."""
     lam = table.lam
-    r2 = r2_whole(table)
-    for m in (100, 101, 999, 2000):
-        half = 2.0 * float(np.dot(lam[1:(m + 1) // 2],
-                                  lam[m - 1:m - (m + 1) // 2:-1]))
-        if m % 2 == 0:
-            half += float(lam[m // 2]) ** 2
-        assert r2[m] == pytest.approx(half, abs=1e-9)
+    psi = np.cumsum(lam)
+    xs = [100, 101, 999, 2000, 2999]
+    for x, r in zip(xs, pair_sums(table, xs)):
+        whole = float(np.dot(lam[1:x], psi[x - 1:0:-1]))
+        assert r == pytest.approx(whole, rel=1e-12), x
 
 
-def gathered(blocks, n_max):
-    """r2[0..n_max] from r2_convolve's blocks, which must follow each other
-    from 0 to n_max + 1."""
-    parts, a = [], 0
-    for lo, block in blocks:
-        assert lo == a and block.size > 0
-        parts.append(block)
-        a += block.size
-    assert a == n_max + 1
-    return np.concatenate(parts)
+def exact_sums(table, xs):
+    """(R(x), psi(floor(x/2))**2, T(x)) at each x as exact Fractions: the
+    sums of the table's Lambda and of singular_series_all's S_2 taken in
+    Python integers.  Both are 0 or at least 1/2, so 2**53 times each is
+    an integer."""
+    one = 2 ** 53
+    lam = [int(w * one) for w in table.lam.tolist()]
+    psi = list(itertools.accumulate(lam))
+    t = list(itertools.accumulate(
+        n * int(v * one)
+        for n, v in enumerate(singular_series_all(table.limit).tolist())))
+    pp = table.pp.tolist()
+    out = []
+    for x in xs:
+        h = x // 2
+        pairs = sum(lam[l] * psi[x - l]
+                    for l in itertools.takewhile(lambda l: l <= h, pp))
+        out.append((Fraction(2 * pairs - psi[h] ** 2, one * one),
+                    Fraction(psi[h] ** 2, one * one), Fraction(t[x], one)))
+    return out
 
 
-def r2_direct(pp, lam_pp, n_max):
-    """Oracle: r2[n] = sum_{l+m=n} Lambda(l) Lambda(m) by the direct double
-    loop over all ordered pairs of prime powers (O(pi(x)^2) updates)."""
+@pytest.mark.parametrize("x", [5000, 200000])
+def test_r2_within_stated_bound(x):
+    """The pair sums at 40 points up to x, against their exact values,
+    within the bound of ``_pair_sums``."""
+    table = sieve_lambda(x)
+    xs = np.linspace(0, x, 40).astype(int).tolist()
+    for n, (gap, bound) in zip(xs, pair_gap(table, xs)):
+        assert gap <= bound, n
+
+
+def test_r2_blocks_within_stated_bound(monkeypatch):
+    """At a budget of 4,000 bytes psi runs in blocks of 100 prime powers
+    and the chain of each R(x) at x = 5000 in blocks of 62 terms (up to
+    7 of them), carrying both running sums across.  The pair sums keep
+    their bound against the exact values, and are the same bits as at
+    the default budget, where each chain is one block."""
+    x = 5000
+    table = sieve_lambda(x)
+    xs = list(range(0, x + 1, 7))
+    want = pair_running_sums(table, xs)
+    monkeypatch.setattr(_kernels, "_BLOCK_BYTES", 4000)
+    got = pair_running_sums(table, xs)
+    for a, b in zip(got, want):
+        assert np.array_equal(bits(a), bits(b))
+    sample = xs[::18]
+    for n, (gap, bound) in zip(sample, pair_gap(table, sample)):
+        assert gap <= bound, n
+
+
+def r2_direct(pp, lam_pp, lo, n_max):
+    """Oracle: r2[n - lo] = sum_{l+m=n} Lambda(l) Lambda(m) for
+    lo <= n <= n_max by the direct double loop over the ordered pairs of
+    prime powers."""
     pp = np.asarray(pp, dtype=np.int64)
     lam_pp = np.asarray(lam_pp, dtype=np.float64)
-    r2 = np.zeros(n_max + 1, dtype=np.float64)
+    r2 = np.zeros(n_max - lo + 1, dtype=np.float64)
     for i in range(pp.size):
         li = pp[i]
         if li + pp[0] > n_max:
             break
         # targets are distinct within one i, so the fancy-indexed add is safe
-        k = np.searchsorted(pp, n_max - li, side="right")
-        r2[li + pp[:k]] += lam_pp[i] * lam_pp[:k]
+        a, b = np.searchsorted(pp, (lo - li, n_max - li + 1))
+        r2[li + pp[a:b] - lo] += lam_pp[i] * lam_pp[a:b]
     return r2
 
 
-@pytest.fixture(scope="module", params=[5000, 200000])
-def r2_pair(request):
-    """(FFT r2, direct-loop r2, stated error bound) at x = param."""
-    x = request.param
-    lam = sieve_lambda(x).lam
-    pp = np.nonzero(lam)[0].astype(np.int64)
-    fast = gathered(r2_convolve(pp, lam[pp], x), x)
-    # the bound of r2_convolve, 2 eps log2(L) sum Lambda^2, at L <= 2x
-    bound = (2.0 * np.finfo(float).eps * math.log2(2 * x)
-             * float(np.sum(lam[pp] ** 2)))
-    return fast, r2_direct(pp, lam[pp], x), bound
-
-
-def test_r2_fft_within_stated_bound(r2_pair):
-    fast, direct, bound = r2_pair
-    assert np.max(np.abs(fast - direct)) <= bound
-
-
-def test_r2_fft_structural_zeros_exact(r2_pair):
-    fast, direct, _ = r2_pair
-    zeros = direct == 0.0
-    assert zeros.sum() > 100
-    assert np.array_equal(fast == 0.0, zeros)
-
-
-def test_r2_blocks_within_stated_bound(monkeypatch):
-    """Ten 256-point blocks of the half grid at x = 5000 (overlap-add over
-    every pair of blocks) stay within the bound at L = 2B = 512 against
-    the direct loop, and keep its structural zeros."""
-    import mfun.goldbach as gb
-    x = 5000
-    lam = sieve_lambda(x).lam
-    pp = np.nonzero(lam)[0].astype(np.int64)
-    monkeypatch.setattr(gb, "_r2_block", lambda k: 256)
-    assert -(-((x - 6) // 2 + 1) // 256) == 10
-    fast = gathered(r2_convolve(pp, lam[pp], x), x)
-    direct = r2_direct(pp, lam[pp], x)
-    bound = (2.0 * np.finfo(float).eps * math.log2(512)
-             * float(np.sum(lam[pp] ** 2)))
-    assert np.max(np.abs(fast - direct)) <= bound
-    assert np.array_equal(fast == 0.0, direct == 0.0)
-
-
-def test_r2_one_block_is_one_transform():
-    """Up to x = 2000 the half grid is one block: r2 is bit for bit the
-    single real FFT of the odd weights at length 1 << (2k - 2).bit_length()
-    plus the exact even-index sums."""
-    for x in (10, 999, 2000):
-        lam = sieve_lambda(x).lam
-        pp = np.nonzero(lam)[0].astype(np.int64)
-        po, pe = pp[pp % 2 == 1], pp[pp % 2 == 0]
-        k = (x - 2 * 3) // 2 + 1
-        half = np.zeros(k)
-        keep = po <= x - 3
-        half[(po[keep] - 3) // 2] = lam[po[keep]]
-        size = 1 << (2 * k - 2).bit_length()
-        spec = np.fft.rfft(half, size)
-        spec *= spec
-        want = np.zeros(x + 1)
-        want[6::2] = np.fft.irfft(spec, size)[:k]
-        for e in pe.tolist():
-            j = np.searchsorted(po, x - e, side="right")
-            want[e + po[:j]] += (2.0 * lam[e]) * lam[po[:j]]
-            j = np.searchsorted(pe, x - e, side="right")
-            want[e + pe[:j]] += lam[e] * lam[pe[:j]]
-        (a, block), = r2_convolve(pp, lam[pp], x)
-        assert a == 0 and np.array_equal(block, want), x
+@pytest.mark.parametrize("x", [5000, 200000])
+def test_r2_structural_zeros_exact(x):
+    """Where no two prime powers sum to n (3, 149, 331, 373, ...), R(n)
+    and R(n - 1) add the same terms in the same order, so they are equal
+    bit for bit.  Checked at up to 100 such n among the top 5,000 below
+    x (all 111 of them at x = 5000), and at 100 other n there, where R
+    steps up."""
+    table = sieve_lambda(x)
+    lo = max(2, x - 5000)
+    direct = r2_direct(table.pp, table.lam_pp, lo, x)
+    zeros = np.flatnonzero(direct == 0.0) + lo
+    assert zeros.size > 100
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(23)))
+    zeros = rng.choice(zeros, min(100, zeros.size), replace=False)
+    steps = rng.choice(np.flatnonzero(direct > 0.0) + lo, 100, replace=False)
+    n = np.union1d(zeros, steps)
+    grid = np.union1d(n, n - 1)
+    r = dict(zip(grid.tolist(), pair_sums(table, grid).tolist()))
+    assert all(r[k] == r[k - 1] for k in zeros.tolist())
+    assert all(r[k] > r[k - 1] for k in steps.tolist())
 
 
 def test_goldbach_csv_independent_of_threads(tmp_path):
@@ -301,9 +321,11 @@ def curve(table):
 
 
 def steps_of(table):
-    """The steps r_2(n) - n S_2(n) of A_2 over 0 .. limit."""
+    """The steps r_2(n) - n S_2(n) of A_2 over 0 .. limit, with r_2 from
+    the O(x^2) brute force."""
     n = np.arange(table.limit + 1, dtype=np.float64)
-    return r2_whole(table) - n * singular_series_all(table.limit)
+    s2 = singular_series_all(table.limit)
+    return brute_force_sums(table, s2)[0] - n * s2
 
 
 def test_a2_recurrence(table):
@@ -315,47 +337,45 @@ def test_a2_recurrence(table):
 
 
 def test_a2_compensated_sum_within_bound():
-    """Sampled prefixes of A_2 against math.fsum, within the stated bound."""
+    """Sampled A_2(x) up to x = 2e5 against its exact value, within the
+    bound that a2_curve states: 5 u (R + psi(x/2)**2 + T)."""
     x = 200000
     table = sieve_lambda(x)
-    steps = steps_of(table)
     ks = np.linspace(0, x, 60).astype(int).tolist()
     a2 = a2_curve(table, ks)
-    u = 2.0 ** -53
-    for k in ks:
-        head = steps[:k + 1].tolist()
-        exact = math.fsum(head)
-        gamma = k * u / (1.0 - k * u)
-        bound = u * abs(exact) + gamma ** 2 * math.fsum(map(abs, head))
-        assert abs(a2[k] - exact) <= bound, k
+    for k, (r, q, t) in zip(ks, exact_sums(table, ks)):
+        assert abs(Fraction(a2[k]) - (r - t)) <= 5 * U * (r + q + t), k
 
 
-def sum2_one_shot(values):
-    """Oracle: Sum2 (Ogita, Rump and Oishi) of every prefix over the whole
-    array at once, e_0 = 0."""
-    s = np.cumsum(values)
-    t = s[1:] - s[:-1]
-    e = (s[:-1] - (s[1:] - t)) + (values[1:] - t)
-    out = s.copy()
-    out[1:] += np.cumsum(e)
-    return out
+def slice_edges(limit, step):
+    """Each n at which a block of step S_2 entries starts, with its
+    neighbours, within [1, limit]."""
+    return sorted({n for lo in range(step, limit + 1, step)
+                   for n in (lo - 1, lo, lo + 1) if n <= limit})
 
 
-def test_a2_blocks_match_one_shot_sum2():
-    """A_2 summed in slices (three at x = 2e4), carrying both running sums
-    across them, is bit for bit the one-shot Sum2 of the same steps."""
+def test_a2_blocks_match_one_shot_sum2(monkeypatch):
+    """At x = 2e4 the default budget sums T in one S_2 block and each
+    R(x) in one chain block.  A budget of 4,000 bytes cuts T into 41
+    blocks of 500 and each chain into up to 21 blocks of 62 terms: A_2 at
+    every x <= 1000, at the goldbach-validate grid and at every edge of
+    those S_2 blocks with its neighbours is the same bits."""
     x = 20000
     table = sieve_lambda(x)
-    assert np.array_equal(curve(table), sum2_one_shot(steps_of(table)))
+    grid = sorted({*range(1001), *slice_edges(x, 500),
+                   *np.geomspace(100, x, 257).astype(int).tolist()})
+    want = a2_curve(table, grid)
+    monkeypatch.setattr(_kernels, "_BLOCK_BYTES", 4000)
+    assert _kernels._per_block(8) == 500
+    assert a2_curve(table, grid) == want
 
 
 def test_a2_grid_holds_no_whole_array():
     """The grid path (what goldbach-validate runs) keeps A_2 at the grid
-    only.  At x_max = 4e6 its traced peak stays below 1.5 arrays of
-    x_max + 1 doubles: r2_convolve's spectra (1.05 arrays) and buffers of
-    one block, where one more whole array would make 2.05.  (At 5e5 the
-    buffers of one 2^15-point block alone are 0.57 arrays, so the same
-    peak there is 1.96 arrays.)"""
+    only.  At x_max = 4e6 its traced peak stays below 0.5 arrays of
+    x_max + 1 doubles: psi at the prime powers (0.07 arrays), the odd
+    primes up to x_max / 2 and the blocks of one budget, 0.09 arrays in
+    all."""
     import tracemalloc
     x = 4_000_000
     table = sieve_lambda(x)
@@ -366,38 +386,33 @@ def test_a2_grid_holds_no_whole_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * (x + 1) * 8, peak / ((x + 1) * 8)
-
-
-def slice_edges(table):
-    """Every n at which the block engine starts a slice, with its
-    neighbours: the edges of r2_convolve's blocks among them."""
-    import mfun.goldbach as gb
-    starts = [lo for lo, _, _ in gb._a2_slices(table)]
-    return sorted({n for lo in starts for n in (lo - 1, lo, lo + 1)
-                   if 0 <= n <= table.limit})
+    assert peak < 0.5 * (x + 1) * 8, peak / ((x + 1) * 8)
 
 
 @pytest.mark.parametrize("x", [2000, 20_000, 500_000])
-def test_grid_values_are_the_curve(tmp_path, x):
-    """goldbach-validate's A_2 column, and the grid path at every block and
-    slice edge, equal the one-shot Sum2 of the whole-range steps bit for
-    bit."""
+def test_grid_values_are_the_curve(tmp_path, monkeypatch, x):
+    """goldbach-validate's A_2 column is a2_curve at its grid, bit for
+    bit.  A_2 at that grid and at each edge of the S_2 blocks with its
+    neighbours is the same bits asked together, one x at a time, and at
+    a budget of 255,255 bytes, whose blocks and chains are cut
+    elsewhere."""
     import csv
     from mfun.cli import main
-    table = sieve_lambda(x)
-    whole = sum2_one_shot(steps_of(table))
-    edges = slice_edges(table)
-    assert len(edges) > 6 or x == 2000   # up to 2000 one slice holds all
-    picked = a2_curve(table, edges)
-    assert [picked[n] for n in edges] == whole[edges].tolist()
     assert main(["goldbach-validate", "--x-max", str(x), "--N", "30",
                  "--out", str(tmp_path)]) == 0
     with open(tmp_path / "goldbach.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     xs = [int(r["x"]) for r in rows]
     assert xs[-1] == x
-    assert [float(r["a2"]) for r in rows] == whole[xs].tolist()
+    table = sieve_lambda(x)
+    edges = slice_edges(x, _kernels._per_block(8))
+    assert len(edges) > 6 or x < 2 ** 16
+    both = a2_curve(table, xs + edges)
+    assert [float(r["a2"]) for r in rows] == [both[n] for n in xs]
+    for n in [xs[0], *edges[-3:], x]:
+        assert a2_curve(table, [n]) == {n: both[n]}, n
+    monkeypatch.setattr(_kernels, "_BLOCK_BYTES", 255_255)
+    assert a2_curve(table, xs + edges) == both
 
 
 def test_a2_grid_range_guard(table):
@@ -407,11 +422,36 @@ def test_a2_grid_range_guard(table):
         a2_curve(table, [-1, 100])
 
 
+@pytest.mark.parametrize("x", [2, 3, 6, 1000, 200_000])
+def test_one_sieve_per_run(monkeypatch, x):
+    """sieve_lambda sieves the primes once, and a2_curve takes the odd
+    primes up to x/2 that S_2 needs from the table's support: the array
+    that sieve would give, with the powers of primes left out."""
+    calls, given = [], []
+    sieve, series = gb.primes_up_to, gb.singular_series_all
+
+    def counted(n):
+        calls.append(n)
+        return sieve(n)
+
+    def spied(x_max, lo=0, primes=None):
+        given.append(primes)
+        return series(x_max, lo, primes)
+
+    monkeypatch.setattr(gb, "primes_up_to", counted)
+    monkeypatch.setattr(gb, "singular_series_all", spied)
+    a2_curve(sieve_lambda(x), [x])
+    assert calls == [x]
+    want = sieve(x // 2)[1:]
+    assert given and all(np.array_equal(p, want) for p in given)
+
+
 @pytest.mark.parametrize("x", range(2, 65))
-def test_small_x_max_matches_brute_force(x):
-    """Every x_max up to 64, where the odd + odd transform is short or
-    absent: r_2 and A_2 match the O(x^2) brute force, S_2 the scalar
-    formula, and A_2 at every n the one-shot Sum2 of the steps."""
+def test_small_x_max_matches_brute_force(monkeypatch, x):
+    """Every x_max up to 64: r_2 (the steps of the pair sums) and A_2
+    match the O(x^2) brute force, S_2 the scalar formula, and A_2 at
+    every n is the same bits when each block holds one item: one term of
+    a chain, one prime power of psi, one S_2 entry."""
     table = sieve_lambda(x)
     s2 = singular_series_all(x)
     r2b, a2b = brute_force_sums(table, s2)
@@ -421,7 +461,8 @@ def test_small_x_max_matches_brute_force(x):
         1.0, float(np.max(np.abs(a2b))))
     assert s2.tolist() == [0.0] + [singular_series(n)
                                    for n in range(1, x + 1)]
-    assert np.array_equal(a2, sum2_one_shot(steps_of(table)))
+    monkeypatch.setattr(_kernels, "_BLOCK_BYTES", 1)
+    assert np.array_equal(bits(curve(table)), bits(a2))
 
 
 def bits(a):

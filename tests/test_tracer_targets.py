@@ -38,10 +38,14 @@ def test_density_targets_resolve(tracer):
     assert unresolved(tracer, "mfun.density") == []
 
 
-@pytest.mark.parametrize("module", ["mfun.goldbach", "mfun.zeros",
-                                    "mfun.cli"])
-def test_arithmetic_targets_resolve(tracer, module):
-    assert unresolved(tracer, module) == []
+@pytest.mark.parametrize("module, absent", [
+    # the tracer still lists r2_convolve, but A_2 no longer forms r_2
+    ("mfun.goldbach", ["r2_convolve"]),
+    ("mfun.zeros", []),
+    ("mfun.cli", []),
+], ids=["mfun.goldbach", "mfun.zeros", "mfun.cli"])
+def test_arithmetic_targets_resolve(tracer, module, absent):
+    assert unresolved(tracer, module) == absent
 
 
 @pytest.mark.parametrize("module, absent", [
