@@ -110,21 +110,12 @@ def char_M_N(coeffs: CoefficientTable, n: int, rho) -> np.ndarray:
 def _envelope_pieces(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending breakpoints b_m = 2/(pi*c_m) and log K_j for j = 0..N.
 
-    The envelope is the power law K_j * rho^(-j/2) on [b_j, b_{j+1}), with
-    b_0 = 0 and b_{N+1} = inf; log K_j = sum_{m<=j} log(b_m) / 2 stays
-    finite however many small c_m enter the product.
+    The |J0| amplitude envelope prod_n min(1, sqrt(2/(pi*c_n*rho))) is
+    K_j * rho^(-j/2) on [b_j, b_{j+1}), b_0 = 0, b_{N+1} = inf; log K_j =
+    sum_{m<=j} log(b_m) / 2 stays finite however many small c_m enter it.
     """
     b = np.sort(2.0 / (math.pi * np.asarray(c, dtype=np.float64)))
     return b, np.concatenate(([0.0], 0.5 * np.cumsum(np.log(b))))
-
-
-def decay_envelope(c: np.ndarray, rho):
-    """prod_n min(1, sqrt(2/(pi*c_n*rho))): the |J0| amplitude envelope."""
-    b, log_k = _envelope_pieces(c)
-    rho = np.atleast_1d(np.asarray(rho, dtype=np.float64))
-    j = np.searchsorted(b, rho, side="right")
-    # piece 0 is the constant 1; the clamp keeps log(0) out of it
-    return np.exp(log_k[j] - 0.5 * j * np.log(np.maximum(rho, b[0])))
 
 
 def _envelope_cutoff_rho(c: np.ndarray, threshold: float) -> float:

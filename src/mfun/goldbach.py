@@ -81,24 +81,22 @@ def sieve_lambda(x_max: int) -> ArithmeticTable:
     if not 2 <= x_max <= X_MAX_GUARD:
         raise RangeError(f"x_max={x_max} outside the desk-scale guard "
                          f"[2, {X_MAX_GUARD}]")
-    primes = primes_up_to(x_max)
-    # math.log, not np.log: the two differ by an ulp at some primes.  The
-    # array is iterated directly: a list of all primes would be a transient
-    # of about 40 bytes per prime.
-    logs = np.fromiter(map(math.log, primes), dtype=np.float64,
-                       count=primes.size)
-    k = np.searchsorted(primes, math.isqrt(x_max), side="right")
-    powers = []   # (p^j, log p) for j >= 2: 337 pairs at x_max = 1e7
-    for p, logp in zip(primes[:k].tolist(), logs[:k].tolist()):
+    pp = primes_up_to(x_max)   # the primes, then the powers go in
+    powers = []   # (p^j, p) for j >= 2: 337 pairs at x_max = 1e7
+    for p in pp[pp <= math.isqrt(x_max)].tolist():
         q = p * p
         while q <= x_max:
-            powers.append((q, logp))
+            powers.append((q, p))
             q *= p
     powers.sort()
-    at = np.searchsorted(primes, [q for q, _ in powers])
-    return ArithmeticTable(
-        limit=x_max, pp=np.insert(primes, at, [q for q, _ in powers]),
-        lam_pp=np.insert(logs, at, [w for _, w in powers]))
+    at = np.searchsorted(pp, [q for q, _ in powers])
+    pp = np.insert(pp, at, [q for q, _ in powers])   # frees the primes
+    # The powers sit at at + arange in pp: their log p^j becomes log p.
+    # math.log, not np.log: the two differ by an ulp at some primes.  pp is
+    # iterated directly: a list of it would take 40 bytes an entry.
+    lam_pp = np.fromiter(map(math.log, pp), dtype=np.float64, count=pp.size)
+    lam_pp[at + np.arange(at.size)] = [math.log(p) for _, p in powers]
+    return ArithmeticTable(limit=x_max, pp=pp, lam_pp=lam_pp)
 
 
 def singular_series(n: int) -> float:
@@ -330,9 +328,10 @@ def a2_curve(table: ArithmeticTable, grid) -> dict[int, float]:
     for lo in range(0, xs[-1] + 1, step):
         hi = min(lo + step, xs[-1] + 1)
         v = singular_series_all(hi - 1, lo, odd)
-        v *= np.arange(lo, hi, dtype=np.float64)
         for a in range(lo, hi, sub):
-            run_s, run_e = _sum2(v[a - lo:a - lo + sub], s, e)
+            vs = v[a - lo:a - lo + sub]
+            vs *= np.arange(a, a + vs.size, dtype=np.float64)
+            run_s, run_e = _sum2(vs, s, e)
             s, e = run_s[-1], run_e[-1]
             i, j = np.searchsorted(x, (a, a + run_s.size))
             t_s[i:j], t_e[i:j] = run_s[x[i:j] - a], run_e[x[i:j] - a]

@@ -17,13 +17,13 @@ from mfun._kernels import j0_arr
 from mfun.density import (
     ENVELOPE_CUTOFF,
     _envelope_cutoff_rho,
+    _envelope_pieces,
     _j0_zeros,
     _limit_error_budget,
     _radial_integral,
     _spline,
     char_M_N,
     convolve_step,
-    decay_envelope,
     integrate_against,
     invert_limit_density,
     invert_to_density,
@@ -71,18 +71,21 @@ def test_char_envelope(coeffs):
     c = coeffs.c[:5]
     rho = np.linspace(0.0, 5e4, 5001)
     phi = char_M_N(coeffs, 5, rho)
-    env = decay_envelope(c, rho)
+    env = direct_envelope(c, rho)
     assert np.all(np.abs(phi) <= env + 1e-12)
 
 
 def direct_envelope(c, rho):
     """Reference: prod_m min(1, sqrt(2/(pi c_m rho))), factor by factor."""
     rho = np.asarray(rho, dtype=np.float64)[..., None]
-    return np.prod(np.minimum(1.0, np.sqrt(2.0 / (math.pi * c * rho))),
-                   axis=-1)
+    with np.errstate(divide="ignore"):     # rho = 0 gives min(1, inf) = 1
+        return np.prod(np.minimum(1.0, np.sqrt(2.0 / (math.pi * c * rho))),
+                       axis=-1)
 
 
 def test_decay_envelope_matches_direct_product(coeffs):
+    """Each power-law piece K_j rho^(-j/2) of ``_envelope_pieces`` is the
+    direct product on its [b_j, b_{j+1})."""
     c = coeffs.c
     b = 2.0 / (math.pi * c)
     # a log grid from below the first breakpoint to past the last, plus
@@ -90,11 +93,16 @@ def test_decay_envelope_matches_direct_product(coeffs):
     rho = np.sort(np.concatenate(
         (np.geomspace(0.1 * b.min(), 10.0 * b.max(), 2001), b)))
     for n in (1, 5, 49, 100):
-        want = direct_envelope(c[:n], rho)
-        # exp of a log near -300 carries a few hundred ulp
-        assert np.allclose(decay_envelope(c[:n], rho), want,
-                           rtol=1e-12, atol=0.0)
-    assert decay_envelope(c, 0.0)[0] == 1.0
+        b, log_k = _envelope_pieces(c[:n])
+        assert log_k[0] == 0.0     # piece 0 is the constant 1
+        edges = np.concatenate(([0.0], b, [np.inf]))
+        for j in range(n + 1):
+            r = rho[(edges[j] <= rho) & (rho < edges[j + 1])]
+            assert r.size
+            # exp of a log near -300 carries a few hundred ulp
+            assert np.allclose(np.exp(log_k[j] - 0.5 * j * np.log(r)),
+                               direct_envelope(c[:n], r),
+                               rtol=1e-12, atol=0.0)
 
 
 def _bracket(c, below):
@@ -197,7 +205,7 @@ def test_inversion_builds_its_nodes(coeffs, n, grid_order):
     rho = d.rho_grid
     assert np.allclose(rho * radius, _j0_zeros(rho.size),
                        rtol=1e-12, atol=0.0)
-    assert decay_envelope(coeffs.c[:n], rho[-1])[0] <= ENVELOPE_CUTOFF
+    assert direct_envelope(coeffs.c[:n], rho[-1]) <= ENVELOPE_CUTOFF
     assert np.array_equal(d.characteristic, char_M_N(coeffs, n, rho))
 
 

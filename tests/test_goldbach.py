@@ -73,6 +73,22 @@ def test_lambda_matches_prime_power_loop():
     assert np.array_equal(sieve_lambda(x).lam, want)
 
 
+@pytest.mark.parametrize("x", [200_000, 2_000_000])
+def test_sieve_holds_one_copy(x):
+    """sieve_lambda's traced peak is at most 1.25 times the table it
+    keeps: the prime powers are inserted into the primes once, the primes
+    let go, and Lambda taken from that one array."""
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        table = sieve_lambda(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = table.pp.nbytes + table.lam_pp.nbytes
+    assert peak <= 1.25 * kept, peak / kept
+
+
 def test_primes_up_to():
     assert primes_up_to(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
