@@ -14,6 +14,9 @@ results bit for bit.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,43 +48,219 @@ def _chunk_points():
     return 2 * _per_block(16 * GRID_BLOCK) * GRID_BLOCK
 
 
-def _stream_sums(chunks, phis, marks):
-    """Sums sum_{j<=k} Phi(w_j) of each Phi at each ascending mark k.
+def _usable_cpus():
+    """The CPUs this process may run on; 1 where the platform cannot say."""
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    return len(getaffinity(0)) if getaffinity else 1
 
-    chunks yields the points w_0, w_1, ... as complex arrays of whole
-    GRID_BLOCK blocks (only the last may end early).  The Phi values are
-    summed within each block and the block sums added in ascending order,
-    so a sum depends on the points alone, not on how the stream is
-    chunked.  Phi is summed in the dtype of its values: float64 for a real
-    Phi, complex128 for a complex one.  Returns (one array over marks per
-    Phi, the points w_k at the marks).  Each Phi runs on slices of whole
-    blocks of a chunk, 80 bytes a point: what a character, the costliest
-    kind, holds with its share of ``expi``'s block and the last slice.
-    """
-    sums = [[] for _ in phis]
-    points = []
-    running = [0.0] * len(phis)   # sum of each Phi over the earlier chunks
-    done = 0
+
+def _split_point(total):
+    """Where a stream of total points is split between this process and a
+    forked child: the GRID_BLOCK multiple at or below the middle, or 0 to
+    run the stream in this process alone.  It stays whole where there is
+    no ``os.fork`` or no second usable CPU, where another thread runs (a
+    forked child would hold a copy of its locks) and where the stream
+    holds fewer than two chunks."""
+    if (not hasattr(os, "fork") or _usable_cpus() < 2
+            or threading.active_count() > 1 or total <= _chunk_points()):
+        return 0
+    return total // (2 * GRID_BLOCK) * GRID_BLOCK
+
+
+def _chunk_sums(w, phis, here):
+    """Per Phi, (its sums over each GRID_BLOCK block of the chunk w, its
+    sums within the block up to each offset in here).  Each Phi runs on
+    slices of whole blocks of the chunk, 80 bytes a point: what a
+    character, the costliest kind, holds with its share of ``expi``'s
+    block and the last slice."""
     width = _per_block(80 * GRID_BLOCK) * GRID_BLOCK
-    for w in chunks:
+    out = []
+    for phi in phis:
+        parts, tails = [], []
+        for lo in range(0, w.size, width):
+            vals = phi(w[lo:lo + width])
+            parts.append(np.add.reduceat(
+                vals, np.arange(0, vals.size, GRID_BLOCK)))
+            tails += [vals[k - k % GRID_BLOCK - lo:k - lo + 1].sum()
+                      for k in here if lo <= k < lo + width]
+        out.append((parts, tails))
+    return out
+
+
+def _fold(running, parts, here, tails):
+    """running plus the block sums in parts, added in ascending order.
+    Returns the sums up to each offset in here (its tail in its block
+    added) and the new running sum."""
+    # before[q]: running plus the sums over every block before block q
+    before = np.cumsum(np.concatenate([[running], *parts]))
+    sums = [before[k // GRID_BLOCK] + t for k, t in zip(here, tails)]
+    return sums, before[-1]
+
+
+def _range_sums(chunks, start, phis, marks, fold):
+    """Runs each Phi over one range of a stream.
+
+    chunks is an iterator over the range's points, from index start (a
+    GRID_BLOCK multiple) on, as complex arrays of whole GRID_BLOCK blocks
+    (only the last may end early).  For each chunk, fold(at, here, sums)
+    takes the chunk's offset from start, the offsets of the marks in the
+    chunk and ``_chunk_sums``.  Returns (the points at the marks, the
+    value the iterator returns).
+    """
+    points = []
+    done = start
+    while True:
+        try:
+            w = next(chunks)
+        except StopIteration as stop:
+            return points, stop.value
         here = [k - done for k in marks if done <= k < done + w.size]
         points += w[here].tolist()
-        for i, phi in enumerate(phis):
-            parts, tails = [[running[i]]], []   # block sums; sums in a block
-            for lo in range(0, w.size, width):
-                vals = phi(w[lo:lo + width])
-                parts.append(np.add.reduceat(
-                    vals, np.arange(0, vals.size, GRID_BLOCK)))
-                tails += [vals[k - k % GRID_BLOCK - lo:k - lo + 1].sum()
-                          for k in here if lo <= k < lo + width]
-            # before[q]: the sum of Phi over every block before block q
-            before = np.cumsum(np.concatenate(parts))
-            sums[i] += [before[k // GRID_BLOCK] + t
-                        for k, t in zip(here, tails)]
-            running[i] = before[-1]
+        fold(done - start, here, _chunk_sums(w, phis, here))
         done += w.size
         w = None   # free it before the next chunk is built
-    return [np.array(s) for s in sums], np.array(points, dtype=np.complex128)
+
+
+def _child_half(chunks, start, phis, marks, parent, totals, reply):
+    """The forked child's work: the range from start of the stream.
+
+    It keeps its block sums (8 bytes per block of a real Phi, 16 of a
+    complex one) until the parent sends its sums at start down totals,
+    folds them from there as the parent would have, and sends back its
+    sums at its marks, its points at them and the value its chunks
+    return; or the exception it raised.  It stops at the next chunk
+    once its parent, of pid parent, has died (killed by a signal it does
+    not handle).
+    """
+    kept = [([], []) for _ in phis]   # per Phi: block sums, tails
+    offsets = []
+
+    def keep(at, here, sums):
+        if os.getppid() != parent:
+            raise RuntimeError("the parent of a forked stream half died")
+        offsets.extend(at + k for k in here)
+        for (parts, tails), (more, more_tails) in zip(kept, sums):
+            parts.append(np.concatenate(more))   # one array a chunk
+            tails += more_tails
+    try:
+        points, value = _range_sums(chunks, start, phis, marks, keep)
+        with totals:
+            running = pickle.load(totals)
+        out = ([_fold(r, parts, offsets, tails)[0]
+                for r, (parts, tails) in zip(running, kept)], points, value)
+    except BaseException as exc:   # sent to the parent, which raises it
+        out = exc
+    with reply:
+        pickle.dump(out, reply)
+
+
+def _fork_half(chunks, split, total, phis, marks):
+    """Starts the stream's points from split on in a forked child.
+
+    Returns (its pid, the pipe to it, the pipe from it), or None where no
+    pipe or process can be made: the stream then runs in this process.
+    The child leaves only through ``os._exit``, so it runs no atexit
+    handler and flushes none of the parent's buffers.
+    """
+    fds = []
+    parent = os.getpid()
+    try:
+        fds += os.pipe()
+        fds += os.pipe()
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        return None
+    if pid == 0:
+        try:
+            os.close(fds[1])
+            os.close(fds[2])
+            _child_half(chunks(split, total), split, phis,
+                        [k for k in marks if k >= split], parent,
+                        os.fdopen(fds[0], "rb"), os.fdopen(fds[3], "wb"))
+        finally:
+            os._exit(0)
+    os.close(fds[0])
+    os.close(fds[3])
+    return pid, os.fdopen(fds[1], "wb"), os.fdopen(fds[2], "rb")
+
+
+def _child_reply(to_child, from_child, running):
+    """Sends the parent's sums at the split; returns the child's reply."""
+    try:
+        with to_child:
+            pickle.dump(running, to_child)
+    except BrokenPipeError:
+        pass   # the child stopped early; its reply says why
+    with from_child:
+        try:
+            return pickle.load(from_child)
+        except (EOFError, pickle.UnpicklingError):
+            raise RuntimeError("the forked half of a stream ended "
+                               "without a reply") from None
+
+
+def _stream_sums(chunks, total, phis, marks):
+    """Sums sum_{j<=k} Phi(w_j) of each Phi at each ascending mark k.
+
+    chunks(lo, hi) returns an iterator over the points w_lo .. w_{hi-1}
+    of a stream of total points, as complex arrays of whole GRID_BLOCK
+    blocks (only the last may end early), for lo a GRID_BLOCK multiple.
+    The Phi values are summed within each block and the block sums added
+    in ascending order, so a sum depends on the points alone, not on how
+    the stream is chunked or split.  Phi is summed in the dtype of its
+    values: float64 for a real Phi, complex128 for a complex one.
+
+    Where ``_split_point`` allows, a forked child runs the points from the
+    split on while this process runs those before it, folding its sums
+    chunk by chunk.  It then sends its sums at the split to the child,
+    which folds its kept block sums from them in the same order: the
+    sums are bit for bit those of one process.  Beyond what one process
+    holds, the parent holds the child's reply (its sums at its marks,
+    its points there and its iterator's value) and a pipe buffer.  The
+    child is reaped on every path, and killed first unless it has
+    replied.
+
+    Returns (one array over marks per Phi, the points w_k at the marks,
+    the values the iterators return, one per range).
+    """
+    split = _split_point(total)
+    child = _fork_half(chunks, split, total, phis, marks) if split else None
+    end = split if child else total
+    sums = [[] for _ in phis]
+    running = [0.0] * len(phis)   # sum of each Phi over the earlier chunks
+
+    def fold(at, here, chunk_sums):
+        for i, (parts, tails) in enumerate(chunk_sums):
+            got, running[i] = _fold(running[i], parts, here, tails)
+            sums[i] += got
+    replied = False
+    try:
+        points, value = _range_sums(chunks(0, end), 0, phis,
+                                    [k for k in marks if k < end], fold)
+        values = [value]
+        if child:
+            reply = _child_reply(*child[1:], running)
+            replied = True
+            if isinstance(reply, BaseException):
+                raise reply
+            more, more_points, value = reply
+            for s, m in zip(sums, more):
+                s += m
+            points += more_points
+            values.append(value)
+    finally:
+        if child:
+            pid, to_child, from_child = child
+            to_child.close()
+            from_child.close()
+            if not replied:
+                import signal   # on this path alone: not at start-up
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return ([np.array(s) for s in sums], np.array(points, dtype=np.complex128),
+            values)
 
 
 def haar_oracle(coeffs: CoefficientTable, n: int, phis, samples: int,
@@ -109,19 +288,24 @@ def haar_oracle(coeffs: CoefficientTable, n: int, phis, samples: int,
     c = coeffs.c[:n]
     rows = _per_block(64 * n)   # one phasor_sum step
     chunk = _chunk_points()
-    peaks = []   # max |S_N| of each chunk
 
-    def draw(lo):
-        w = np.empty(min(chunk, samples - lo), dtype=np.complex128)
-        for a in range(0, w.size, rows):
-            b = min(a + rows, w.size)
-            phases = splitmix64(seed, (lo + a) * n, (lo + b) * n)
-            phases >>= 40   # the top 24 bits: phases in units of 2pi/2^24
-            w[a:b] = phasor_sum(phases.view(np.int64).reshape(b - a, n), c)
-            peaks.append(float(np.max(np.abs(w[a:b]))))
-        return w
-    sums, _ = _stream_sums(map(draw, range(0, samples, chunk)), phis,
-                           [samples - 1])
+    def draw(lo, hi):
+        """S_N at samples lo .. hi-1, a chunk at a time; returns the max
+        |S_N| among them."""
+        peak = 0.0
+        for start in range(lo, hi, chunk):
+            w = np.empty(min(chunk, hi - start), dtype=np.complex128)
+            for a in range(0, w.size, rows):
+                b = min(a + rows, w.size)
+                phases = splitmix64(seed, (start + a) * n, (start + b) * n)
+                phases >>= 40   # the top 24 bits: phases in units of 2pi/2^24
+                w[a:b] = phasor_sum(phases.view(np.int64).reshape(b - a, n),
+                                    c)
+                peak = max(peak, float(np.max(np.abs(w[a:b]))))
+            yield w
+            w = None   # hold no chunk the caller let go
+        return peak
+    sums, _, peaks = _stream_sums(draw, samples, phis, [samples - 1])
     return [(s / samples).item() for s in sums], max(peaks)
 
 
@@ -146,7 +330,7 @@ def alpha_average_many(coeffs: CoefficientTable, n: int, phis, x_list):
     ``f_grid_chunks`` in chunks of whole grid blocks, its trapezoid ends
     included, and the Phi sums from the same block-wise engine as
     ``haar_oracle``, so the means depend neither on the chunks nor on the
-    thread count.
+    thread count or the split of the sweep between two processes.
     """
     coeffs.check_order(n)
     x_list = sorted(float(x) for x in x_list)
@@ -156,8 +340,10 @@ def alpha_average_many(coeffs: CoefficientTable, n: int, phis, x_list):
     h = x_max / (total_pts - 1)
     marks = [min(int(round(x / h)), total_pts - 1) for x in x_list]
     c, g, b = coeffs.c[:n], coeffs.gamma[:n], coeffs.beta[:n]
-    chunks = f_grid_chunks(0, total_pts, _chunk_points(), h, c, g, b)
-    sums, ends = _stream_sums(chunks, phis, [0, *marks])
+    chunk = _chunk_points()
+    sums, ends, _ = _stream_sums(
+        lambda lo, hi: f_grid_chunks(lo, hi, chunk, h, c, g, b), total_pts,
+        phis, [0, *marks])
     k = np.array(marks, dtype=np.float64)
     out = []
     for phi, s in zip(phis, sums):

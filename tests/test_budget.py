@@ -8,6 +8,7 @@ its inputs, its output and a stream's chunk, stays within 3 budgets at
 the default and at four times it.
 """
 
+import io
 import math
 import tracemalloc
 
@@ -165,9 +166,11 @@ def test_kernel_holds_three_budgets(coeffs, monkeypatch, name, scale):
     """A blocked kernel's traced peak, beyond its inputs, its output and
     a stream's chunk, stays within 3 budgets at the default budget and
     at four times it.  Counting 16 bytes per element in ``_bessel``, as
-    it once did, took j0_arr's far field to 4.6 budgets."""
+    it once did, took j0_arr's far field to 4.6 budgets.  A stream runs
+    in one process here, so that tracemalloc sees all of it."""
     budget = scale * _kernels._BLOCK_BYTES
     monkeypatch.setattr(_kernels, "_BLOCK_BYTES", budget)
+    monkeypatch.setattr(em, "_usable_cpus", lambda: 1)
     call, chunk = _blocked_kernels(coeffs)[name]
     tracemalloc.start()
     try:
@@ -177,3 +180,28 @@ def test_kernel_holds_three_budgets(coeffs, monkeypatch, name, scale):
         tracemalloc.stop()
     held = peak - getattr(out, "nbytes", 0) - chunk
     assert held <= 3 * budget, (name, held / budget)
+
+
+@pytest.mark.parametrize("name", ["haar", "alpha"])
+def test_split_parent_holds_its_reply(coeffs, monkeypatch, name):
+    """Split between two processes, a stream's parent traces at most what
+    the stream traces in one process plus the child's reply: one pipe
+    buffer and a pickled value (under 128 bytes) per sum and point that
+    crosses the pipes.  The parent folds its own half chunk by chunk, as
+    one process does, and never holds the child's block sums."""
+    call, _ = _blocked_kernels(coeffs)[name]
+    peaks = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(em, "_usable_cpus", lambda: cpus)
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    chunk = em._chunk_points()
+    assert em._split_point(4 * chunk) > 0
+    streams, marks = 3, 3   # alpha's marks 0, X/2 and X; Haar's one
+    values = streams * (marks + 1) + marks + 1   # sums, totals and points
+    payload = io.DEFAULT_BUFFER_SIZE + 128 * values
+    assert peaks[1] - peaks[0] <= payload, (peaks, payload)

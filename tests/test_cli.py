@@ -5,8 +5,10 @@ import dataclasses
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -199,20 +201,23 @@ def test_density_eps_honours_r_points(tmp_path, capsys):
     assert len((tmp_path / "density.csv").read_text().splitlines()) == 513
 
 
-def run_process(args, out, timeout, **env):
+def run_process(args, out, timeout, preexec_fn=None, **env):
     """``python -m mfun.cli ARGS --out OUT`` in a fresh interpreter."""
     src = str(Path(mfun.__file__).resolve().parents[1])
     env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run(
         [sys.executable, "-m", "mfun.cli", *args, "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=timeout)
+        env=env, capture_output=True, text=True, timeout=timeout,
+        preexec_fn=preexec_fn)
 
 
 def test_density_and_compare_independent_of_threads(tmp_path):
     """Order 25 sums its Hankel series directly; order 5 on 512 points
     and the order-6 inversion of compare take the FFT path.  zeros-verify
-    and weyl run too (goldbach-validate has its own test)."""
+    and weyl run too (goldbach-validate has its own test).  compare also
+    runs pinned to one CPU, where its streams are not split between two
+    processes."""
     density = ("density.csv", "density_meta.json")
     runs = [(["density", "--N", "25"], density),
             (["density", "--N", "5", "--r-points", "512"], density),
@@ -233,6 +238,43 @@ def test_density_and_compare_independent_of_threads(tmp_path):
         outputs.append(files)
     for key, data in outputs[0].items():
         assert outputs[1][key] == data, key
+    if hasattr(os, "sched_setaffinity"):
+        args, names = runs[2]
+        proc = run_process(args, tmp_path / "pinned", 300,
+                           preexec_fn=lambda: os.sched_setaffinity(0, {0}))
+        assert proc.returncode == 0, proc.stderr
+        for name in names:
+            assert (tmp_path / "pinned" / name).read_bytes() \
+                == outputs[0][2, name], name
+
+
+def test_compare_half_stops_with_its_parent(tmp_path):
+    """A forked stream half stops at its next chunk once its parent dies
+    of a signal that Python does not handle (SIGTERM): it does not run
+    on to the end of its range, several seconds at these sizes."""
+    if mfun.empirical._split_point(2 * 10 ** 7) == 0:
+        pytest.skip("streams are not split here")
+    src = str(Path(mfun.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mfun.cli", "compare", "--N", "10",
+         "--samples", "20000000", "--X", "2e4", "--out", str(tmp_path)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+    try:
+        deadline = time.monotonic() + 60
+        while not (kids := children.read_text().split()):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.005)
+    finally:
+        proc.send_signal(signal.SIGTERM)
+        proc.wait(timeout=60)
+    stat = Path(f"/proc/{kids[0]}/stat")
+    deadline = time.monotonic() + 1.0
+    while stat.exists() and stat.read_text().split(")")[-1].split()[0] != "Z":
+        assert time.monotonic() < deadline, "the forked half ran on"
+        time.sleep(0.005)
 
 
 def test_compare_small(tmp_path, capsys, coeffs):

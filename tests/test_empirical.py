@@ -1,13 +1,15 @@
 """Torus sampling, alpha-averaging, Weyl sums and the comparison report."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+import mfun.empirical as em
 from mfun import TestFunction, _kernels
 from mfun.density import invert_to_density
-from mfun._kernels import expi, phasor_sum
+from mfun._kernels import GRID_BLOCK, expi, f_grid_chunks, phasor_sum
 from mfun.empirical import (
     ResonanceError,
     alpha_average_many,
@@ -115,14 +117,15 @@ def test_alpha_average_checkpoints_consistent(coeffs):
     assert ladder[0] == pytest.approx(single, rel=1e-9)
 
 
-def test_haar_oracle_holds_block_draws(coeffs):
+def test_haar_oracle_holds_block_draws(coeffs, monkeypatch):
     """The Haar route at N = 10 peaks within 6 chunk-sized complex arrays
     of traced memory over compare's eight test functions: its phases are
     drawn one phasor_sum step at a time, not as an N x chunk matrix per
-    chunk (2^16 points at the default budget)."""
+    chunk (2^16 points at the default budget).  The stream runs in one
+    process, so that tracemalloc sees all of it."""
+    monkeypatch.setattr(em, "_usable_cpus", lambda: 1)
     import tracemalloc
 
-    import mfun.empirical as em
     from mfun.cli import default_test_functions
     from mfun.density import support_radius
     n = 10
@@ -138,7 +141,7 @@ def test_haar_oracle_holds_block_draws(coeffs):
     assert peak <= 6 * chunk * 16, peak
 
 
-def test_streams_hold_about_one_chunk(coeffs):
+def test_streams_hold_about_one_chunk(coeffs, monkeypatch):
     """Peak traced memory of both routes stays within one chunk of
     complex points and 3 budgets.
 
@@ -146,11 +149,12 @@ def test_streams_hold_about_one_chunk(coeffs):
     least four chunks, so a route that kept more than the current chunk
     alive, or ran a Phi on a whole chunk, fails: the Haar route took
     3.0 MiB and the alpha route 3.4 MiB that way, against the 2.5 MiB
-    bound at the default budget.
+    bound at the default budget.  The streams run in one process, so
+    that tracemalloc sees all of them.
     """
     import tracemalloc
 
-    import mfun.empirical as em
+    monkeypatch.setattr(em, "_usable_cpus", lambda: 1)
     n = 10
     s = float(np.sum(coeffs.c[:n]))
     phis = [TestFunction.disc(0.0, 0.5 * s), TestFunction.character(4.0 / s)]
@@ -165,12 +169,102 @@ def test_streams_hold_about_one_chunk(coeffs):
         haar_oracle(coeffs, n, phis, samples, seed=4)
         haar_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        em.alpha_average_many(coeffs, n, phis, [x / 2.0, x])
+        alpha_average_many(coeffs, n, phis, [x / 2.0, x])
         alpha_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert haar_peak <= budget, (haar_peak, budget)
     assert alpha_peak <= budget, (alpha_peak, budget)
+
+
+def _split_stream(coeffs, n):
+    """An alpha-route ladder at order n over more than three chunks, as
+    (x_list, the stream's length and step, the marks of x_list): marks
+    in both ranges, on the first and the last point of the block before
+    the split and at the split."""
+    chunk = em._chunk_points()
+    step = em._alpha_grid_step(coeffs, n, 1e3)
+    x_max = (3 * chunk + 5000) * step
+    total = int(math.ceil(x_max / step)) + 1   # as alpha_average_many
+    h = x_max / (total - 1)
+    split = em._split_point(total)
+    assert split % GRID_BLOCK == 0 and chunk < split < total - chunk
+    marks = [4000, split - GRID_BLOCK, split - 1, split, split + 1,
+             split + GRID_BLOCK - 1, total - 700, total - 1]
+    x_list = [k * h for k in marks[:-1]] + [x_max]
+    assert [min(round(x / h), total - 1) for x in x_list] == marks
+    return x_list, total, h, marks
+
+
+def test_streams_independent_of_the_split(coeffs, monkeypatch):
+    """Both routes give bit for bit the same means, max |S_N|, sums and
+    points at the marks whether a forked child sums the second half of
+    each stream or this process sums it all: the child folds its block
+    sums from the parent's sums at the split in the same order."""
+    n = 5
+    s = float(np.sum(coeffs.c[:n]))
+    phis = [TestFunction.disc(0.0, 0.5 * s), TestFunction.character(4.0 / s)]
+    samples = 3 * em._chunk_points() + 1000
+    x_list, total, h, marks = _split_stream(coeffs, n)
+    c, g, b = coeffs.c[:n], coeffs.gamma[:n], coeffs.beta[:n]
+
+    def chunks(lo, hi):
+        return f_grid_chunks(lo, hi, em._chunk_points(), h, c, g, b)
+
+    def runs(ranges):
+        sums, points, values = em._stream_sums(chunks, total, phis,
+                                               [0, *marks])
+        assert len(values) == ranges
+        return (haar_oracle(coeffs, n, phis, samples, seed=6),
+                alpha_average_many(coeffs, n, phis, x_list),
+                [x.tolist() for x in sums], points.tolist())
+    assert em._split_point(samples) > 0
+    split = runs(2)
+    monkeypatch.setattr(em, "_usable_cpus", lambda: 1)
+    whole = runs(1)
+    assert split == whole
+    (means, peak), _, sums, points = whole
+    assert isinstance(peak, float) and len(means) == 2
+    assert len(points) == len(marks) + 1 and len(sums[1]) == len(marks) + 1
+
+
+class ChildFault(Exception):
+    """Raised by a test function in one process only."""
+
+
+@pytest.mark.parametrize("where", ["child", "parent"])
+def test_split_failure_reaps_the_child(coeffs, where):
+    """A Phi that raises only in the forked child, or only in the parent,
+    raises its exception in the caller, and no child is left behind."""
+    parent = os.getpid()
+
+    def phi(w):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise ChildFault(f"raised in the {where}")
+        return np.abs(w)
+    samples = 3 * em._chunk_points() + 1000
+    assert em._split_point(samples) > 0
+    with pytest.raises(ChildFault, match=where):
+        haar_oracle(coeffs, 5, [phi], samples, seed=1)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_split_falls_back_without_fork(coeffs, monkeypatch):
+    """Where os.fork or os.pipe fails the stream runs in this process,
+    with the same means, and no pipe is left open."""
+    phis = [TestFunction.disc(0.0, 0.005), TestFunction.character(100.0)]
+    samples = 3 * em._chunk_points() + 1000
+    want = haar_oracle(coeffs, 5, phis, samples, seed=2)
+    fds = len(os.listdir("/proc/self/fd"))
+
+    def fails(*args):
+        raise OSError("no more processes")
+    for name in ("fork", "pipe"):
+        with monkeypatch.context() as m:
+            m.setattr(os, name, fails)
+            assert haar_oracle(coeffs, 5, phis, samples, seed=2) == want
+        assert len(os.listdir("/proc/self/fd")) == fds
 
 
 def test_f_N_holds_one_block_of_phases(coeffs):
