@@ -57,10 +57,10 @@ def _usable_cpus():
 def _split_point(total):
     """Where a stream of total points is split between this process and a
     forked child: the GRID_BLOCK multiple at or below the middle, or 0 to
-    run the stream in this process alone.  It stays whole where there is
-    no ``os.fork`` or no second usable CPU, where another thread runs (a
-    forked child would hold a copy of its locks) and where the stream
-    holds fewer than two chunks."""
+    run the stream in this process alone.  A stream of more than one
+    chunk is split, except where there is no ``os.fork`` or no second
+    usable CPU and where another thread runs (a forked child would hold a
+    copy of its locks)."""
     if (not hasattr(os, "fork") or _usable_cpus() < 2
             or threading.active_count() > 1 or total <= _chunk_points()):
         return 0
@@ -102,10 +102,9 @@ def _range_sums(chunks, start, phis, marks, fold):
 
     chunks is an iterator over the range's points, from index start (a
     GRID_BLOCK multiple) on, as complex arrays of whole GRID_BLOCK blocks
-    (only the last may end early).  For each chunk, fold(at, here, sums)
-    takes the chunk's offset from start, the offsets of the marks in the
-    chunk and ``_chunk_sums``.  Returns (the points at the marks, the
-    value the iterator returns).
+    (only the last may end early).  For each chunk, fold(here, sums)
+    takes the offsets of the marks in the chunk and ``_chunk_sums``.
+    Returns (the points at the marks, the value the iterator returns).
     """
     points = []
     done = start
@@ -116,56 +115,21 @@ def _range_sums(chunks, start, phis, marks, fold):
             return points, stop.value
         here = [k - done for k in marks if done <= k < done + w.size]
         points += w[here].tolist()
-        fold(done - start, here, _chunk_sums(w, phis, here))
+        fold(here, _chunk_sums(w, phis, here))
         done += w.size
         w = None   # free it before the next chunk is built
 
 
-def _child_half(chunks, start, phis, marks, parent, totals, reply):
-    """The forked child's work: the range from start of the stream.
+def _forked(work):
+    """Runs work() in a forked child, which pickles its result, or the
+    exception it raised, down a pipe to this process.
 
-    It keeps its block sums (8 bytes per block of a real Phi, 16 of a
-    complex one) until the parent sends its sums at start down totals,
-    folds them from there as the parent would have, and sends back its
-    sums at its marks, its points at them and the value its chunks
-    return; or the exception it raised.  It stops at the next chunk
-    once its parent, of pid parent, has died (killed by a signal it does
-    not handle).
-    """
-    kept = [([], []) for _ in phis]   # per Phi: block sums, tails
-    offsets = []
-
-    def keep(at, here, sums):
-        if os.getppid() != parent:
-            raise RuntimeError("the parent of a forked stream half died")
-        offsets.extend(at + k for k in here)
-        for (parts, tails), (more, more_tails) in zip(kept, sums):
-            parts.append(np.concatenate(more))   # one array a chunk
-            tails += more_tails
-    try:
-        points, value = _range_sums(chunks, start, phis, marks, keep)
-        with totals:
-            running = pickle.load(totals)
-        out = ([_fold(r, parts, offsets, tails)[0]
-                for r, (parts, tails) in zip(running, kept)], points, value)
-    except BaseException as exc:   # sent to the parent, which raises it
-        out = exc
-    with reply:
-        pickle.dump(out, reply)
-
-
-def _fork_half(chunks, split, total, phis, marks):
-    """Starts the stream's points from split on in a forked child.
-
-    Returns (its pid, the pipe to it, the pipe from it), or None where no
-    pipe or process can be made: the stream then runs in this process.
-    The child leaves only through ``os._exit``, so it runs no atexit
-    handler and flushes none of the parent's buffers.
+    Returns (the child's pid, the pipe's read end), or None where no pipe
+    or process can be made.  The child leaves only through ``os._exit``,
+    so it runs no atexit handler and flushes none of the parent's buffers.
     """
     fds = []
-    parent = os.getpid()
     try:
-        fds += os.pipe()
         fds += os.pipe()
         pid = os.fork()
     except OSError:
@@ -174,31 +138,17 @@ def _fork_half(chunks, split, total, phis, marks):
         return None
     if pid == 0:
         try:
-            os.close(fds[1])
-            os.close(fds[2])
-            _child_half(chunks(split, total), split, phis,
-                        [k for k in marks if k >= split], parent,
-                        os.fdopen(fds[0], "rb"), os.fdopen(fds[3], "wb"))
+            os.close(fds[0])
+            try:
+                out = work()
+            except BaseException as exc:   # sent to the parent, which raises it
+                out = exc
+            with os.fdopen(fds[1], "wb") as reply:
+                pickle.dump(out, reply)
         finally:
             os._exit(0)
-    os.close(fds[0])
-    os.close(fds[3])
-    return pid, os.fdopen(fds[1], "wb"), os.fdopen(fds[2], "rb")
-
-
-def _child_reply(to_child, from_child, running):
-    """Sends the parent's sums at the split; returns the child's reply."""
-    try:
-        with to_child:
-            pickle.dump(running, to_child)
-    except BrokenPipeError:
-        pass   # the child stopped early; its reply says why
-    with from_child:
-        try:
-            return pickle.load(from_child)
-        except (EOFError, pickle.UnpicklingError):
-            raise RuntimeError("the forked half of a stream ended "
-                               "without a reply") from None
+    os.close(fds[1])
+    return pid, os.fdopen(fds[0], "rb")
 
 
 def _stream_sums(chunks, total, phis, marks):
@@ -212,26 +162,44 @@ def _stream_sums(chunks, total, phis, marks):
     the stream is chunked or split.  Phi is summed in the dtype of its
     values: float64 for a real Phi, complex128 for a complex one.
 
-    Where ``_split_point`` allows, a forked child runs the points from the
-    split on while this process runs those before it, folding its sums
-    chunk by chunk.  It then sends its sums at the split to the child,
-    which folds its kept block sums from them in the same order: the
-    sums are bit for bit those of one process.  Beyond what one process
-    holds, the parent holds the child's reply (its sums at its marks,
-    its points there and its iterator's value) and a pipe buffer.  The
-    child is reaped on every path, and killed first unless it has
+    Where ``_split_point`` allows, a forked child sums the points from the
+    split on while this process folds those before it chunk by chunk.
+    The child sends back, per Phi, its block sums (8 bytes per block of a
+    real Phi, 16 of a complex one) and its tails at its marks, with its
+    points there and its iterator's value.  This process folds those
+    block sums from its own sums at the split in the same order: the
+    sums are bit for bit those of one process.  The child stops at its
+    next chunk once this process has died (killed by a signal it does not
+    handle), and it is reaped on every path, killed first unless it has
     replied.
 
     Returns (one array over marks per Phi, the points w_k at the marks,
     the values the iterators return, one per range).
     """
     split = _split_point(total)
-    child = _fork_half(chunks, split, total, phis, marks) if split else None
+    parent = os.getpid()
+    later = [k for k in marks if k >= split]   # the child's marks
+
+    def child_half():
+        kept = [([], []) for _ in phis]   # per Phi: block sums, tails
+
+        def keep(here, sums):
+            if os.getppid() != parent:
+                raise RuntimeError("the parent of a forked stream half died")
+            for (parts, tails), (more, more_tails) in zip(kept, sums):
+                parts.append(np.concatenate(more))   # one array a chunk
+                tails += more_tails
+        points, value = _range_sums(chunks(split, total), split, phis, later,
+                                    keep)
+        # per Phi, its block sums joined as one chunk's, ready for fold
+        return ([([np.concatenate(parts)], tails) for parts, tails in kept],
+                points, value)
+    child = _forked(child_half) if split else None
     end = split if child else total
     sums = [[] for _ in phis]
     running = [0.0] * len(phis)   # sum of each Phi over the earlier chunks
 
-    def fold(at, here, chunk_sums):
+    def fold(here, chunk_sums):
         for i, (parts, tails) in enumerate(chunk_sums):
             got, running[i] = _fold(running[i], parts, here, tails)
             sums[i] += got
@@ -241,20 +209,22 @@ def _stream_sums(chunks, total, phis, marks):
                                     [k for k in marks if k < end], fold)
         values = [value]
         if child:
-            reply = _child_reply(*child[1:], running)
+            try:
+                reply = pickle.load(child[1])
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError("the forked half of a stream ended "
+                                   "without a reply") from None
             replied = True
             if isinstance(reply, BaseException):
                 raise reply
-            more, more_points, value = reply
-            for s, m in zip(sums, more):
-                s += m
+            block_sums, more_points, value = reply
+            fold([k - split for k in later], block_sums)
             points += more_points
             values.append(value)
     finally:
         if child:
-            pid, to_child, from_child = child
-            to_child.close()
-            from_child.close()
+            pid, pipe = child
+            pipe.close()
             if not replied:
                 import signal   # on this path alone: not at start-up
                 os.kill(pid, signal.SIGKILL)

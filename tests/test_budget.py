@@ -187,8 +187,9 @@ def test_split_parent_holds_its_reply(coeffs, monkeypatch, name):
     """Split between two processes, a stream's parent traces at most what
     the stream traces in one process plus the child's reply: one pipe
     buffer and a pickled value (under 128 bytes) per sum and point that
-    crosses the pipes.  The parent folds its own half chunk by chunk, as
-    one process does, and never holds the child's block sums."""
+    crosses the pipe.  The parent folds its own half chunk by chunk, as
+    one process does; the child's block sums (a few KiB at these sizes)
+    arrive once that half is done, below the peak of its chunks."""
     call, _ = _blocked_kernels(coeffs)[name]
     peaks = []
     for cpus in (1, 2):

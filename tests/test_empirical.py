@@ -2,6 +2,7 @@
 
 import math
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -199,31 +200,39 @@ def _split_stream(coeffs, n):
 def test_streams_independent_of_the_split(coeffs, monkeypatch):
     """Both routes give bit for bit the same means, max |S_N|, sums and
     points at the marks whether a forked child sums the second half of
-    each stream or this process sums it all: the child folds its block
-    sums from the parent's sums at the split in the same order."""
+    each stream or this process sums it all: the child sends back its
+    block sums, and this process folds them from its own sums at the
+    split in the same order.  The stream is also summed at a mark every
+    13 points, so that the child's reply outgrows a 64 KiB pipe buffer
+    and the child waits in its write until this process reads it."""
     n = 5
     s = float(np.sum(coeffs.c[:n]))
     phis = [TestFunction.disc(0.0, 0.5 * s), TestFunction.character(4.0 / s)]
     samples = 3 * em._chunk_points() + 1000
     x_list, total, h, marks = _split_stream(coeffs, n)
     c, g, b = coeffs.c[:n], coeffs.gamma[:n], coeffs.beta[:n]
+    dense = list(range(0, total, 13))
+    # 16 bytes at least for each of the child's points
+    assert 16 * sum(k >= em._split_point(total) for k in dense) > 1 << 16
 
     def chunks(lo, hi):
         return f_grid_chunks(lo, hi, em._chunk_points(), h, c, g, b)
 
     def runs(ranges):
-        sums, points, values = em._stream_sums(chunks, total, phis,
-                                               [0, *marks])
-        assert len(values) == ranges
+        streams = []
+        for at in ([0, *marks], dense):
+            sums, points, values = em._stream_sums(chunks, total, phis, at)
+            assert len(values) == ranges
+            streams.append(([x.tolist() for x in sums], points.tolist()))
         return (haar_oracle(coeffs, n, phis, samples, seed=6),
                 alpha_average_many(coeffs, n, phis, x_list),
-                [x.tolist() for x in sums], points.tolist())
+                *streams[0], streams[1])
     assert em._split_point(samples) > 0
     split = runs(2)
     monkeypatch.setattr(em, "_usable_cpus", lambda: 1)
     whole = runs(1)
     assert split == whole
-    (means, peak), _, sums, points = whole
+    (means, peak), _, sums, points, _ = whole
     assert isinstance(peak, float) and len(means) == 2
     assert len(points) == len(marks) + 1 and len(sums[1]) == len(marks) + 1
 
@@ -232,19 +241,25 @@ class ChildFault(Exception):
     """Raised by a test function in one process only."""
 
 
-@pytest.mark.parametrize("where", ["child", "parent"])
+@pytest.mark.parametrize("where", ["child", "parent", "killed"])
 def test_split_failure_reaps_the_child(coeffs, where):
     """A Phi that raises only in the forked child, or only in the parent,
-    raises its exception in the caller, and no child is left behind."""
+    raises its exception in the caller; one that kills the child, which
+    then never replies, raises RuntimeError.  No child is left behind."""
     parent = os.getpid()
 
     def phi(w):
-        if (os.getpid() == parent) == (where == "parent"):
+        if where == "killed":
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+        elif (os.getpid() == parent) == (where == "parent"):
             raise ChildFault(f"raised in the {where}")
         return np.abs(w)
     samples = 3 * em._chunk_points() + 1000
     assert em._split_point(samples) > 0
-    with pytest.raises(ChildFault, match=where):
+    error, match = ((RuntimeError, "ended without a reply")
+                    if where == "killed" else (ChildFault, where))
+    with pytest.raises(error, match=match):
         haar_oracle(coeffs, 5, [phi], samples, seed=1)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
