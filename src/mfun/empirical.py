@@ -13,6 +13,7 @@ results bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import pickle
@@ -67,57 +68,30 @@ def _split_point(total):
     return total // (2 * GRID_BLOCK) * GRID_BLOCK
 
 
-def _chunk_sums(w, phis, here):
-    """Per Phi, (its sums over each GRID_BLOCK block of the chunk w, its
-    sums within the block up to each offset in here).  Each Phi runs on
-    slices of whole blocks of the chunk, 80 bytes a point: what a
-    character, the costliest kind, holds with its share of ``expi``'s
-    block and the last slice."""
+def _range_sums(chunks, phis, keep):
+    """Runs each Phi over one range of a stream: chunks iterates over its
+    points as complex arrays of whole GRID_BLOCK blocks (only the last may
+    end early), and keep(blocks, sums) takes each chunk's block count and,
+    per Phi, its sums over each block.  A Phi runs on slices of whole
+    blocks, 80 bytes a point: what a character, the costliest kind, holds
+    with its share of ``expi``'s block and the last slice.  Returns the
+    iterator's value."""
     width = _per_block(80 * GRID_BLOCK) * GRID_BLOCK
-    out = []
-    for phi in phis:
-        parts, tails = [], []
-        for lo in range(0, w.size, width):
-            vals = phi(w[lo:lo + width])
-            parts.append(np.add.reduceat(
-                vals, np.arange(0, vals.size, GRID_BLOCK)))
-            tails += [vals[k - k % GRID_BLOCK - lo:k - lo + 1].sum()
-                      for k in here if lo <= k < lo + width]
-        out.append((parts, tails))
-    return out
-
-
-def _fold(running, parts, here, tails):
-    """running plus the block sums in parts, added in ascending order.
-    Returns the sums up to each offset in here (its tail in its block
-    added) and the new running sum."""
-    # before[q]: running plus the sums over every block before block q
-    before = np.cumsum(np.concatenate([[running], *parts]))
-    sums = [before[k // GRID_BLOCK] + t for k, t in zip(here, tails)]
-    return sums, before[-1]
-
-
-def _range_sums(chunks, start, phis, marks, fold):
-    """Runs each Phi over one range of a stream.
-
-    chunks is an iterator over the range's points, from index start (a
-    GRID_BLOCK multiple) on, as complex arrays of whole GRID_BLOCK blocks
-    (only the last may end early).  For each chunk, fold(here, sums)
-    takes the offsets of the marks in the chunk and ``_chunk_sums``.
-    Returns (the points at the marks, the value the iterator returns).
-    """
-    points = []
-    done = start
     while True:
         try:
             w = next(chunks)
         except StopIteration as stop:
-            return points, stop.value
-        here = [k - done for k in marks if done <= k < done + w.size]
-        points += w[here].tolist()
-        fold(here, _chunk_sums(w, phis, here))
-        done += w.size
-        w = None   # free it before the next chunk is built
+            return stop.value
+        sums = []
+        for phi in phis:
+            parts = []
+            for lo in range(0, w.size, width):
+                vals = phi(w[lo:lo + width])
+                parts.append(np.add.reduceat(
+                    vals, np.arange(0, vals.size, GRID_BLOCK)))
+            sums.append(np.concatenate(parts))
+        keep(-(-w.size // GRID_BLOCK), sums)
+        w = vals = None   # free them before the next chunk is built
 
 
 def _forked(work):
@@ -155,80 +129,83 @@ def _stream_sums(chunks, total, phis, marks):
     """Sums sum_{j<=k} Phi(w_j) of each Phi at each ascending mark k.
 
     chunks(lo, hi) returns an iterator over the points w_lo .. w_{hi-1}
-    of a stream of total points, as complex arrays of whole GRID_BLOCK
-    blocks (only the last may end early), for lo a GRID_BLOCK multiple.
-    The Phi values are summed within each block and the block sums added
-    in ascending order, so a sum depends on the points alone, not on how
-    the stream is chunked or split.  Phi is summed in the dtype of its
-    values: float64 for a real Phi, complex128 for a complex one.
+    (w_j a function of j alone) of a stream of total points, as complex
+    arrays of whole GRID_BLOCK blocks (only the last may end early), for
+    lo a GRID_BLOCK multiple.  Phi is summed per block in the dtype of its
+    values (float64 for a real Phi, complex128 for a complex one) and the
+    block sums added in ascending order, keeping the sum before each block
+    that holds a mark.  That block is then drawn again up to its last
+    mark, and a mark's sum is that sum plus the block's values up to it:
+    a sum depends on the points alone, not on the chunks or the split.
 
     Where ``_split_point`` allows, a forked child sums the points from the
-    split on while this process folds those before it chunk by chunk.
-    The child sends back, per Phi, its block sums (8 bytes per block of a
-    real Phi, 16 of a complex one) and its tails at its marks, with its
-    points there and its iterator's value.  This process folds those
-    block sums from its own sums at the split in the same order: the
-    sums are bit for bit those of one process.  The child stops at its
+    split on and sends back its block sums per Phi (8 bytes per block of a
+    real Phi, 16 of a complex one) and its iterator's value; this process
+    folds them after its own in the same order.  The child stops at its
     next chunk once this process has died (killed by a signal it does not
-    handle), and it is reaped on every path, killed first unless it has
-    replied.
+    handle), and is reaped on every path, killed first unless it replied.
 
     Returns (one array over marks per Phi, the points w_k at the marks,
     the values the iterators return, one per range).
     """
     split = _split_point(total)
     parent = os.getpid()
-    later = [k for k in marks if k >= split]   # the child's marks
 
     def child_half():
-        kept = [([], []) for _ in phis]   # per Phi: block sums, tails
+        kept = []   # per chunk, its block sums per Phi
 
-        def keep(here, sums):
+        def keep(blocks, sums):
             if os.getppid() != parent:
                 raise RuntimeError("the parent of a forked stream half died")
-            for (parts, tails), (more, more_tails) in zip(kept, sums):
-                parts.append(np.concatenate(more))   # one array a chunk
-                tails += more_tails
-        points, value = _range_sums(chunks(split, total), split, phis, later,
-                                    keep)
-        # per Phi, its block sums joined as one chunk's, ready for fold
-        return ([([np.concatenate(parts)], tails) for parts, tails in kept],
-                points, value)
+            kept.append(sums)
+        value = _range_sums(chunks(split, total), phis, keep)
+        return [np.concatenate(parts) for parts in zip(*kept)], value
     child = _forked(child_half) if split else None
     end = split if child else total
-    sums = [[] for _ in phis]
-    running = [0.0] * len(phis)   # sum of each Phi over the earlier chunks
+    groups = [(q, [k % GRID_BLOCK for k in ks]) for q, ks in
+              itertools.groupby(marks, lambda k: k // GRID_BLOCK)]
+    marked = np.array([q for q, _ in groups], dtype=np.int64)
+    running = [0.0] * len(phis)   # sum of each Phi over the blocks folded
+    before = [[] for _ in phis]   # per Phi, its sums before the marked blocks
+    done = [0]   # the blocks folded
 
-    def fold(here, chunk_sums):
-        for i, (parts, tails) in enumerate(chunk_sums):
-            got, running[i] = _fold(running[i], parts, here, tails)
-            sums[i] += got
-    replied = False
+    def fold(blocks, sums):
+        lo, hi = np.searchsorted(marked, [done[0], done[0] + blocks])
+        for i, more in enumerate(sums):
+            at = np.concatenate([[running[i]], more])
+            np.cumsum(at, out=at)   # at[q]: the sum before block done + q
+            before[i] += list(at[marked[lo:hi] - done[0]])
+            running[i], at = at[-1], None   # free it before the next Phi's
+        done[0] += blocks
+    reply = None
     try:
-        points, value = _range_sums(chunks(0, end), 0, phis,
-                                    [k for k in marks if k < end], fold)
-        values = [value]
+        values = [_range_sums(chunks(0, end), phis, fold)]
         if child:
             try:
                 reply = pickle.load(child[1])
             except (EOFError, pickle.UnpicklingError):
                 raise RuntimeError("the forked half of a stream ended "
                                    "without a reply") from None
-            replied = True
             if isinstance(reply, BaseException):
                 raise reply
-            block_sums, more_points, value = reply
-            fold([k - split for k in later], block_sums)
-            points += more_points
-            values.append(value)
+            fold(-(-(total - split) // GRID_BLOCK), reply[0])
+            values.append(reply[1])
     finally:
         if child:
             pid, pipe = child
             pipe.close()
-            if not replied:
+            if reply is None:   # no reply: the child may still run
                 import signal   # on this path alone: not at start-up
                 os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+    reply = None   # free the child's block sums before the redraw
+    sums, points = [[] for _ in phis], []
+    for j, (q, ks) in enumerate(groups):   # ks: the marks' offsets in q
+        (w,) = chunks(q * GRID_BLOCK, q * GRID_BLOCK + ks[-1] + 1)
+        points += w[ks].tolist()
+        for i, phi in enumerate(phis):
+            vals = phi(w)
+            sums[i] += [before[i][j] + vals[:k + 1].sum() for k in ks]
     return ([np.array(s) for s in sums], np.array(points, dtype=np.complex128),
             values)
 
@@ -250,7 +227,8 @@ def haar_oracle(coeffs: CoefficientTable, n: int, phis, samples: int,
     Memory: the words of one ``phasor_sum`` step (64 KiB) are drawn at a
     time.  The stream is counter-based, so the phases, and the means, do
     not depend on that block.  Beyond it the call holds one chunk of S_N
-    (``_chunk_points``) and one Phi's work on a slice of it.
+    (``_chunk_points``), one Phi's work on a slice of it and, split, the
+    forked half's block sums once they arrive.
     """
     coeffs.check_order(n)
     if samples < MIN_HAAR_SAMPLES:

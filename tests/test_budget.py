@@ -185,11 +185,12 @@ def test_kernel_holds_three_budgets(coeffs, monkeypatch, name, scale):
 @pytest.mark.parametrize("name", ["haar", "alpha"])
 def test_split_parent_holds_its_reply(coeffs, monkeypatch, name):
     """Split between two processes, a stream's parent traces at most what
-    the stream traces in one process plus the child's reply: one pipe
-    buffer and a pickled value (under 128 bytes) per sum and point that
-    crosses the pipe.  The parent folds its own half chunk by chunk, as
-    one process does; the child's block sums (a few KiB at these sizes)
-    arrive once that half is done, below the peak of its chunks."""
+    the stream traces in one process plus one pipe buffer and 128 bytes
+    per sum, total and point at the marks.  The parent folds its own half
+    chunk by chunk, as one process does.  The child's reply, its block
+    sums (a few KiB at these sizes) and its iterator's value, arrives
+    once that half is done, below the peak of its chunks, and is freed
+    before the marks' blocks are drawn again, as one process draws them."""
     call, _ = _blocked_kernels(coeffs)[name]
     peaks = []
     for cpus in (1, 2):

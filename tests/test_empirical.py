@@ -10,7 +10,8 @@ import pytest
 import mfun.empirical as em
 from mfun import TestFunction, _kernels
 from mfun.density import invert_to_density
-from mfun._kernels import GRID_BLOCK, expi, f_grid_chunks, phasor_sum
+from mfun._kernels import (GRID_BLOCK, expi, f_grid_chunks, phasor_sum,
+                           splitmix64)
 from mfun.empirical import (
     ResonanceError,
     alpha_average_many,
@@ -202,26 +203,31 @@ def test_streams_independent_of_the_split(coeffs, monkeypatch):
     points at the marks whether a forked child sums the second half of
     each stream or this process sums it all: the child sends back its
     block sums, and this process folds them from its own sums at the
-    split in the same order.  The stream is also summed at a mark every
-    13 points, so that the child's reply outgrows a 64 KiB pipe buffer
-    and the child waits in its write until this process reads it."""
+    split in the same order.  One stream also carries 45 characters, so
+    that the child's block sums outgrow a 64 KiB pipe buffer and the
+    child waits in its write until this process reads it; another is
+    summed at a mark every 13 points, which puts marks in every block."""
     n = 5
     s = float(np.sum(coeffs.c[:n]))
     phis = [TestFunction.disc(0.0, 0.5 * s), TestFunction.character(4.0 / s)]
+    many = phis + [TestFunction.character(complex(m, -m) / s)
+                   for m in range(1, 46)]
     samples = 3 * em._chunk_points() + 1000
     x_list, total, h, marks = _split_stream(coeffs, n)
     c, g, b = coeffs.c[:n], coeffs.gamma[:n], coeffs.beta[:n]
     dense = list(range(0, total, 13))
-    # 16 bytes at least for each of the child's points
-    assert 16 * sum(k >= em._split_point(total) for k in dense) > 1 << 16
+    # the child's block sums: 8 bytes a block of a real Phi, 16 of a complex
+    blocks = -(-(total - em._split_point(total)) // GRID_BLOCK)
+    per_block = sum(phi(np.zeros(1, complex)).itemsize for phi in many)
+    assert blocks * per_block > 1 << 16
 
     def chunks(lo, hi):
         return f_grid_chunks(lo, hi, em._chunk_points(), h, c, g, b)
 
     def runs(ranges):
         streams = []
-        for at in ([0, *marks], dense):
-            sums, points, values = em._stream_sums(chunks, total, phis, at)
+        for fs, at in ((many, [0, *marks]), (phis, dense)):
+            sums, points, values = em._stream_sums(chunks, total, fs, at)
             assert len(values) == ranges
             streams.append(([x.tolist() for x in sums], points.tolist()))
         return (haar_oracle(coeffs, n, phis, samples, seed=6),
@@ -235,6 +241,51 @@ def test_streams_independent_of_the_split(coeffs, monkeypatch):
     (means, peak), _, sums, points, _ = whole
     assert isinstance(peak, float) and len(means) == 2
     assert len(points) == len(marks) + 1 and len(sums[1]) == len(marks) + 1
+
+
+def test_stream_sums_match_a_block_reference(coeffs, monkeypatch):
+    """A stream's sum at each mark, split and in one process, is bit for
+    bit the reference: the sums of Phi over each block of the whole
+    stream added in ascending order up to the mark's block, plus Phi
+    summed over that block up to the mark.  The stream spans four chunks
+    and ends in a partial block; the marks sit at 0, on a block's first
+    and last point, on either side of the split, two in one block and on
+    the last point.  A Haar stream with no Phi gives the max |S_N| of its
+    samples either way."""
+    n = 5
+    s = float(np.sum(coeffs.c[:n]))
+    phis = [TestFunction.disc(0.0, 0.5 * s), TestFunction.character(4.0 / s)]
+    c, g, b = coeffs.c[:n], coeffs.gamma[:n], coeffs.beta[:n]
+    chunk = em._chunk_points()
+    h = em._alpha_grid_step(coeffs, n, 1e3)
+    total = 3 * chunk + GRID_BLOCK + 300
+    split = em._split_point(total)
+    marks = [0, 3 * GRID_BLOCK, 6 * GRID_BLOCK - 1, split - 1, split,
+             split + 5, split + 900, total - 1]
+    assert split % GRID_BLOCK == 0 and chunk < split < total - GRID_BLOCK
+
+    def chunks(lo, hi):
+        return f_grid_chunks(lo, hi, chunk, h, c, g, b)
+    w = np.concatenate(list(chunks(0, total)))
+    want = []
+    for phi in phis:
+        block_sums = np.add.reduceat(phi(w), np.arange(0, total, GRID_BLOCK))
+        before = np.cumsum([0.0, *block_sums])
+        want.append([before[k // GRID_BLOCK]
+                     + phi(w[k - k % GRID_BLOCK:k + 1]).sum() for k in marks])
+    theta = (splitmix64(5, 0, total * n) >> 40).view(np.int64)
+    peak = float(np.max(np.abs(phasor_sum(theta.reshape(total, n), c))))
+
+    def run(ranges):
+        sums, points, values = em._stream_sums(chunks, total, phis, marks)
+        assert len(values) == ranges
+        assert [x.tolist() for x in sums] == want
+        assert points.tolist() == w[marks].tolist()
+        assert haar_oracle(coeffs, n, [], total, seed=5) == ([], peak)
+    monkeypatch.setattr(em, "_usable_cpus", lambda: 2)
+    run(2)
+    monkeypatch.setattr(em, "_usable_cpus", lambda: 1)
+    run(1)
 
 
 class ChildFault(Exception):
