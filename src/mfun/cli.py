@@ -9,6 +9,7 @@ reruns produce byte-identical primary outputs.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -353,14 +354,13 @@ def cmd_goldbach(config: argparse.Namespace, out: Path) -> int:
     # only A_2 at the grid is kept, never an x_max-long array
     rows = gb.compare_main_term(gb.a2_curve(table, grid), coeffs, config.N,
                                 grid)
-    _write_csv(out / "goldbach.csv",
-               ["x", "a2", "main_term", "residual", "normalized_residual"],
-               [(r["x"], r["a2"], r["main_term"], r["residual"],
-                 r["normalized_residual"]) for r in rows])
-    xs = np.array([r["x"] for r in rows], dtype=float)
+    header = ["x", "a2", "main_term", "residual", "normalized_residual"]
+    # every column is numeric, and "%.17g" prints each x as _fmt does
+    cols = np.array([[r[key] for key in header] for r in rows], dtype=float)
+    _write_csv(out / "goldbach.csv", header, cols)
     line_plot(out / "goldbach.svg",
-              [("A2(x)", xs, [r["a2"] for r in rows]),
-               ("main term", xs, [r["main_term"] for r in rows])],
+              [("A2(x)", cols[:, 0], cols[:, 1]),
+               ("main term", cols[:, 0], cols[:, 2])],
               title="summatory Goldbach residue vs zero-sum main term",
               xlabel="x", ylabel="value")
     failed = False
@@ -397,7 +397,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: each parse makes a new
+    namespace, so one run's options never reach the next."""
     parser = argparse.ArgumentParser(
         prog="mfun",
         description="value-distribution density of the summatory Goldbach "

@@ -185,9 +185,9 @@ def singular_series_all(x_max: int, lo: int = 0, primes=None) -> np.ndarray:
 
 
 def _sum2(v, s, e):
-    """Running compensated sums of v along its last axis, carried on from
-    the running sums s and e (one per row of v): the arrays (s, e), of v's
-    shape, whose s + e is each prefix.
+    """Running compensated sums of the 1-D v, carried on from the running
+    sums s and e: the arrays (s, e), of v's size, whose s + e is each
+    prefix.
 
     This is Sum2 of Ogita, Rump and Oishi (SIAM J. Sci. Comput. 26, 2005)
     on every prefix: s = cumsum(v), the exact rounding error of each add
@@ -198,20 +198,42 @@ def _sum2(v, s, e):
     cumsum is one sequential chain of adds, so no prefix depends on how v
     is cut into calls.  Five arrays of v's size are live: 40 bytes a cell.
     """
-    shape = (*v.shape[:-1], v.shape[-1] + 1)
-    s_run = np.empty(shape)
-    s_run[..., 0] = s
-    s_run[..., 1:] = v
-    np.cumsum(s_run, axis=-1, out=s_run)
-    t = np.subtract(s_run[..., 1:], s_run[..., :-1])
+    s_run = np.concatenate(([s], v))
+    np.cumsum(s_run, out=s_run)
+    t = np.subtract(s_run[1:], s_run[:-1])
     err = np.subtract(v, t)
-    np.subtract(s_run[..., 1:], t, out=t)
-    np.subtract(s_run[..., :-1], t, out=t)
-    e_run = np.empty(shape)
-    e_run[..., 0] = e
-    np.add(t, err, out=e_run[..., 1:])
-    np.cumsum(e_run, axis=-1, out=e_run)
-    return s_run[..., 1:], e_run[..., 1:]
+    np.subtract(s_run[1:], t, out=t)
+    np.subtract(s_run[:-1], t, out=t)
+    t += err
+    e_run = np.concatenate(([e], t))
+    np.cumsum(e_run, out=e_run)
+    return s_run[1:], e_run[1:]
+
+
+def _ranker(pp: np.ndarray, top: int):
+    """rank(y), the number of prime powers <= y, for an int64 array of y
+    in [0, top], from pp, the ascending prime powers.
+
+    Bit y % 64 of word y // 64 of a bitmap marks each prime power y <= top,
+    and before[w] counts the bits set in the words before w.  So rank(y)
+    is before[y // 64] plus the set bits of y's word shifted left by
+    63 - y % 64, which keeps the bits <= y: the rank/select structure of
+    Jacobson (FOCS 1989).  The two arrays take top / 4 bytes.  The bitmap
+    is built a budget of prime powers at a time.
+    """
+    words = np.zeros(top // 64 + 1, dtype=np.uint64)
+    step = _per_block(32)   # a prime power, its mask, word and bit
+    for a in range(0, pp.size, step):
+        p = pp[a:a + step]
+        p = p[p <= top]
+        np.bitwise_or.at(words, p >> 6, 1 << (p & 63).view(np.uint64))
+    before = np.zeros(words.size, dtype=np.int64)   # set bits before word w
+    np.cumsum(np.bitwise_count(words[:-1]), dtype=np.int64, out=before[1:])
+
+    def rank(y):   # ~y & 63 is 63 - y % 64
+        w = y >> 6
+        return before[w] + np.bitwise_count(words[w] << (~y & 63).view("u8"))
+    return rank
 
 
 def _pair_sums(table: ArithmeticTable, xs: np.ndarray):
@@ -224,16 +246,16 @@ def _pair_sums(table: ArithmeticTable, xs: np.ndarray):
         R(x) = -psi(floor(x/2))**2 + sum_{l <= x/2} 2 Lambda(l) psi(x - l)
 
     with Chebyshev's psi(y) = sum_{m<=y} Lambda(m).  psi is held at the
-    prime powers as their compensated running sum, rounded once, and
-    psi(x - l) is read there by ``searchsorted``.  Each R(x) is one chain
-    of ``_sum2``: it starts at -psi(floor(x/2))**2, squared exactly from
-    psi's unrounded running sums, and adds the terms in ascending l,
-    carried from block to block.  A block holds as many whole chains of
-    consecutive x as fit in it, or else one chain's next stretch of l;
-    the shorter chains in it run on over zero terms, which leave both
-    running sums as they were.  So each R(x) is the same chain of adds for
-    any budget and any grid around it.  A block cell holds its key, index,
-    term and ``_sum2``'s arrays: 64 bytes.
+    prime powers as their compensated running sum, rounded once and
+    doubled (exactly), and 2 psi(x - l) is read there at the rank of
+    x - l, from ``_ranker``'s bitmap of the prime powers up to max(xs)
+    (max(xs) / 4 bytes).  Each R(x) is its own chain of ``_sum2``: it
+    starts at -psi(floor(x/2))**2, squared exactly from psi's unrounded
+    running sums, and adds its rank(x/2) terms in ascending l, a budget
+    of terms at a time, carried from block to block.  So each R(x) is the
+    same chain of adds for any budget and any grid around it.  A block
+    cell holds its key, word, rank and term and ``_sum2``'s arrays: 64
+    bytes.
 
     Error bound (u = 2**-53, R the exact sum of the table's doubles): each
     term is within 2u of its own, from the rounding of psi and of the
@@ -241,20 +263,21 @@ def _pair_sums(table: ArithmeticTable, xs: np.ndarray):
 
         |s + e - R(x)| <= 3 u (R(x) + psi(floor(x/2))**2).
     """
-    k = np.searchsorted(table.pp, xs[-1], side="right")   # every y read
-    pp, lam = table.pp[:k], table.lam_pp[:k]
-    terms = np.searchsorted(pp, xs // 2, side="right")   # l <= x/2 per x
-    psi = np.empty(k + 1)    # psi[i] = Lambda(pp[0]) + ... + Lambda(pp[i - 1])
+    rank = _ranker(table.pp, int(xs[-1]))
+    k = int(rank(xs[-1:])[0])   # every y read
+    terms = rank(xs // 2)   # l <= x/2 per x
+    psi = np.empty(k + 1)    # psi[i] = 2 psi(pp[i - 1]), psi[0] = 0
     psi[0] = s = e = 0.0
     half_s, half_e = np.zeros(xs.size), np.zeros(xs.size)   # psi(x/2) = s + e
     step = _per_block(40)
     for a in range(0, k, step):
-        run_s, run_e = _sum2(lam[a:a + step], s, e)
+        run_s, run_e = _sum2(table.lam_pp[a:min(a + step, k)], s, e)
         np.add(run_s, run_e, out=psi[a + 1:a + 1 + run_s.size])
         s, e = run_s[-1], run_e[-1]
         i, j = np.searchsorted(terms, (a + 1, a + 1 + run_s.size))
         half_s[i:j] = run_s[terms[i:j] - a - 1]
         half_e[i:j] = run_e[terms[i:j] - a - 1]
+    psi *= 2.0   # exact: 2 psi(y) Lambda(l) is one rounding
     # psi(x/2)**2 = sq + sq_err up to half_e**2: half_s split into halves
     # of 26 bits (Dekker 1971) gives the rounding error of its square exactly
     sq = half_s * half_s
@@ -262,26 +285,14 @@ def _pair_sums(table: ArithmeticTable, xs: np.ndarray):
     hi -= hi - half_s
     lo = half_s - hi
     sq_err = ((hi * hi - sq) + 2.0 * hi * lo) + lo * lo + 2.0 * half_s * half_e
+    sums, errs = 0.0 - sq, 0.0 - sq_err   # R(x)'s running sums, per x
     cells = _per_block(64)
-    sums, errs = np.empty(xs.size), np.empty(xs.size)
-    counts, i = terms.tolist(), 0
-    while i < xs.size:
-        j = i + 1        # rows i .. j - 1 of the block
-        while j < xs.size and (j + 1 - i) * counts[j] <= cells:
-            j += 1
-        x, m = xs[i:j, None], terms[i:j, None]
-        s, e = 0.0 - sq[i:j], 0.0 - sq_err[i:j]   # +0.0 as zero terms leave it
-        width = max(1, cells // (j - i))
-        for c in range(0, counts[j - 1], width):
-            ls = pp[c:min(c + width, counts[j - 1])]
-            y = x - ls
-            y[np.arange(c, c + ls.size) >= m] = 0    # past x/2: psi(0) = 0
-            t = psi[np.searchsorted(pp, y, side="right")]
-            t *= 2.0 * lam[c:c + ls.size]
-            run_s, run_e = _sum2(t, s, e)
-            s, e = run_s[:, -1].copy(), run_e[:, -1].copy()
-        sums[i:j], errs[i:j] = s, e
-        i = j
+    for r, (x, m) in enumerate(zip(xs.tolist(), terms.tolist())):
+        for c in range(0, m, cells):
+            t = psi[rank(x - table.pp[c:min(c + cells, m)])]
+            t *= table.lam_pp[c:c + t.size]
+            run_s, run_e = _sum2(t, sums[r], errs[r])
+            sums[r], errs[r] = run_s[-1], run_e[-1]
     return sums, errs
 
 
@@ -290,16 +301,19 @@ def a2_curve(table: ArithmeticTable, grid) -> dict[int, float]:
 
     Returns {x: A_2(x)} for each x of grid (integers in [0, limit]), in
     ascending x, as A_2(x) = R(x) - T(x).  R comes from the pair sums of
-    ``_pair_sums``, and T(x) = sum_{n<=x} n S_2(n) from one Sum2 chain over
-    n (``_sum2``), carried across ``singular_series_all`` blocks of a
-    budget of doubles, in slices of a budget of ``_sum2`` cells, and read
-    at the grid as it passes.  The two chains' running sums are
-    subtracted before they are added: beyond the first few x, R and T lie
-    within a factor 2 of each other, so s_R - s_T is exact (Sterbenz) and
-    A_2 is rounded once.  The odd primes the sieve of S_2 needs are taken
-    from the table's support.  Nothing of length limit is made, and no
-    r_2(n) is formed: the memory is psi at the prime powers, the odd
-    primes up to max(grid) / 2 and one block.
+    ``_pair_sums``, one chain per x, and T(x) = sum_{n<=x} n S_2(n) from
+    one Sum2 chain over the even n (``_sum2``), carried across
+    ``singular_series_all`` blocks of a budget of doubles, in slices of a
+    budget of ``_sum2`` cells, and read at the grid as it passes.  S_2 is
+    0.0 at every odd n, and adding +0.0 leaves both running sums as they
+    were, so an odd x reads T(x - 1) and T is the same bits as the chain
+    over every n.  The two chains' running sums are subtracted before
+    they are added: beyond the first few x, R and T lie within a factor 2
+    of each other, so s_R - s_T is exact (Sterbenz) and A_2 is rounded
+    once.  The odd primes the sieve of S_2 needs are taken from the
+    table's support.  Nothing of length limit is made, and no r_2(n) is
+    formed: the memory is psi at the prime powers, the rank's max(grid) / 4
+    bytes, the odd primes up to max(grid) / 2 and one block.
 
     Error bound (u = 2**-53; R, T and A_2 the exact sums of the table's
     Lambda and of S_2 as ``singular_series_all`` gives it; x <= 1e7):
@@ -324,17 +338,21 @@ def a2_curve(table: ArithmeticTable, grid) -> dict[int, float]:
     odd = table.pp[:lam.size][lam == np.maximum.accumulate(lam)][1:]
     t_s, t_e = np.empty(x.size), np.empty(x.size)
     s = e = 0.0
-    step, sub = _per_block(8), _per_block(40)
+    # sub: half a budget of _sum2 cells (40 bytes), so that a slice spans
+    # a budget's n.  A whole budget of cells read 0.47 MiB more peak RSS in
+    # perfbench's arithmetic workload (heap layout, not live arrays).
+    step, sub = _per_block(8), _per_block(80)
     for lo in range(0, xs[-1] + 1, step):
         hi = min(lo + step, xs[-1] + 1)
         v = singular_series_all(hi - 1, lo, odd)
-        for a in range(lo, hi, sub):
-            vs = v[a - lo:a - lo + sub]
-            vs *= np.arange(a, a + vs.size, dtype=np.float64)
+        for a in range(lo + lo % 2, hi, 2 * sub):   # the even n only
+            vs = v[a - lo:a - lo + 2 * sub:2]
+            vs *= np.arange(a, a + 2 * vs.size, 2, dtype=np.float64)
             run_s, run_e = _sum2(vs, s, e)
             s, e = run_s[-1], run_e[-1]
-            i, j = np.searchsorted(x, (a, a + run_s.size))
-            t_s[i:j], t_e[i:j] = run_s[x[i:j] - a], run_e[x[i:j] - a]
+            i, j = np.searchsorted(x, (a, a + 2 * vs.size))
+            k = (x[i:j] - a) // 2   # an odd x reads the even n = x - 1
+            t_s[i:j], t_e[i:j] = run_s[k], run_e[k]
     return dict(zip(xs, ((r_s - t_s) + (r_e - t_e)).tolist()))
 
 

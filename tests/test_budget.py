@@ -55,7 +55,7 @@ def _outputs(coeffs, out):
     weights = rho * d10.characteristic
     r_avg = np.linspace(0.0, 1.2 * s, 3000)
     # A_2 at 2e5 over 4 S_2 blocks, 2 of psi and up to 2 chain blocks: at
-    # every x <= 1000 (many chains to a block), the goldbach-validate grid
+    # every x <= 1000 (a short chain each), the goldbach-validate grid
     # and each S_2 block edge with its neighbours
     a2_grid = sorted({*range(1001), *range(S2_STEP - 1, 200_001, S2_STEP),
                       *range(S2_STEP, 200_001, S2_STEP),

@@ -41,6 +41,22 @@ def test_print_config(capsys):
     assert "seed = 1" in out
 
 
+def test_parser_built_once_per_process(capsys):
+    """One parser serves every run in a process, and each run prints its
+    own command's options only, with its own values."""
+    printed = []
+    for args in (["weyl", "--N", "7"],
+                 ["goldbach-validate", "--x-max", "1500"]):
+        assert run([*args, "--print-config"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        printed.append(dict(line.split(" = ", 1) for line in lines))
+    assert mfun.cli._parser() is mfun.cli._parser()
+    weyl, goldbach = printed
+    assert weyl.keys() == {"zeros", "out", "N", "X", "seed", "count"}
+    assert goldbach.keys() == {"zeros", "out", "N", "x-max"}
+    assert (weyl["N"], goldbach["N"], goldbach["x-max"]) == ("7", "10", "1500")
+
+
 def test_config_file_and_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("N = 9\nseed = 4  # comment\n")
@@ -460,6 +476,26 @@ def test_goldbach_validate_desk_scale(tmp_path, capsys):
     assert (out / "goldbach.csv").exists()
     assert (out / "goldbach.svg").exists()
     assert "brute-force cross-check" in capsys.readouterr().out
+
+
+def test_goldbach_csv_array_matches_rows(tmp_path, monkeypatch):
+    """goldbach.csv, written as a float array, is the bytes of its rows
+    written cell by cell through ``_fmt`` with x an int, at x_max = 2e4."""
+    caught, compare = [], mfun.goldbach.compare_main_term
+
+    def spied(*args):
+        caught.extend(rows := compare(*args))
+        return rows
+
+    monkeypatch.setattr(mfun.goldbach, "compare_main_term", spied)
+    assert run(["goldbach-validate", "--x-max", "20000", "--N", "30",
+                "--out", str(tmp_path)]) == 0
+    header = ["x", "a2", "main_term", "residual", "normalized_residual"]
+    assert all(type(r["x"]) is int for r in caught) and len(caught) > 200
+    _write_csv(tmp_path / "rows.csv", header,
+               [[r[key] for key in header] for r in caught])
+    assert ((tmp_path / "goldbach.csv").read_bytes()
+            == (tmp_path / "rows.csv").read_bytes())
 
 
 def test_svg_polyline_written_in_blocks(tmp_path):

@@ -202,6 +202,60 @@ def test_r2_blocks_within_stated_bound(monkeypatch):
         assert gap <= bound, n
 
 
+@pytest.mark.parametrize("budget", [4000, None], ids=["4000B", "default"])
+def test_rank_is_searchsorted(monkeypatch, budget):
+    """The bitmap rank of y, the number of prime powers <= y, is
+    searchsorted's right index into them: at 0 and 1, at every prime
+    power up to the top and its neighbours, at the word edges 63/64/65 and
+    127/128, and at the top, 19,997, the last prime power up to 2e4, from
+    a table that runs past it.  At 4,000 bytes the bitmap is built from
+    27 blocks of up to 125 prime powers."""
+    pp = sieve_lambda(30_000).pp
+    top = int(pp[pp <= 20_000][-1])
+    assert top == 19_997
+    if budget:
+        monkeypatch.setattr(_kernels, "_BLOCK_BYTES", budget)
+    rank = gb._ranker(pp, top)
+    small = pp[pp <= top]
+    y = np.unique(np.concatenate([[0, 1, 63, 64, 65, 127, 128, top],
+                                  small - 1, small, small + 1]))
+    y = y[y <= top]
+    assert np.array_equal(rank(y), np.searchsorted(pp, y, side="right"))
+
+
+@pytest.mark.parametrize("budget", [4000, None], ids=["4000B", "default"])
+def test_pair_sums_are_one_chain_per_x(monkeypatch, budget):
+    """_pair_sums at a random grid up to 2e5 is, bit for bit, one Sum2
+    chain per x written out here: psi from one chain over Lambda, rounded
+    once; -psi(x/2)**2 squared exactly (Dekker) from its unrounded sums;
+    then the terms psi(x - l) 2 Lambda(l) in ascending l, each psi found by
+    searchsorted, in one call.  At 4,000 bytes a chain runs in blocks of
+    62 terms."""
+    x = 200_000
+    table = sieve_lambda(x)
+    pp, lam = table.pp, table.lam_pp
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(38)))
+    xs = np.unique(np.append(rng.integers(0, x + 1, 60), [0, 3, 4, 5, x]))
+    if budget:
+        monkeypatch.setattr(_kernels, "_BLOCK_BYTES", budget)
+    got = gb._pair_sums(table, xs)
+    run_s, run_e = gb._sum2(lam, 0.0, 0.0)
+    psi = np.append(0.0, run_s + run_e)
+    want = []
+    for n in xs.tolist():
+        m = int(np.searchsorted(pp, n // 2, side="right"))
+        h, h_e = (run_s[m - 1], run_e[m - 1]) if m else (0.0, 0.0)
+        sq = h * h
+        hi = h * 134217729.0
+        hi -= hi - h
+        lo = h - hi
+        sq_err = ((hi * hi - sq) + 2.0 * hi * lo) + lo * lo + 2.0 * h * h_e
+        t = psi[np.searchsorted(pp, n - pp[:m], side="right")]
+        s, e = gb._sum2(t * (2.0 * lam[:m]), 0.0 - sq, 0.0 - sq_err)
+        want.append((s[-1], e[-1]) if m else (0.0 - sq, 0.0 - sq_err))
+    assert np.array_equal(bits(got), bits(np.array(want).T))
+
+
 def r2_direct(pp, lam_pp, lo, n_max):
     """Oracle: r2[n - lo] = sum_{l+m=n} Lambda(l) Lambda(m) for
     lo <= n <= n_max by the direct double loop over the ordered pairs of
@@ -389,9 +443,9 @@ def test_a2_blocks_match_one_shot_sum2(monkeypatch):
 def test_a2_grid_holds_no_whole_array():
     """The grid path (what goldbach-validate runs) keeps A_2 at the grid
     only.  At x_max = 4e6 its traced peak stays below 0.5 arrays of
-    x_max + 1 doubles: psi at the prime powers (0.07 arrays), the odd
-    primes up to x_max / 2 and the blocks of one budget, 0.09 arrays in
-    all."""
+    x_max + 1 doubles: psi at the prime powers (0.07 arrays), the rank's
+    bitmap and word counts (0.03), the odd primes up to x_max / 2 and the
+    blocks of one budget, 0.12 arrays in all."""
     import tracemalloc
     x = 4_000_000
     table = sieve_lambda(x)
